@@ -1,11 +1,12 @@
 """Multi-chain selfmeasurement cascades.
 
-Chain 1 records the system spin (pointer mu_z).  Each later chain k records
-the interference term of the state left by stage k-1 through a controlled
-flip on the +/-1 eigenspaces of that stage's IT operator.  The terminal
-joint IT operator, with no chain left to record it, is the unmeasurable
-witness; its expectation separates the final superposition from the branch
-mixture.
+Every stage records one involution on a fresh chain: identity on its +1
+eigenspace, the chain's complete flip on its -1 eigenspace.  Stage 1
+records Z_S0 (chain 1's pointer passage), stage 2 records the interference
+term B of (S0, chain 1), and stage k >= 3 records the joint IT operator of
+stage k-1.  The terminal joint IT operator, with no chain left to record
+it, is the unmeasurable witness; its expectation separates the final
+superposition from the branch mixture.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import SYSTEM_LABEL, passage_step, pointer_operator
+from .chain import SYSTEM_LABEL, it_operator, pointer_operator
 from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, BranchDecomposition,
                       DensityMatrix, DimensionCapError, HilbertLayout,
                       StateError, StateVector, canonical_split)
 from .pauli import (OperatorError, PauliString, PauliSum, apply, apply_sum,
                     expectation)
+
+_Z_SYSTEM = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
 
 
 @dataclass(frozen=True)
@@ -156,23 +159,22 @@ def _involution_check(b: PauliSum, tol: float):
         raise OperatorError("operator is not an involution (B^2 != identity)")
 
 
+def _pauli_split(state: StateVector, b: PauliSum, target: Sequence[str],
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The +/-1 eigencomponents (P+ psi, P- psi) of a Pauli involution B
+    that leaves the recording chain `target` alone."""
+    if set(b.support) & set(target):
+        raise OperatorError("B must not act on the recording chain")
+    _involution_check(b, tol)
+    b_psi = apply_sum(b, state)
+    return 0.5 * (state.amplitudes + b_psi), 0.5 * (state.amplitudes - b_psi)
+
+
 def b_eigenbranches(psi: StateVector, b: PauliSum,
                     tol: float = DEFAULT_TOL) -> BranchDecomposition:
     """Decompose psi into the +/-1 eigencomponents of an involution B,
     canonically gauged; branches with zero weight are dropped."""
-    _involution_check(b, tol)
-    b_psi = apply_sum(b, psi)
-    branches = []
-    for sign in (+1.0, -1.0):
-        comp = 0.5 * (psi.amplitudes + sign * b_psi)
-        if np.linalg.norm(comp) > tol:
-            branches.append(canonical_split(psi.layout, comp, tol))
-    decomp = BranchDecomposition(psi.layout, tuple(branches)).validate(tol)
-    recon = decomp.state()
-    err = float(np.linalg.norm(recon.amplitudes - psi.amplitudes))
-    if err > tol:
-        raise StateError(f"eigenbranch reconstruction error {err} exceeds {tol}")
-    return decomp
+    return _record(psi, *_pauli_split(psi, b, (), tol), (), tol)[1]
 
 
 def _chain_flip(labels: Sequence[str]) -> PauliString:
@@ -190,47 +192,35 @@ def _ready_residual(state: StateVector, target: Sequence[str]) -> float:
     return float(np.linalg.norm((arr - kept).ravel()))
 
 
+def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,
+            target: Sequence[str],
+            tol: float) -> tuple[StateVector, BranchDecomposition]:
+    """Record an involution on the fresh all-up chain `target`, given the
+    split state = plus + minus into its +1 and -1 eigencomponents: identity
+    on plus, the per-atom -i flip of the target on minus.  The two parts,
+    canonically gauged, are the new branch pair.  An empty target flips
+    nothing and leaves the plain eigenbranches."""
+    target = tuple(target)
+    r = _ready_residual(state, target)
+    if r > tol:
+        raise StateError(f"target chain is not in the ready all-up state (residual {r})")
+    err = float(np.linalg.norm(plus + minus - state.amplitudes))
+    if err > tol:
+        raise StateError(f"eigencomponent reconstruction error {err} exceeds {tol}")
+    flipped = apply(_chain_flip(target), StateVector(state.layout, minus)).amplitudes
+    new_state = StateVector(state.layout, plus + flipped).check_normalized(1e-9)
+    branches = tuple(canonical_split(state.layout, part, tol)
+                     for part in (plus, flipped) if np.linalg.norm(part) > tol)
+    return new_state, BranchDecomposition(state.layout, branches).validate(tol)
+
+
 def second_chain_measure(state: StateVector, b: PauliSum,
                          target_chain: Sequence[str],
                          tol: float = DEFAULT_TOL) -> StateVector:
     """Record the involution B on a fresh all-up chain: identity on the
     B=+1 eigenspace, the per-atom -i flip of the target on B=-1."""
-    target = tuple(target_chain)
-    if set(b.support) & set(target):
-        raise OperatorError("B must not act on the recording chain")
-    r = _ready_residual(state, target)
-    if r > tol:
-        raise StateError(f"target chain is not in the ready all-up state (residual {r})")
-    _involution_check(b, tol)
-    b_psi = apply_sum(b, state)
-    plus = 0.5 * (state.amplitudes + b_psi)
-    minus = 0.5 * (state.amplitudes - b_psi)
-    flipped = apply(_chain_flip(target), StateVector(state.layout, minus))
-    out = StateVector(state.layout, plus + flipped.amplitudes)
-    return out.check_normalized(1e-9)
-
-
-def _connector_measure(branches: BranchDecomposition, state: StateVector,
-                       target: Sequence[str],
-                       tol: float = DEFAULT_TOL) -> tuple[StateVector, BranchDecomposition]:
-    """Record the joint IT operator of `branches` on a fresh chain."""
-    r = _ready_residual(state, target)
-    if r > tol:
-        raise StateError(f"target chain is not in the ready all-up state (residual {r})")
-    t = joint_it_operator(branches)
-    w_plus, w_minus = t.eigenvectors()
-    c_plus = np.vdot(w_plus, state.amplitudes)
-    c_minus = np.vdot(w_minus, state.amplitudes)
-    part_plus = c_plus * w_plus
-    part_minus = apply(_chain_flip(target),
-                       StateVector(state.layout, c_minus * w_minus)).amplitudes
-    new_state = StateVector(state.layout, part_plus + part_minus).check_normalized(1e-9)
-    new_branches = []
-    for part in (part_plus, part_minus):
-        if np.linalg.norm(part) > tol:
-            new_branches.append(canonical_split(state.layout, part, tol))
-    decomp = BranchDecomposition(state.layout, tuple(new_branches)).validate(tol)
-    return new_state, decomp
+    return _record(state, *_pauli_split(state, b, target_chain, tol),
+                   target_chain, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -254,6 +244,47 @@ class CascadeRun:
     def terminal_connector(self) -> BranchConnector:
         return joint_it_operator(self.final.branches)
 
+    def tradeoff(self, tol: float = DEFAULT_TOL) -> TradeoffReport:
+        """Recording B on chain 2 erases chain 1's pointer record: mu_z(C1)
+        drops to zero while chain 2's pointer reproduces B exactly."""
+        if len(self.stages) < 2:
+            raise ValueError(
+                f"information tradeoff needs m >= 2 recorded chains, got {len(self.stages)}")
+        psi_f, phi_f = self.stages[0].state, self.stages[1].state
+        mu1 = pointer_operator(self.model.chain_atoms(1))
+        b = it_operator(self.model.chain_atoms(1))
+        return TradeoffReport(
+            mu_before=expectation(mu1, psi_f, tol),
+            mu_after=expectation(mu1, phi_f, tol),
+            b_before=expectation(b, psi_f, tol),
+            b_prime_after=expectation(pointer_operator(self.model.chain_atoms(2)),
+                                      phi_f, tol),
+        )
+
+    def terminal_deviation(self) -> float:
+        """|<T>_pure - sum_i |a_i|^2 <chi_i|T|chi_i>| for the terminal joint
+        IT operator T, from the branch vectors alone."""
+        t = self.terminal_connector()
+        mixed = sum(abs(a) ** 2 * t.expectation(chi)
+                    for a, chi in self.final.branches.branches)
+        return abs(t.expectation(self.final.state) - mixed)
+
+    def terminal_witness(self, tol: float = DEFAULT_TOL) -> TerminalWitnessReport:
+        """The last stage's joint IT operator with its support and its
+        pure/mixed deviation; see unmeasured_it_exists."""
+        connector = self.terminal_connector()
+        deviation = self.terminal_deviation()
+        support = connector.support(tol)
+        amps = tuple(complex(a) for a, _ in self.final.branches.branches)
+        return TerminalWitnessReport(
+            exists=deviation > tol,
+            deviation=deviation,
+            support=support,
+            covers_observer=set(self.model.observer_labels) <= set(support),
+            branch_amplitudes=amps,
+            witness=connector,
+        )
+
 
 def initial_cascade_state(model: CascadeModel) -> StateVector:
     layout = model.layout
@@ -266,65 +297,32 @@ def initial_cascade_state(model: CascadeModel) -> StateVector:
 
 def run_cascade(model: CascadeModel, stages: int | None = None,
                 tol: float = DEFAULT_TOL) -> CascadeRun:
-    """Run the measurement sequence through `stages` chains (default all)."""
-    from .chain import it_operator  # chain 1 IT operator over this layout
+    """Run the measurement sequence through `stages` chains (default all).
 
+    Stage k records one involution on the fresh chain k: Z_S0 for chain 1
+    (the complete-flip passage), B of (S0, chain 1) for chain 2, and for
+    k >= 3 the joint IT operator of stage k-1, split along its eigenvectors.
+    """
     stages = model.m if stages is None else stages
     if not 1 <= stages <= model.m:
         raise ValueError(f"stages must be in 1..{model.m}, got {stages}")
     state = initial_cascade_state(model)
-    chain1 = model.chain_atoms(1)
-    for atom in chain1:
-        state = passage_step(state, atom)
-    n1 = len(chain1)
-    layout = model.layout
-    up = np.zeros(layout.dim, dtype=complex)
-    up[0] = 1.0
-    down = np.zeros(layout.dim, dtype=complex)
-    idx_down = layout.index_of([1] + [1] * n1 + [0] * (len(model.observer_labels) - n1))
-    down[idx_down] = 1.0
-    branches = []
-    if abs(model.a1) > tol:
-        branches.append((model.a1, StateVector(layout, up)))
-    amp2 = model.a2 * (-1j) ** n1
-    if abs(amp2) > tol:
-        branches.append(canonical_split(layout, amp2 * down, tol))
-    out = [CascadeStage("mu_z(C1)", state,
-                        BranchDecomposition(layout, tuple(branches)).validate(tol))]
-    if stages >= 2:
-        b1 = it_operator(chain1)
-        state = second_chain_measure(state, b1, model.chain_atoms(2), tol)
-        decomp = _stage2_branches(out[0].branches, b1, model, state, tol)
-        out.append(CascadeStage("B(S0,C1)", state, decomp))
-    for k in range(3, stages + 1):
-        prev = out[-1]
-        state, decomp = _connector_measure(prev.branches, prev.state,
-                                           model.chain_atoms(k), tol)
-        out.append(CascadeStage(f"joint IT of stage {k - 1}", state, decomp))
+    out: list[CascadeStage] = []
+    for k in range(1, stages + 1):
+        target = model.chain_atoms(k)
+        if k == 1:
+            recorded = "mu_z(C1)"
+            parts = _pauli_split(state, _Z_SYSTEM, target, tol)
+        elif k == 2:
+            recorded = "B(S0,C1)"
+            parts = _pauli_split(state, it_operator(model.chain_atoms(1)), target, tol)
+        else:
+            recorded = f"joint IT of stage {k - 1}"
+            eigvecs = joint_it_operator(out[-1].branches).eigenvectors()
+            parts = tuple(np.vdot(w, state.amplitudes) * w for w in eigvecs)
+        state, branches = _record(state, *parts, target, tol)
+        out.append(CascadeStage(recorded, state, branches))
     return CascadeRun(model, tuple(out))
-
-
-def _stage2_branches(psi_branches: BranchDecomposition, b: PauliSum,
-                     model: CascadeModel, new_state: StateVector,
-                     tol: float) -> BranchDecomposition:
-    """Branch pair after the B-recording stage: B eigencomponents tagged by
-    the recording chain's pointer states."""
-    layout = model.layout
-    psi = psi_branches.state()
-    b_psi = apply_sum(b, psi)
-    target = model.chain_atoms(2)
-    plus = 0.5 * (psi.amplitudes + b_psi)
-    minus = apply(_chain_flip(target),
-                  StateVector(layout, 0.5 * (psi.amplitudes - b_psi))).amplitudes
-    branches = []
-    for part in (plus, minus):
-        if np.linalg.norm(part) > tol:
-            branches.append(canonical_split(layout, part, tol))
-    decomp = BranchDecomposition(layout, tuple(branches)).validate(tol)
-    err = float(np.linalg.norm(decomp.state().amplitudes - new_state.amplitudes))
-    if err > tol:
-        raise StateError(f"stage-2 branch reconstruction error {err}")
-    return decomp
 
 
 @dataclass(frozen=True)
@@ -338,24 +336,9 @@ class TradeoffReport:
 
 
 def information_tradeoff(model: CascadeModel, tol: float = DEFAULT_TOL) -> TradeoffReport:
-    """Recording B on chain 2 erases chain 1's pointer record: mu_z(C1)
-    drops to zero while chain 2's pointer reproduces B exactly."""
-    if model.m < 2:
-        raise ValueError(f"information tradeoff needs m >= 2 chains, got {model.m}")
-    from .chain import it_operator
-
-    run = run_cascade(model, stages=2, tol=tol)
-    psi_f = run.stages[0].state
-    phi_f = run.stages[1].state
-    mu1 = pointer_operator(model.chain_atoms(1))
-    mu2 = pointer_operator(model.chain_atoms(2))
-    b = it_operator(model.chain_atoms(1))
-    return TradeoffReport(
-        mu_before=expectation(mu1, psi_f, tol),
-        mu_after=expectation(mu1, phi_f, tol),
-        b_before=expectation(b, psi_f, tol),
-        b_prime_after=expectation(mu2, phi_f, tol),
-    )
+    """Pointer means of chains 1 and 2 and B before/after stage 2; see
+    CascadeRun.tradeoff."""
+    return run_cascade(model, stages=min(model.m, 2), tol=tol).tradeoff(tol)
 
 
 def build_B2_flip_sum(chain1_atoms: Sequence[str], chain2_atoms: Sequence[str],
@@ -397,22 +380,4 @@ def unmeasured_it_exists(model: CascadeModel,
     """After all m chains are consumed, the terminal joint IT operator acts
     on every observer qubit and (for generic amplitudes) still separates the
     pure final state from its branch mixture."""
-    run = run_cascade(model, tol=tol)
-    final = run.final
-    connector = run.terminal_connector()
-    pure = final.state
-    mixed = final.branches.mixture()
-    deviation = abs(connector.expectation(pure) - connector.expectation_mixed(mixed))
-    support = connector.support(tol)
-    covers = set(model.observer_labels) <= set(support)
-    amps = tuple(a for a, _ in final.branches.branches)
-    if len(amps) == 1:
-        amps = (amps[0], 0.0 + 0.0j)
-    return TerminalWitnessReport(
-        exists=deviation > tol,
-        deviation=deviation,
-        support=support,
-        covers_observer=covers,
-        branch_amplitudes=(complex(amps[0]), complex(amps[1])),
-        witness=connector,
-    )
+    return run_cascade(model, tol=tol).terminal_witness(tol)

@@ -23,6 +23,9 @@ from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, DensityMatrix,
 
 LETTERS = ("I", "X", "Y", "Z")
 
+# all_strings enumerates 4^n strings; more labels than this are refused
+MAX_ENUMERATED_LABELS = 6
+
 # (a, b) -> (a*b letter, added power of i)
 _MUL = {
     ("X", "X"): ("I", 0), ("Y", "Y"): ("I", 0), ("Z", "Z"): ("I", 0),
@@ -422,7 +425,7 @@ def parse_sum(text: str) -> PauliSum:
 
 def all_strings(labels: Sequence[str]) -> list[PauliString]:
     """Every bare Pauli string over the given qubit labels (4^n of them)."""
-    if len(labels) > 6:
+    if len(labels) > MAX_ENUMERATED_LABELS:
         raise OperatorError(f"refusing to enumerate 4^{len(labels)} strings")
     out = []
     for combo in itertools.product(LETTERS, repeat=len(labels)):

@@ -23,12 +23,16 @@ from . import cascade as casc
 from . import chain as ch
 from . import radiation as rad
 from . import sectors as sec
-from .hilbert import DEFAULT_TOL
-from .pauli import PauliString, PauliSum, apply_sum, expectation_mixed
+from .hilbert import DEFAULT_DIM_CAP, DEFAULT_TOL
+from .pauli import (MAX_ENUMERATED_LABELS, PauliString, PauliSum,
+                    expectation_mixed)
 
 SCHEMA_VERSION = "1"
 
 SCENARIOS = ("ch-basic", "ch-heisenberg", "ch-cascade", "rd-basic", "growth")
+
+# qubits that fit the dimension cap
+_MAX_QUBITS = DEFAULT_DIM_CAP.bit_length() - 1
 
 
 class ConfigError(ValueError):
@@ -167,12 +171,34 @@ def _check_params(scenario: str, params: dict[str, Any]):
         if scenario == "ch-heisenberg" and n < 2:
             raise ConfigError(
                 f"n_atoms: the exchange chain requires n_atoms >= 2, got {n!r}")
+        qubits = n + 1 if scenario == "ch-basic" else n
+        if qubits > _MAX_QUBITS:
+            raise ConfigError(
+                f"n_atoms: the layout of {qubits} qubits must fit the dimension cap "
+                f"2^{_MAX_QUBITS}, got n_atoms = {n}")
+    if scenario == "ch-basic":
+        preset = params["observable_preset"]
+        if preset not in sec.CHAIN_PRESETS:
+            raise ConfigError(
+                f"observable_preset: expected one of {sec.CHAIN_PRESETS}, got {preset!r}")
+        if preset in ("all_strings", "sector_preserving") and n + 1 > MAX_ENUMERATED_LABELS:
+            raise ConfigError(
+                f"observable_preset: {preset} enumerates 4^(n_atoms + 1) Pauli strings "
+                f"and requires n_atoms + 1 <= {MAX_ENUMERATED_LABELS}, got n_atoms = {n}")
     if scenario == "ch-cascade":
         chains = params["chains"]
         if (not isinstance(chains, list) or len(chains) < 2
                 or any(not isinstance(c, int) or c < 1 for c in chains)):
             raise ConfigError(
                 f"chains: cascade scenarios require m >= 2 chains of size >= 1, got {chains!r}")
+        if 1 + sum(chains) > _MAX_QUBITS:
+            raise ConfigError(
+                f"chains: the layout of 1 + sum(chains) = {1 + sum(chains)} qubits must "
+                f"fit the dimension cap 2^{_MAX_QUBITS}, got {chains!r}")
+        points = params["phase_scan_points"]
+        if not isinstance(points, int) or isinstance(points, bool) or points < 0:
+            raise ConfigError(
+                f"phase_scan_points: must be an integer >= 0, got {points!r}")
     if scenario == "rd-basic":
         if params["modes"] < 1:
             raise ConfigError(f"modes: requires modes >= 1, got {params['modes']}")
@@ -185,6 +211,10 @@ def _check_params(scenario: str, params: dict[str, Any]):
                 raise ConfigError(
                     f"photons[{k}]: entries are mappings with keys pattern and c")
             _amp(entry["c"], f"photons[{k}].c")
+        if params["observable_preset"] not in ("glauber", "with_vacuum_connector"):
+            raise ConfigError(
+                "observable_preset: expected glauber or with_vacuum_connector, "
+                f"got {params['observable_preset']!r}")
     if scenario == "growth":
         if not isinstance(params["n_emit"], int) or params["n_emit"] <= 1:
             raise ConfigError(
@@ -462,14 +492,12 @@ def _run_ch_cascade(params, tol, rng):
     a2 = _to_complex(_amp(params["a2"], "a2"))
     chains = tuple(params["chains"])
     model = casc.CascadeModel(chains, a1, a2)
-    trade = casc.information_tradeoff(model, tol)
     run = casc.run_cascade(model, tol=tol)
-    psi_f = run.stages[0].state
+    trade = run.tradeoff(tol)
+    witness = run.terminal_witness(tol)
     b1_op = ch.it_operator(model.chain_atoms(1))
-    b_psi = apply_sum(b1_op, psi_f)
-    b1_sq = float(np.linalg.norm(0.5 * (psi_f.amplitudes + b_psi)) ** 2)
-    b2_sq = float(np.linalg.norm(0.5 * (psi_f.amplitudes - b_psi)) ** 2)
-    witness = casc.unmeasured_it_exists(model, tol)
+    b1_sq, b2_sq = (float(np.linalg.norm(part) ** 2)
+                    for part in casc._pauli_split(run.stages[0].state, b1_op, (), tol))
     bamp1, bamp2 = witness.branch_amplitudes
     expectations: dict[str, float | None] = {
         "mu_before": trade.mu_before,
@@ -496,33 +524,32 @@ def _run_ch_cascade(params, tol, rng):
     # claim applies off it
     if witness.exists:
         invariants.append(_inv("terminal_witness_discriminates", 0.0, tol))
-    if model.m >= 2:
-        phi = run.stages[1].state
-        mix2 = run.stages[1].branches.mixture()
-        b2p = casc.build_B2_flip_sum(model.chain_atoms(1), model.chain_atoms(2))
-        expectations["b2_flip_sum_pure"] = sec.op_expectation(b2p, phi, tol)
-        expectations["b2_flip_sum_mixed"] = expectation_mixed(b2p, mix2, tol)
-        connector = casc.joint_it_operator(run.stages[1].branches)
-        expectations["connector_pure"] = connector.expectation(phi)
-        expectations["connector_mixed"] = connector.expectation_mixed(mix2)
-        invariants.append(_inv("b2_flip_sum_blind_on_mixture",
-                               abs(expectations["b2_flip_sum_mixed"]), tol))
-        pointer_set = sec.ObservableSet(
-            "chain_pointers",
-            tuple((f"mu_z(C{k})", ch.pointer_operator(model.chain_atoms(k)))
-                  for k in range(1, model.m + 1)))
-        v = sec.discriminate(phi, mix2, pointer_set, tol,
-                             dense_cap=model.layout.dim)
-        invariants.append(_inv("pointers_cannot_discriminate", v.max_deviation, tol))
-        extras["pointer_verdict"] = _verdict_dict(pointer_set.name, v)
+    phi = run.stages[1].state
+    mix2 = run.stages[1].branches.mixture()
+    b2p = casc.build_B2_flip_sum(model.chain_atoms(1), model.chain_atoms(2))
+    expectations["b2_flip_sum_pure"] = sec.op_expectation(b2p, phi, tol)
+    expectations["b2_flip_sum_mixed"] = expectation_mixed(b2p, mix2, tol)
+    connector = casc.joint_it_operator(run.stages[1].branches)
+    expectations["connector_pure"] = connector.expectation(phi)
+    expectations["connector_mixed"] = connector.expectation_mixed(mix2)
+    invariants.append(_inv("b2_flip_sum_blind_on_mixture",
+                           abs(expectations["b2_flip_sum_mixed"]), tol))
+    pointer_set = sec.ObservableSet(
+        "chain_pointers",
+        tuple((f"mu_z(C{k})", ch.pointer_operator(model.chain_atoms(k)))
+              for k in range(1, model.m + 1)))
+    v = sec.discriminate(phi, mix2, pointer_set, tol,
+                         dense_cap=model.layout.dim)
+    invariants.append(_inv("pointers_cannot_discriminate", v.max_deviation, tol))
+    extras["pointer_verdict"] = _verdict_dict(pointer_set.name, v)
     # excluded-parameter scan: phases where the terminal witness goes blind
     scan = []
     excluded = []
     mag1, _ = _amp(params["a1"], "a1")
     mag2, _ = _amp(params["a2"], "a2")
-    for deg in np.linspace(0.0, 180.0, int(params["phase_scan_points"])):
+    for deg in np.linspace(0.0, 180.0, params["phase_scan_points"]):
         m = casc.CascadeModel(chains, mag1, _to_complex((mag2, float(deg))))
-        dev = casc.unmeasured_it_exists(m, tol).deviation
+        dev = casc.run_cascade(m, tol=tol).terminal_deviation()
         scan.append({"a2_phase_deg": float(deg), "terminal_deviation": float(dev)})
         if dev <= tol:
             excluded.append(float(deg))
@@ -551,9 +578,6 @@ def _run_rd_basic(params, tol, rng):
     c2_max = max(rad.check_no_vacuum_interference(f, model) for f in field_gens)
     quad_c2 = rad.check_no_vacuum_interference(rad.quadrature_op(model, 1), model)
     preset = params["observable_preset"]
-    if preset not in ("glauber", "with_vacuum_connector"):
-        raise ConfigError(
-            f"observable_preset: expected glauber or with_vacuum_connector, got {preset!r}")
     glauber = rad.glauber_generators(model)
     v_glauber = rad.check_c22(model, glauber, tol)
     v_counter = rad.check_c22(model, rad.with_vacuum_connector(model, glauber), tol)

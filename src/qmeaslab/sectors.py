@@ -25,6 +25,8 @@ from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
 
 DEGENERACY_TOL = 1e-9
 
+CHAIN_PRESETS = ("all_strings", "sector_preserving", "pointer_only", "with_B")
+
 
 class SectorError(ValueError):
     """Invalid sector decomposition or projector."""
@@ -454,4 +456,4 @@ def chain_observable_preset(name: str, n_atoms: int,
         sec = joint_sectors([z0, mu], layout)
         return restricted_algebra(sec, pool, tol, dense_cap)
     raise ValueError(f"unknown observable preset {name!r}; expected one of "
-                     "all_strings, sector_preserving, pointer_only, with_B")
+                     f"{', '.join(CHAIN_PRESETS)}")

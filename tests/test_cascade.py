@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from qmeaslab.cascade import (BranchConnector, CascadeModel, build_B2_flip_sum,
-                              b_eigenbranches, information_tradeoff,
-                              initial_cascade_state, joint_it_operator,
-                              run_cascade, second_chain_measure,
-                              unmeasured_it_exists)
-from qmeaslab.chain import it_operator, pointer_operator
+from qmeaslab.cascade import (BranchConnector, CascadeModel, _record,
+                              build_B2_flip_sum, b_eigenbranches,
+                              information_tradeoff, initial_cascade_state,
+                              joint_it_operator, run_cascade,
+                              second_chain_measure, unmeasured_it_exists)
+from qmeaslab.chain import it_operator, passage_step, pointer_operator
 from qmeaslab.hilbert import (HilbertLayout, StateError, StateVector,
                               basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
@@ -132,6 +132,13 @@ class TestSecondChainMeasure:
         with pytest.raises(StateError, match="ready"):
             second_chain_measure(StateVector(layout, vec),
                                  it_operator(["C1A1"]), ["C2A1"])
+
+    def test_rejects_split_that_misses_the_state(self):
+        layout = self._layout()
+        state = basis_state(layout, [0, 0, 0])
+        plus = 0.5 * state.amplitudes
+        with pytest.raises(StateError, match="reconstruction"):
+            _record(state, plus, np.zeros_like(plus), ["C2A1"], 1e-12)
 
     def test_rejects_overlapping_support(self):
         layout = self._layout()
@@ -341,6 +348,20 @@ class TestDeeperCascade:
         report = unmeasured_it_exists(model)
         assert report.covers_observer
         assert report.exists
+
+
+@pytest.mark.parametrize("chains", [(1, 1), (2, 1), (3, 2)])
+def test_stage1_matches_stepwise_passage(chains):
+    # stage 1 records Z_S0 on chain 1, which must equal crossing chain 1
+    # atom by atom with the complete-flip pulse
+    model = CascadeModel(chains, np.sqrt(0.7), np.sqrt(0.3) * np.exp(1j * np.pi / 3))
+    state = initial_cascade_state(model)
+    for atom in model.chain_atoms(1):
+        state = passage_step(state, atom)
+    stage1 = run_cascade(model, stages=1).stages[0]
+    assert np.max(np.abs(stage1.state.amplitudes - state.amplitudes)) <= 1e-15
+    assert np.max(np.abs(stage1.branches.state().amplitudes
+                         - state.amplitudes)) <= 1e-15
 
 
 def test_cascade_initial_state_norm():

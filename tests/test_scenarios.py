@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from qmeaslab.cascade import CascadeModel, run_cascade, unmeasured_it_exists
 from qmeaslab.cli import main
+from qmeaslab.hilbert import mixture_of
 from qmeaslab.scenarios import (ConfigError, SCENARIOS, build_config, emit,
                                 parse_config, run)
 
@@ -57,6 +59,21 @@ class TestParseConfig:
                 "scenario: ch-basic\n"
                 "sweep: {parameter: n_atoms, start: 1, stop: 4, steps: 4}\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("scenario: ch-cascade\nphase_scan_points: -1\n", "phase_scan_points"),
+        ("scenario: ch-cascade\nphase_scan_points: 2.5\n", "phase_scan_points"),
+        ("scenario: ch-cascade\nphase_scan_points: true\n", "phase_scan_points"),
+        ("scenario: ch-cascade\nchains: [5, 5, 5]\n", "dimension cap"),
+        ("scenario: ch-basic\nobservable_preset: bogus\n", "observable_preset"),
+        ("scenario: ch-basic\nn_atoms: 6\n", r"n_atoms \+ 1 <= 6"),
+        ("scenario: ch-basic\nn_atoms: 14\nobservable_preset: pointer_only\n",
+         "dimension cap"),
+        ("scenario: rd-basic\nobservable_preset: bogus\n", "observable_preset"),
+    ])
+    def test_config_time_preconditions(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
     def test_bad_yaml(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("scenario: [unclosed")
@@ -93,6 +110,25 @@ class TestRunReports:
         assert report.extras["terminal_support"] == ["S0", "C1A1", "C2A1"]
         assert 0.0 in report.extras["excluded_phases_deg"]
         assert not report.failed_required()
+
+    def test_ch_cascade_phase_scan_m5(self):
+        # each scan point's deviation matches the public witness and the
+        # dense oracle built from the witness matrix and the branch mixture
+        report = run(parse_config(
+            "scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\nphase_scan_points: 3\n"))
+        scan = report.extras["phase_scan"]
+        assert [row["a2_phase_deg"] for row in scan] == [0.0, 90.0, 180.0]
+        for row in scan:
+            phase = np.exp(1j * np.radians(row["a2_phase_deg"]))
+            model = CascadeModel((2, 2, 1, 1, 1), np.sqrt(0.7), np.sqrt(0.3) * phase)
+            witness = unmeasured_it_exists(model)
+            assert abs(row["terminal_deviation"] - witness.deviation) <= 1e-12
+            final = run_cascade(model).final
+            t = witness.witness.to_matrix(dense_cap=model.layout.dim)
+            pure = final.state.amplitudes
+            rho = mixture_of(final.branches).matrix
+            dense_dev = abs(np.vdot(pure, t @ pure).real - np.trace(rho @ t).real)
+            assert abs(row["terminal_deviation"] - dense_dev) <= 1e-12
 
     def test_growth_report(self):
         report = run(parse_config("scenario: growth\nn_emit: 3\ndepth: 4\n"))
