@@ -23,7 +23,8 @@ A1, A2 = np.sqrt(0.7), np.sqrt(0.3)
 model = ChainModel(N, A1, A2)
 psi = full_passage(model)
 rho_pure = psi.to_density()
-rho_mixed = mixture_of(final_branches(model))
+branches = final_branches(model)
+rho_mixed = mixture_of(branches)
 
 z0 = PauliSum.from_string(PauliString.single("S0", "Z"))
 sectors = joint_sectors([z0, pointer_operator(N)], model.layout)
@@ -51,10 +52,10 @@ print(f"\n{4 ** (N + 1)} Pauli strings: {preserving} preserve every sector")
 print(f"worst pure/mixed deviation among preserving strings: {worst_preserving:.2e}")
 print(f"best deviation among sector-breaking strings:        {breaking_seen:.3f}")
 
-verdict = discriminate(psi, rho_mixed, chain_observable_preset("sector_preserving", N))
+verdict = discriminate(psi, branches, chain_observable_preset("sector_preserving", N))
 print(f"\nrestricted observer verdict: distinguishable = {verdict.distinguishable} "
       f"(max deviation {verdict.max_deviation:.2e})")
-verdict_b = discriminate(psi, rho_mixed, chain_observable_preset("with_B", N))
+verdict_b = discriminate(psi, branches, chain_observable_preset("with_B", N))
 print(f"observer allowed to measure B: distinguishable = {verdict_b.distinguishable} "
       f"via {verdict_b.witness_name} (deviation {verdict_b.max_deviation:.3f})")
 

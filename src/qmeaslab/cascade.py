@@ -263,7 +263,10 @@ class CascadeRun:
 
     def terminal_deviation(self) -> float:
         """|<T>_pure - sum_i |a_i|^2 <chi_i|T|chi_i>| for the terminal joint
-        IT operator T, from the branch vectors alone."""
+        IT operator T, from the branch vectors alone; 0.0 when the last
+        stage left a single branch, which is its own mixture."""
+        if len(self.final.branches.branches) < 2:
+            return 0.0
         t = self.terminal_connector()
         mixed = sum(abs(a) ** 2 * t.expectation(chi)
                     for a, chi in self.final.branches.branches)
@@ -302,6 +305,8 @@ def run_cascade(model: CascadeModel, stages: int | None = None,
     Stage k records one involution on the fresh chain k: Z_S0 for chain 1
     (the complete-flip passage), B of (S0, chain 1) for chain 2, and for
     k >= 3 the joint IT operator of stage k-1, split along its eigenvectors.
+    A stage that leaves a single branch ends the run: no interference term
+    is left for a later chain to record.
     """
     stages = model.m if stages is None else stages
     if not 1 <= stages <= model.m:
@@ -309,6 +314,8 @@ def run_cascade(model: CascadeModel, stages: int | None = None,
     state = initial_cascade_state(model)
     out: list[CascadeStage] = []
     for k in range(1, stages + 1):
+        if k >= 3 and len(out[-1].branches.branches) < 2:
+            break
         target = model.chain_atoms(k)
         if k == 1:
             recorded = "mu_z(C1)"

@@ -308,6 +308,19 @@ def _permutation_action(op: PauliString, layout: HilbertLayout):
     return pi, ph
 
 
+def _is_z_diagonal(op: PauliSum) -> bool:
+    return all(all(letter == "Z" for _, letter in s.letters) for _, s in op.terms)
+
+
+def _diagonal_values(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
+    """Exact diagonal of a {I,Z}-supported Pauli sum on the layout basis."""
+    diag = np.zeros(layout.dim, dtype=complex)
+    for c, s in op.terms:
+        _, ph = _permutation_action(s, layout)
+        diag += c * ph
+    return diag
+
+
 def expectation_mixed(op: PauliSum, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Tr(rho op) for Hermitian op via the basis permutation of each string."""
     if not op.is_hermitian(tol):
@@ -350,8 +363,11 @@ def sum_matrix(op: PauliSum, layout: HilbertLayout,
 
 def sup_norm_estimate(op: PauliSum, layout: HilbertLayout | None = None,
                       dense_cap: int = DEFAULT_DENSE_CAP) -> float:
-    """Spectral norm when a dense realization fits under the cap, else the
-    triangle-inequality bound sum |c_k|."""
+    """Spectral norm: exactly max |diag| for an {I,Z}-supported sum at any
+    dimension, from a dense realization when one fits under the cap, else
+    the triangle-inequality bound sum |c_k|."""
+    if layout is not None and _is_z_diagonal(op):
+        return float(np.max(np.abs(_diagonal_values(op, layout))))
     if layout is not None and layout.dim <= dense_cap:
         if op.is_zero():
             return 0.0

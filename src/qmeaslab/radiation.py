@@ -268,7 +268,7 @@ def check_c22(model: RadiationModel, allowed: ObservableSet,
     """Pure/mixed discrimination verdict for the asymptotic state under an
     allowed observable family; false for photon-number families."""
     decomp = build_final_state(model, tol)
-    return discriminate(decomp.state(), decomp.mixture(), allowed, tol,
+    return discriminate(decomp.state(), decomp, allowed, tol,
                         dense_cap=max(model.layout.dim, 1))
 
 

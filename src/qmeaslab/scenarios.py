@@ -24,8 +24,7 @@ from . import chain as ch
 from . import radiation as rad
 from . import sectors as sec
 from .hilbert import DEFAULT_DIM_CAP, DEFAULT_TOL
-from .pauli import (MAX_ENUMERATED_LABELS, PauliString, PauliSum,
-                    expectation_mixed)
+from .pauli import MAX_ENUMERATED_LABELS, PauliString, PauliSum
 
 SCHEMA_VERSION = "1"
 
@@ -161,22 +160,35 @@ def _parse_sweep(raw, scenario: str) -> SweepSpec | None:
     return spec
 
 
-def _check_params(scenario: str, params: dict[str, Any]):
-    """Range checks naming the violated precondition."""
+def _int_at_least(value, minimum: int, path: str) -> int:
+    """An integer field (YAML booleans rejected) with its lower bound."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(
+            f"{path}: requires an integer {path} >= {minimum}, got {value!r}")
+    return value
+
+
+def _real(value, path: str) -> float:
+    """A finite real field (YAML booleans rejected)."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value)):
+        raise ConfigError(f"{path}: requires a finite real number, got {value!r}")
+    return float(value)
+
+
+def _check_params(scenario: str, params: dict[str, Any], tol: float):
+    """Type and range checks naming the violated precondition."""
     if scenario in ("ch-basic", "ch-heisenberg"):
-        n = params["n_atoms"]
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(
-                f"n_atoms: chain model requires n_atoms >= 1, got {n!r}")
-        if scenario == "ch-heisenberg" and n < 2:
-            raise ConfigError(
-                f"n_atoms: the exchange chain requires n_atoms >= 2, got {n!r}")
+        n = _int_at_least(params["n_atoms"], 2 if scenario == "ch-heisenberg" else 1,
+                          "n_atoms")
         qubits = n + 1 if scenario == "ch-basic" else n
         if qubits > _MAX_QUBITS:
             raise ConfigError(
                 f"n_atoms: the layout of {qubits} qubits must fit the dimension cap "
                 f"2^{_MAX_QUBITS}, got n_atoms = {n}")
     if scenario == "ch-basic":
+        _real(params["theta_deg"], "theta_deg")
+        _int_at_least(params["fuzz_cases"], 0, "fuzz_cases")
         preset = params["observable_preset"]
         if preset not in sec.CHAIN_PRESETS:
             raise ConfigError(
@@ -185,25 +197,24 @@ def _check_params(scenario: str, params: dict[str, Any]):
             raise ConfigError(
                 f"observable_preset: {preset} enumerates 4^(n_atoms + 1) Pauli strings "
                 f"and requires n_atoms + 1 <= {MAX_ENUMERATED_LABELS}, got n_atoms = {n}")
+    if scenario == "ch-heisenberg":
+        _real(params["j_coupling"], "j_coupling")
     if scenario == "ch-cascade":
         chains = params["chains"]
-        if (not isinstance(chains, list) or len(chains) < 2
-                or any(not isinstance(c, int) or c < 1 for c in chains)):
+        if not isinstance(chains, list) or len(chains) < 2:
             raise ConfigError(
-                f"chains: cascade scenarios require m >= 2 chains of size >= 1, got {chains!r}")
+                f"chains: cascade scenarios require a list of m >= 2 chains, got {chains!r}")
+        for k, size in enumerate(chains):
+            _int_at_least(size, 1, f"chains[{k}]")
         if 1 + sum(chains) > _MAX_QUBITS:
             raise ConfigError(
                 f"chains: the layout of 1 + sum(chains) = {1 + sum(chains)} qubits must "
                 f"fit the dimension cap 2^{_MAX_QUBITS}, got {chains!r}")
-        points = params["phase_scan_points"]
-        if not isinstance(points, int) or isinstance(points, bool) or points < 0:
-            raise ConfigError(
-                f"phase_scan_points: must be an integer >= 0, got {points!r}")
+        _int_at_least(params["phase_scan_points"], 0, "phase_scan_points")
     if scenario == "rd-basic":
-        if params["modes"] < 1:
-            raise ConfigError(f"modes: requires modes >= 1, got {params['modes']}")
-        if params["cutoff"] < 2:
-            raise ConfigError(f"cutoff: requires cutoff >= 2, got {params['cutoff']}")
+        _int_at_least(params["modes"], 1, "modes")
+        _int_at_least(params["cutoff"], 2, "cutoff")
+        _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
         if not isinstance(params["photons"], list) or not params["photons"]:
             raise ConfigError("photons: at least one {pattern, c} entry is required")
         for k, entry in enumerate(params["photons"]):
@@ -216,12 +227,8 @@ def _check_params(scenario: str, params: dict[str, Any]):
                 "observable_preset: expected glauber or with_vacuum_connector, "
                 f"got {params['observable_preset']!r}")
     if scenario == "growth":
-        if not isinstance(params["n_emit"], int) or params["n_emit"] <= 1:
-            raise ConfigError(
-                f"n_emit: emission count must be an integer > 1, got {params['n_emit']!r}")
-        if not isinstance(params["depth"], int) or params["depth"] < 0:
-            raise ConfigError(
-                f"depth: must be a non-negative integer, got {params['depth']!r}")
+        _int_at_least(params["n_emit"], 2, "n_emit")
+        _int_at_least(params["depth"], 0, "depth")
     for key in ("a1", "a2"):
         if key in params:
             _amp(params[key], key)
@@ -230,6 +237,17 @@ def _check_params(scenario: str, params: dict[str, Any]):
         if abs(w - 1.0) > 1e-9:
             raise ConfigError(
                 f"a1/a2: amplitudes must satisfy |a1|^2 + |a2|^2 = 1, got {w}")
+    if scenario == "ch-cascade":
+        # recording B splits the state into eigenbranches of weight
+        # (1 +- <B>)/2 with |<B>| = |2 Re(a1* a2)|; one branch leaves no
+        # joint IT operator for the later stages and the terminal witness
+        a1 = _to_complex(_amp(params["a1"], "a1"))
+        a2 = _to_complex(_amp(params["a2"], "a2"))
+        w_min = 0.5 * (1.0 - abs(2.0 * (a1.conjugate() * a2).real))
+        if w_min <= tol:
+            raise ConfigError(
+                "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
+                f"(1 - |2 Re(a1* a2)|)/2 > tolerance {tol}, got {w_min}")
 
 
 def build_config(data: dict[str, Any]) -> ScenarioConfig:
@@ -255,10 +273,11 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
     sweep = _parse_sweep(merged["sweep"], scenario)
     params = {k: v for k, v in merged.items()
               if k not in ("tolerance", "seed", "format", "output", "sweep")}
-    _check_params(scenario, params)
+    tolerance = float(merged["tolerance"])
+    _check_params(scenario, params, tolerance)
     return ScenarioConfig(
         scenario=scenario,
-        tolerance=float(merged["tolerance"]),
+        tolerance=tolerance,
         seed=int(merged["seed"]),
         fmt=fmt,
         output=merged["output"],
@@ -417,8 +436,7 @@ def _run_ch_basic(params, tol, rng):
                               "fuzz_cases": params["fuzz_cases"]}
     if complete_flip:
         decomp = ch.final_branches(model, tol)
-        rho_m = decomp.mixture()
-        b_mixed = expectation_mixed(b, rho_m, tol)
+        b_mixed = sec.op_expectation_mixed(b, decomp, tol)
         strict = ch.strict_check(z0, mu, psi, tol=tol)
         b_pure = expectations["b_pure"]
         expected_b = ((-1.0) ** n) * it_cross
@@ -439,10 +457,10 @@ def _run_ch_basic(params, tol, rng):
         ]
         preset_name = params["observable_preset"]
         preset = sec.chain_observable_preset(preset_name, n, tol)
-        v_preset = sec.discriminate(psi, rho_m, preset, tol)
+        v_preset = sec.discriminate(psi, decomp, preset, tol)
         verdicts.append(_verdict_dict(preset.name, v_preset))
         with_b = sec.chain_observable_preset("with_B", n, tol)
-        v_b = sec.discriminate(psi, rho_m, with_b, tol)
+        v_b = sec.discriminate(psi, decomp, with_b, tol)
         verdicts.append(_verdict_dict(with_b.name, v_b))
         if preset_name in ("sector_preserving", "pointer_only"):
             invariants.append(_inv("preset_cannot_discriminate",
@@ -493,6 +511,10 @@ def _run_ch_cascade(params, tol, rng):
     chains = tuple(params["chains"])
     model = casc.CascadeModel(chains, a1, a2)
     run = casc.run_cascade(model, tol=tol)
+    if len(run.stages) < model.m or len(run.final.branches.branches) < 2:
+        raise ConfigError(
+            "a1/a2: the terminal witness needs two branches at every stage >= 2; "
+            f"these amplitudes leave one at stage {len(run.stages)}")
     trade = run.tradeoff(tol)
     witness = run.terminal_witness(tol)
     b1_op = ch.it_operator(model.chain_atoms(1))
@@ -524,22 +546,21 @@ def _run_ch_cascade(params, tol, rng):
     # claim applies off it
     if witness.exists:
         invariants.append(_inv("terminal_witness_discriminates", 0.0, tol))
-    phi = run.stages[1].state
-    mix2 = run.stages[1].branches.mixture()
+    phi, branches2 = run.stages[1].state, run.stages[1].branches
     b2p = casc.build_B2_flip_sum(model.chain_atoms(1), model.chain_atoms(2))
     expectations["b2_flip_sum_pure"] = sec.op_expectation(b2p, phi, tol)
-    expectations["b2_flip_sum_mixed"] = expectation_mixed(b2p, mix2, tol)
-    connector = casc.joint_it_operator(run.stages[1].branches)
+    expectations["b2_flip_sum_mixed"] = sec.op_expectation_mixed(b2p, branches2, tol)
+    connector = casc.joint_it_operator(branches2)
     expectations["connector_pure"] = connector.expectation(phi)
-    expectations["connector_mixed"] = connector.expectation_mixed(mix2)
+    expectations["connector_mixed"] = sum(abs(a) ** 2 * connector.expectation(chi)
+                                          for a, chi in branches2.branches)
     invariants.append(_inv("b2_flip_sum_blind_on_mixture",
                            abs(expectations["b2_flip_sum_mixed"]), tol))
     pointer_set = sec.ObservableSet(
         "chain_pointers",
         tuple((f"mu_z(C{k})", ch.pointer_operator(model.chain_atoms(k)))
               for k in range(1, model.m + 1)))
-    v = sec.discriminate(phi, mix2, pointer_set, tol,
-                         dense_cap=model.layout.dim)
+    v = sec.discriminate(phi, branches2, pointer_set, tol)
     invariants.append(_inv("pointers_cannot_discriminate", v.max_deviation, tol))
     extras["pointer_verdict"] = _verdict_dict(pointer_set.name, v)
     # excluded-parameter scan: phases where the terminal witness goes blind
@@ -573,7 +594,6 @@ def _run_rd_basic(params, tol, rng):
                                photons, tuple(params["background"]))
     decomp = rad.build_final_state(model, tol)
     pure = decomp.state()
-    mixed = decomp.mixture()
     field_gens = rad.glauber_field_generators(model)
     c2_max = max(rad.check_no_vacuum_interference(f, model) for f in field_gens)
     quad_c2 = rad.check_no_vacuum_interference(rad.quadrature_op(model, 1), model)
@@ -591,7 +611,7 @@ def _run_rd_basic(params, tol, rng):
         f = field_gens[int(rng.integers(len(field_gens)))]
         q = rad.full_observable(model, sysmat, f)
         dev = abs(sec.op_expectation(q, pure, tol=np.inf)
-                  - sec.op_expectation_mixed(q, mixed, tol=np.inf))
+                  - sec.op_expectation_mixed(q, decomp, tol=np.inf))
         worst_random = max(worst_random, dev)
     overlap = abs(decomp.branches[0][1].inner(decomp.branches[-1][1])) \
         if len(decomp.branches) == 2 else 0.0

@@ -4,7 +4,8 @@ pure/mixed discrimination engine.
 A sector decomposition is a complete family of orthogonal projectors.
 Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
-|<Q>_pure - Tr(rho_mixed Q)| over an allowed observable family.
+|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
+with the branch mixture kept as its branch vectors chi_i.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, DensityMatrix,
-                      DimensionCapError, HilbertLayout, StateError,
-                      StateVector)
+from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, BranchDecomposition,
+                      DensityMatrix, DimensionCapError, HilbertLayout,
+                      StateError, StateVector)
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                    expectation, expectation_mixed, format_sum,
-                    hermitian_part, string_matrix, sum_matrix,
-                    sup_norm_estimate, _permutation_action)
+                    apply_sum, expectation, format_sum, hermitian_part,
+                    string_matrix, sum_matrix, sup_norm_estimate,
+                    _diagonal_values, _is_z_diagonal, _permutation_action)
 
 DEGENERACY_TOL = 1e-9
 
@@ -172,19 +173,6 @@ class SectorDecomposition:
         return float(np.linalg.norm(sum(mats) - np.eye(self.layout.dim)))
 
 
-def _diagonal_values(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
-    """Exact diagonal of a {I,Z}-supported Pauli sum on the layout basis."""
-    diag = np.zeros(layout.dim, dtype=complex)
-    for c, s in op.terms:
-        _, ph = _permutation_action(s, layout)
-        diag += c * ph
-    return diag
-
-
-def _is_z_diagonal(op: PauliSum) -> bool:
-    return all(all(letter == "Z" for _, letter in s.letters) for _, s in op.terms)
-
-
 def _group_values(values: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
     order = np.argsort(-values)
     groups: list[tuple[float, list[int]]] = []
@@ -331,15 +319,31 @@ def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
     return float(val.real)
 
 
-def op_expectation_mixed(op, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def _branch_mean(op, branches: BranchDecomposition) -> complex:
+    """sum_i |a_i|^2 <chi_i|op|chi_i>: one kernel application per branch."""
+    total = 0.0 + 0.0j
+    for a, chi in branches.branches:
+        if isinstance(op, PauliSum):
+            image = apply_sum(op, chi)
+        else:
+            image = np.asarray(op, dtype=complex) @ chi.amplitudes
+        total += abs(a) ** 2 * np.vdot(chi.amplitudes, image)
+    return complex(total)
+
+
+def op_expectation_mixed(op, branches: BranchDecomposition,
+                         tol: float = DEFAULT_TOL) -> float:
+    """Expectation in the branch mixture, sum_i |a_i|^2 <chi_i|Q|chi_i>,
+    evaluated on the branch vectors (no density matrix); the branches are
+    validated and the imaginary part is checked against tol."""
+    branches.validate(tol)
     if isinstance(op, PauliString):
         op = PauliSum.from_string(op)
-    if isinstance(op, PauliSum):
-        return expectation_mixed(op, rho, tol)
-    arr = np.asarray(op, dtype=complex)
-    val = complex(np.trace(rho.matrix @ arr))
+    if isinstance(op, PauliSum) and not op.is_hermitian(tol):
+        raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
+    val = _branch_mean(op, branches)
     if abs(val.imag) > tol:
-        raise OperatorError(f"trace expectation has imaginary part {val.imag}")
+        raise OperatorError(f"mixture expectation has imaginary part {val.imag}")
     return float(val.real)
 
 
@@ -386,16 +390,18 @@ class DiscriminationVerdict:
             raise StateError("witness must be present iff distinguishable")
 
 
-def discriminate(pure: StateVector, mixed: DensityMatrix,
+def discriminate(pure: StateVector, branches: BranchDecomposition,
                  allowed: ObservableSet, tol: float = DEFAULT_TOL,
                  dense_cap: int = DEFAULT_DENSE_CAP) -> DiscriminationVerdict:
-    """Maximize |<Q>_pure - Tr(rho Q)| over the allowed family (generators
-    plus pairwise Hermitian products, each normalized by a sup-norm
-    estimate).  Distinguishable iff the maximum exceeds tol."""
-    if pure.layout.labels != mixed.layout.labels:
+    """Maximize |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over the allowed
+    family (generators plus pairwise Hermitian products, each normalized by
+    a sup-norm estimate), with the mixture given by its branches.
+    Distinguishable iff the maximum exceeds tol."""
+    if pure.layout.labels != branches.layout.labels:
         raise StateError("pure state and mixture live on different layouts")
     if not allowed.generators:
         raise OperatorError(f"observable set {allowed.name!r} is empty")
+    branches.validate(tol)
     allowed.validate(pure.layout, tol, dense_cap)
     best = 0.0
     best_name: str | None = None
@@ -405,7 +411,7 @@ def discriminate(pure: StateVector, mixed: DensityMatrix,
         if norm <= tol:
             continue
         dev = abs(op_expectation(op, pure, tol=np.inf)
-                  - op_expectation_mixed(op, mixed, tol=np.inf)) / norm
+                  - _branch_mean(op, branches).real) / norm
         if dev > best:
             best, best_name, best_op = dev, name, op
     distinguishable = best > tol

@@ -213,14 +213,14 @@ def test_criterion_09_radiation_model():
             failures.append(("C2 residual nonzero", g.name))
     from qmeaslab.radiation import build_final_state
     dec = build_final_state(model)
-    pure, rho = dec.state(), dec.mixture()
+    pure = dec.state()
     worst = 0.0
     for _ in range(100):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q = full_observable(model, 0.5 * (a + a.conj().T),
                             gens[int(rng.integers(len(gens)))])
         dev = abs(op_expectation(q, pure, tol=np.inf)
-                  - op_expectation_mixed(q, rho, tol=np.inf))
+                  - op_expectation_mixed(q, dec, tol=np.inf))
         worst = max(worst, dev)
     if worst > TOL:
         failures.append(("random system factors see coherence", worst))

@@ -327,7 +327,7 @@ class TestDeeperCascade:
                 f"pointers_1..{k}",
                 tuple((f"mu_z(C{c})", pointer_operator(model.chain_atoms(c)))
                       for c in range(1, k + 1)))
-            verdict = discriminate(stage.state, mixture_of(stage.branches),
+            verdict = discriminate(stage.state, stage.branches,
                                    pointers, dense_cap=model.layout.dim)
             assert verdict.max_deviation <= 1e-12
             # the next joint IT operator does see the coherence
@@ -376,3 +376,14 @@ def test_connector_layout_mismatch():
     b = basis_state(HilbertLayout.qubits(["q"]), [0])
     with pytest.raises(StateError):
         BranchConnector(a, b)
+
+
+def test_single_branch_stage_ends_the_run():
+    # a1 = a2 makes the stage-1 state a B eigenstate: recording B leaves one
+    # branch, later chains have nothing to record, and the one-branch
+    # mixture is the pure state itself
+    model = CascadeModel((2, 2, 1, 1, 1), SQ, SQ)
+    run = run_cascade(model)
+    assert len(run.stages) == 2
+    assert len(run.final.branches.branches) == 1
+    assert run.terminal_deviation() == 0.0

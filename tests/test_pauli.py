@@ -9,8 +9,8 @@ from qmeaslab.hilbert import (HilbertLayout, MODE, StateVector, Subsystem,
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
                             apply, apply_sum, commutator, expectation,
                             expectation_mixed, format_string, format_sum,
-                            multiply, parse_string, parse_sum, string_matrix,
-                            sum_matrix)
+                            hermitian_part, multiply, parse_string, parse_sum,
+                            string_matrix, sum_matrix, sup_norm_estimate)
 
 from oracles import (ch_final_dense, dense_commutator, dense_expect,
                      dense_expect_mixed, dense_of, random_amplitude_pair,
@@ -288,6 +288,24 @@ class TestDenseOraclePath:
         layout = HilbertLayout.qubits([f"q{i}" for i in range(8)])
         with pytest.raises(DimensionCapError):
             sum_matrix(PauliSum.identity(), layout, dense_cap=64)
+
+    @pytest.mark.parametrize("chains", [(1, 1), (2, 1), (2, 2, 1), (5,)])
+    def test_z_diagonal_norm_is_exact(self, chains):
+        # pointers and their pairwise products are {I,Z} sums: the norm is
+        # max |diag| at any dimension, with no dense realization or SVD
+        labels = ["S0"]
+        pointers = [PauliSum.from_string(ps(S0="Z"))]
+        for k, size in enumerate(chains, start=1):
+            atoms = [f"C{k}A{i}" for i in range(1, size + 1)]
+            labels += atoms
+            pointers.append(pointer_operator(atoms))
+        layout = HilbertLayout.qubits(labels)
+        assert layout.dim <= 64
+        family = pointers + [hermitian_part(a @ b) for i, a in enumerate(pointers)
+                             for b in pointers[i:]]
+        for op in family:
+            dense = np.linalg.norm(dense_of(op, layout), ord=2)
+            assert abs(sup_norm_estimate(op, layout, dense_cap=1) - dense) <= 1e-12
 
     def test_apply_sum_matches_dense(self):
         layout = HilbertLayout.qubits(["a", "b", "c"])

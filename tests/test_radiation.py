@@ -135,7 +135,7 @@ class TestC22:
     def test_random_system_factors_blind(self):
         model = RadiationModel()
         decomp = build_final_state(model)
-        pure, rho = decomp.state(), decomp.mixture()
+        pure = decomp.state()
         gens = glauber_field_generators(model)
         worst = 0.0
         for _ in range(100):
@@ -143,7 +143,7 @@ class TestC22:
             herm = 0.5 * (a + a.conj().T)
             q = full_observable(model, herm, gens[int(RNG.integers(len(gens)))])
             dev = abs(op_expectation(q, pure, tol=np.inf)
-                      - op_expectation_mixed(q, rho, tol=np.inf))
+                      - op_expectation_mixed(q, decomp, tol=np.inf))
             worst = max(worst, dev)
         assert worst <= 1e-12
 

@@ -74,6 +74,45 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
 
+    @pytest.mark.parametrize("text, match", [
+        ("scenario: ch-basic\nn_atoms: true\n", "n_atoms"),
+        ("scenario: ch-heisenberg\nn_atoms: 3.0\n", "n_atoms"),
+        ("scenario: ch-basic\ntheta_deg: abc\n", "theta_deg"),
+        ("scenario: ch-basic\ntheta_deg: .nan\n", "theta_deg"),
+        ("scenario: ch-basic\nfuzz_cases: '3'\n", "fuzz_cases"),
+        ("scenario: ch-basic\nfuzz_cases: -1\n", "fuzz_cases"),
+        ("scenario: ch-heisenberg\nj_coupling: true\n", "j_coupling"),
+        ("scenario: ch-cascade\nchains: [1, true]\n", r"chains\[1\]"),
+        ("scenario: ch-cascade\nchains: [1, 0]\n", r"chains\[1\]"),
+        ("scenario: ch-cascade\nchains: 3\n", "chains"),
+        ("scenario: rd-basic\nmodes: true\n", "modes"),
+        ("scenario: rd-basic\nmodes: x\n", "modes"),
+        ("scenario: rd-basic\ncutoff: 2.5\n", "cutoff"),
+        ("scenario: rd-basic\nsystem_factor_cases: 2.5\n", "system_factor_cases"),
+        ("scenario: growth\nn_emit: true\n", "n_emit"),
+        ("scenario: growth\nn_emit: 1\n", "n_emit"),
+        ("scenario: growth\ndepth: true\n", "depth"),
+    ])
+    def test_numeric_field_types(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    def test_single_b_branch_rejected_at_config_time(self):
+        # a1 = a2: the state after stage 1 is a B eigenstate, so recording B
+        # leaves one branch and no joint IT operator
+        with pytest.raises(ConfigError, match="two B eigenbranches"):
+            parse_config("scenario: ch-cascade\nchains: [1, 1]\n"
+                         "a1: [0.7071067811865476, 0]\n"
+                         "a2: [0.7071067811865476, 0]\n")
+
+    def test_single_branch_at_a_later_stage_rejected(self):
+        # |a1| = |a2| at 90 degrees: two equal B branches whose joint IT
+        # operator has the stage-2 state as an eigenvector
+        text = ("scenario: ch-cascade\nchains: [1, 1, 1]\n"
+                "a1: [0.7071067811865476, 0]\na2: [0.7071067811865476, 90]\n")
+        with pytest.raises(ConfigError, match="stage 3"):
+            run(parse_config(text))
+
     def test_bad_yaml(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("scenario: [unclosed")
@@ -129,6 +168,19 @@ class TestRunReports:
             rho = mixture_of(final.branches).matrix
             dense_dev = abs(np.vdot(pure, t @ pure).real - np.trace(rho @ t).real)
             assert abs(row["terminal_deviation"] - dense_dev) <= 1e-12
+
+    def test_ch_cascade_scan_through_single_branch_point(self):
+        # at the scan's 0 degree point a1 = a2, so the B split leaves one
+        # branch: no interference term, deviation 0, an excluded phase
+        report = run(parse_config(
+            "scenario: ch-cascade\na1: [0.7071067811865476, 0]\n"
+            "a2: [0.7071067811865476, 60]\n"))
+        assert not report.failed_required()
+        scan = report.extras["phase_scan"]
+        assert scan[0] == {"a2_phase_deg": 0.0, "terminal_deviation": 0.0}
+        assert scan[-1]["terminal_deviation"] <= 1e-12
+        assert report.extras["excluded_phases_deg"][0] == 0.0
+        assert all(row["terminal_deviation"] > 1e-12 for row in scan[1:-1])
 
     def test_growth_report(self):
         report = run(parse_config("scenario: growth\nn_emit: 3\ndepth: 4\n"))

@@ -180,9 +180,9 @@ class TestDiscriminate:
             a1, a2 = np.sqrt(0.7), np.sqrt(0.3)
             model = ChainModel(n, a1, a2)
             psi = full_passage(model)
-            rho = mixture_of(final_branches(model))
+            branches = final_branches(model)
             allowed = chain_observable_preset("sector_preserving", n)
-            verdict = discriminate(psi, rho, allowed)
+            verdict = discriminate(psi, branches, allowed)
             assert verdict.max_deviation <= 1e-12
             assert not verdict.distinguishable
             assert verdict.witness_name is None
@@ -191,8 +191,8 @@ class TestDiscriminate:
         a1, a2 = np.sqrt(0.7), np.sqrt(0.3)
         model = ChainModel(2, a1, a2)
         psi = full_passage(model)
-        rho = mixture_of(final_branches(model))
-        verdict = discriminate(psi, rho, chain_observable_preset("with_B", 2))
+        branches = final_branches(model)
+        verdict = discriminate(psi, branches, chain_observable_preset("with_B", 2))
         cross = abs(np.conj(a1) * a2 + a1 * np.conj(a2))
         assert verdict.distinguishable
         assert verdict.witness_name == "B"
@@ -201,15 +201,15 @@ class TestDiscriminate:
     def test_identical_states_never_distinguishable(self):
         model = ChainModel(2, 1.0, 0.0)
         psi = full_passage(model)
-        rho = psi.to_density()
-        verdict = discriminate(psi, rho, chain_observable_preset("with_B", 2))
+        branches = final_branches(model)
+        verdict = discriminate(psi, branches, chain_observable_preset("with_B", 2))
         assert not verdict.distinguishable
 
     def test_empty_set_rejected(self):
         model = ChainModel(1, 1.0, 0.0)
         psi = full_passage(model)
         with pytest.raises(OperatorError, match="empty"):
-            discriminate(psi, psi.to_density(), ObservableSet("empty", ()))
+            discriminate(psi, final_branches(model), ObservableSet("empty", ()))
 
 
 class TestRestrictedBlindness:
