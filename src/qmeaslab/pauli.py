@@ -363,9 +363,12 @@ def sum_matrix(op: PauliSum, layout: HilbertLayout,
 
 def sup_norm_estimate(op: PauliSum, layout: HilbertLayout | None = None,
                       dense_cap: int = DEFAULT_DENSE_CAP) -> float:
-    """Spectral norm: exactly max |diag| for an {I,Z}-supported sum at any
-    dimension, from a dense realization when one fits under the cap, else
-    the triangle-inequality bound sum |c_k|."""
+    """Spectral norm: exactly |c| for a one-term sum c P (P is unitary) and
+    max |diag| for an {I,Z}-supported sum at any dimension, from a dense
+    realization when one fits under the cap, else the triangle-inequality
+    bound sum |c_k|."""
+    if len(op.terms) == 1:
+        return float(abs(op.terms[0][0]))
     if layout is not None and _is_z_diagonal(op):
         return float(np.max(np.abs(_diagonal_values(op, layout))))
     if layout is not None and layout.dim <= dense_cap:

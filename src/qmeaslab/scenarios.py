@@ -176,6 +176,29 @@ def _real(value, path: str) -> float:
     return float(value)
 
 
+def _tolerance(value) -> float:
+    """A finite real > 0.  YAML 1.1 reads exponent notation without a dot
+    (`1e-10`) as a string, so a string that parses as a number is taken as
+    that number."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(
+                f"tolerance: requires a finite real number, got {value!r}") from None
+    tol = _real(value, "tolerance")
+    if tol <= 0.0:
+        raise ConfigError(f"tolerance: requires tolerance > 0, got {tol!r}")
+    return tol
+
+
+def _occupations(value, path: str) -> list[int]:
+    """A list of photon occupation numbers, each an integer >= 0."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: requires a list of occupation numbers, got {value!r}")
+    return [_int_at_least(n, 0, f"{path}[{k}]") for k, n in enumerate(value)]
+
+
 def _check_params(scenario: str, params: dict[str, Any], tol: float):
     """Type and range checks naming the violated precondition."""
     if scenario in ("ch-basic", "ch-heisenberg"):
@@ -221,14 +244,23 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
                 raise ConfigError(
                     f"photons[{k}]: entries are mappings with keys pattern and c")
+            _occupations(entry["pattern"], f"photons[{k}].pattern")
             _amp(entry["c"], f"photons[{k}].c")
+        _occupations(params["background"], "background")
         if params["observable_preset"] not in ("glauber", "with_vacuum_connector"):
             raise ConfigError(
                 "observable_preset: expected glauber or with_vacuum_connector, "
                 f"got {params['observable_preset']!r}")
     if scenario == "growth":
-        _int_at_least(params["n_emit"], 2, "n_emit")
-        _int_at_least(params["depth"], 0, "depth")
+        n_emit = _int_at_least(params["n_emit"], 2, "n_emit")
+        depth = _int_at_least(params["depth"], 0, "depth")
+        bound = _int_at_least(params["bound"], 1, "bound")
+        try:
+            rad.cascade_growth(n_emit, depth, bound)
+        except OverflowError:
+            raise ConfigError(
+                f"bound: requires n_emit^depth = {n_emit}^{depth} <= bound, "
+                f"got bound = {bound}") from None
     for key in ("a1", "a2"):
         if key in params:
             _amp(params[key], key)
@@ -273,12 +305,13 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
     sweep = _parse_sweep(merged["sweep"], scenario)
     params = {k: v for k, v in merged.items()
               if k not in ("tolerance", "seed", "format", "output", "sweep")}
-    tolerance = float(merged["tolerance"])
+    tolerance = _tolerance(merged["tolerance"])
+    seed = _int_at_least(merged["seed"], 0, "seed")
     _check_params(scenario, params, tolerance)
     return ScenarioConfig(
         scenario=scenario,
         tolerance=tolerance,
-        seed=int(merged["seed"]),
+        seed=seed,
         fmt=fmt,
         output=merged["output"],
         sweep=sweep,
@@ -599,17 +632,18 @@ def _run_rd_basic(params, tol, rng):
     quad_c2 = rad.check_no_vacuum_interference(rad.quadrature_op(model, 1), model)
     preset = params["observable_preset"]
     glauber = rad.glauber_generators(model)
+    augmented = rad.with_vacuum_connector(model, glauber)
     v_glauber = rad.check_c22(model, glauber, tol)
-    v_counter = rad.check_c22(model, rad.with_vacuum_connector(model, glauber), tol)
-    v_allowed = v_glauber if preset == "glauber" else v_counter
-    allowed = glauber if preset == "glauber" else rad.with_vacuum_connector(model, glauber)
+    v_counter = rad.check_c22(model, augmented, tol)
+    allowed, v_allowed = ((glauber, v_glauber) if preset == "glauber"
+                          else (augmented, v_counter))
     bg_model = rad.add_uncorrelated_mode(model, 1)
     v_bg = rad.check_c22(bg_model, rad.glauber_generators(bg_model), tol)
     worst_random = 0.0
     for _ in range(params["system_factor_cases"]):
         sysmat = _random_hermitian(rng, 4)
         f = field_gens[int(rng.integers(len(field_gens)))]
-        q = rad.full_observable(model, sysmat, f)
+        q = sec.KronObservable(sysmat, f.data)
         dev = abs(sec.op_expectation(q, pure, tol=np.inf)
                   - sec.op_expectation_mixed(q, decomp, tol=np.inf))
         worst_random = max(worst_random, dev)

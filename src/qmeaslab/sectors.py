@@ -6,6 +6,11 @@ Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
 with the branch mixture kept as its branch vectors chi_i.
+
+Observables come as Pauli sums, dense arrays, or factored
+`KronObservable`s S (x) diag(f).  A closed family's factored members are
+stacked and evaluated by one batched kernel; no dim x dim array is built
+for them.
 """
 
 from __future__ import annotations
@@ -264,9 +269,68 @@ def sector_decohere(rho: DensityMatrix, sectors: SectorDecomposition,
 # observable families
 
 @dataclass(frozen=True)
+class KronObservable:
+    """S (x) diag(f): a square matrix S on the leading factor of the layout
+    tensored with a real diagonal f on the trailing factor, so the layout
+    dimension is len(S) * len(f).  Hermitian iff S is.  `matrix()` is the
+    dense reference the factored kernels are checked against."""
+
+    system: np.ndarray
+    field: np.ndarray
+
+    def __post_init__(self):
+        sys = np.asarray(self.system, dtype=complex)
+        field = np.asarray(self.field)
+        if (sys.ndim != 2 or sys.shape[0] != sys.shape[1] or field.ndim != 1
+                or np.iscomplexobj(field)):
+            raise OperatorError("KronObservable needs a square system matrix and a real "
+                                f"diagonal, got {sys.shape} and {field.shape} {field.dtype}")
+        object.__setattr__(self, "system", sys)
+        object.__setattr__(self, "field", field.astype(float))
+
+    def matrix(self) -> np.ndarray:
+        return np.kron(self.system, np.diag(self.field.astype(complex)))
+
+
+# The factored kernels take system factors (..., s, s) and real diagonals
+# (..., f): one observable, or a stack of them along a leading axis.
+
+def _kron_gram(vec: np.ndarray, s: int, f: int) -> np.ndarray:
+    """conj(v[a, k]) v[b, k] for v = vec as an (s, f) array, one row per
+    pair (a, b), so <v|S (x) diag(f)|v> = sum_ab S[a, b] (row_ab . f)."""
+    if s * f != vec.shape[0]:
+        raise OperatorError(f"factored observable of dim {s} x {f} does not match "
+                            f"layout dim {vec.shape[0]}")
+    v = vec.reshape(s, f)
+    return (v.conj()[:, None, :] * v[None, :, :]).reshape(s * s, f)
+
+
+def _branch_gram(branches: BranchDecomposition, s: int, f: int) -> np.ndarray:
+    """sum_i |a_i|^2 (Gram array of chi_i): the branch mixture as every
+    factored observable sees it."""
+    return sum(abs(a) ** 2 * _kron_gram(chi.amplitudes, s, f)
+               for a, chi in branches.branches)
+
+
+def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Expectations of every stacked observable from one Gram array: one
+    matmul and one weighted row sum."""
+    s, f = system.shape[-1], field.shape[-1]
+    return np.sum((system.reshape(-1, s * s) @ gram) * field.reshape(-1, f), axis=1)
+
+
+def _kron_norms(system: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """Spectral norms ||S||_2 max|f|, exact: the singular values of a
+    Kronecker product are the products of the factors' singular values."""
+    return (np.linalg.norm(system, ord=2, axis=(-2, -1))
+            * np.max(np.abs(field), axis=-1))
+
+
+@dataclass(frozen=True)
 class ObservableSet:
-    """A named generating family of Hermitian operators (Pauli sums or dense
-    matrices), optionally closed under pairwise products."""
+    """A named generating family of Hermitian operators (Pauli sums, dense
+    matrices or KronObservables), optionally closed under pairwise
+    products."""
 
     name: str
     generators: tuple[tuple[str, object], ...]
@@ -288,11 +352,13 @@ class ObservableSet:
 
 def as_matrix(op, layout: HilbertLayout,
               dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Dense realization; Pauli sums obey the dense cap, a factored
+    observable is realized only next to a dense operand of the same size."""
     if isinstance(op, PauliString):
         return string_matrix(op, layout, dense_cap)
     if isinstance(op, PauliSum):
         return sum_matrix(op, layout, dense_cap)
-    arr = np.asarray(op, dtype=complex)
+    arr = op.matrix() if isinstance(op, KronObservable) else np.asarray(op, dtype=complex)
     if arr.shape != (layout.dim, layout.dim):
         raise OperatorError(f"dense operator shape {arr.shape} does not match layout")
     return arr
@@ -303,6 +369,10 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
         return op.is_hermitian()
     if isinstance(op, PauliSum):
         return op.is_hermitian(tol)
+    if isinstance(op, KronObservable):
+        # ||(S - S^H) (x) diag(f)||_F = ||S - S^H||_F ||f||
+        sys = op.system
+        return bool(np.linalg.norm(sys - sys.conj().T) * np.linalg.norm(op.field) <= tol)
     arr = np.asarray(op)
     return bool(np.linalg.norm(arr - arr.conj().T) <= tol)
 
@@ -312,8 +382,12 @@ def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
         op = PauliSum.from_string(op)
     if isinstance(op, PauliSum):
         return expectation(op, state, tol)
-    arr = np.asarray(op, dtype=complex)
-    val = complex(np.vdot(state.amplitudes, arr @ state.amplitudes))
+    if isinstance(op, KronObservable):
+        gram = _kron_gram(state.amplitudes, len(op.system), len(op.field))
+        val = complex(_kron_values(op.system, op.field, gram)[0])
+    else:
+        arr = np.asarray(op, dtype=complex)
+        val = complex(np.vdot(state.amplitudes, arr @ state.amplitudes))
     if abs(val.imag) > tol:
         raise OperatorError(f"expectation has imaginary part {val.imag}")
     return float(val.real)
@@ -321,6 +395,9 @@ def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
 
 def _branch_mean(op, branches: BranchDecomposition) -> complex:
     """sum_i |a_i|^2 <chi_i|op|chi_i>: one kernel application per branch."""
+    if isinstance(op, KronObservable):
+        gram = _branch_gram(branches, len(op.system), len(op.field))
+        return complex(_kron_values(op.system, op.field, gram)[0])
     total = 0.0 + 0.0j
     for a, chi in branches.branches:
         if isinstance(op, PauliSum):
@@ -353,6 +430,8 @@ def op_sup_norm(op, layout: HilbertLayout,
         return 1.0
     if isinstance(op, PauliSum):
         return sup_norm_estimate(op, layout, dense_cap)
+    if isinstance(op, KronObservable):
+        return float(_kron_norms(op.system, op.field))
     return float(np.linalg.norm(np.asarray(op, dtype=complex), ord=2))
 
 
@@ -364,16 +443,64 @@ def _op_product_hermitian(a, b, layout: HilbertLayout, dense_cap: int):
     return 0.5 * (prod + prod.conj().T)
 
 
+@dataclass(frozen=True)
+class _ClosedFamily:
+    """Generators then their pairwise Hermitian products, in sweep order.
+    Members built only from KronObservables are stacked: row r of
+    kron_system and kron_field is the member at position kron_at[r]
+    (ascending).  Every other member is its own operator in `other`."""
+
+    names: tuple[str, ...]
+    kron_at: np.ndarray
+    kron_system: np.ndarray
+    kron_field: np.ndarray
+    other: dict[int, object]
+
+    def member(self, k: int):
+        r = int(np.searchsorted(self.kron_at, k))
+        if r < self.kron_at.size and self.kron_at[r] == k:
+            return KronObservable(self.kron_system[r], self.kron_field[r])
+        return self.other[k]
+
+    def __iter__(self):
+        return ((name, self.member(k)) for k, name in enumerate(self.names))
+
+
 def _closed_family(allowed: ObservableSet, layout: HilbertLayout,
-                   dense_cap: int) -> list[tuple[str, object]]:
+                   dense_cap: int) -> _ClosedFamily:
+    """The product of two factored members is herm(S_a S_b) (x) (f_a f_b)
+    exactly, because real diagonals commute, so all factored products come
+    from one batched matmul and one elementwise product; a product with any
+    other operator goes through `_op_product_hermitian`."""
     gens = [(name, op if not isinstance(op, PauliString) else PauliSum.from_string(op))
             for name, op in allowed.generators]
-    family = list(gens)
-    if allowed.closure_depth >= 2:
-        for (na, a), (nb, b) in itertools.combinations_with_replacement(gens, 2):
-            prod = _op_product_hermitian(a, b, layout, dense_cap)
-            family.append((f"herm({na}*{nb})", prod))
-    return family
+    g = len(gens)
+    pairs = (list(itertools.combinations_with_replacement(range(g), 2))
+             if allowed.closure_depth >= 2 else [])
+    names = tuple(name for name, _ in gens) + tuple(
+        f"herm({gens[i][0]}*{gens[j][0]})" for i, j in pairs)
+    factored = [isinstance(op, KronObservable) for _, op in gens]
+    other = {k: op for k, (_, op) in enumerate(gens) if not factored[k]}
+    kron_pairs = []
+    for k, (i, j) in enumerate(pairs, start=g):
+        if factored[i] and factored[j]:
+            kron_pairs.append((k, i, j))
+        else:
+            other[k] = _op_product_hermitian(gens[i][1], gens[j][1], layout, dense_cap)
+    gen_rows = [i for i in range(g) if factored[i]]
+    kron_at = np.array(gen_rows + [k for k, _, _ in kron_pairs], dtype=int)
+    system = field = np.empty(0)
+    if gen_rows:
+        row = np.zeros(g, dtype=int)
+        row[gen_rows] = np.arange(len(gen_rows))
+        a = row[[i for _, i, _ in kron_pairs]]
+        b = row[[j for _, _, j in kron_pairs]]
+        system = np.stack([gens[i][1].system for i in gen_rows])
+        field = np.stack([gens[i][1].field for i in gen_rows])
+        prod = system[a] @ system[b]
+        system = np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))])
+        field = np.concatenate([field, field[a] * field[b]])
+    return _ClosedFamily(names, kron_at, system, field, other)
 
 
 @dataclass(frozen=True)
@@ -395,30 +522,37 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
                  dense_cap: int = DEFAULT_DENSE_CAP) -> DiscriminationVerdict:
     """Maximize |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over the allowed
     family (generators plus pairwise Hermitian products, each normalized by
-    a sup-norm estimate), with the mixture given by its branches.
-    Distinguishable iff the maximum exceeds tol."""
+    a sup-norm estimate), with the mixture given by its branches.  Members
+    of norm <= tol are skipped; the first member reaching the maximum is the
+    witness.  Distinguishable iff the maximum exceeds tol."""
     if pure.layout.labels != branches.layout.labels:
         raise StateError("pure state and mixture live on different layouts")
     if not allowed.generators:
         raise OperatorError(f"observable set {allowed.name!r} is empty")
     branches.validate(tol)
     allowed.validate(pure.layout, tol, dense_cap)
-    best = 0.0
-    best_name: str | None = None
-    best_op: object | None = None
-    for name, op in _closed_family(allowed, pure.layout, dense_cap):
+    family = _closed_family(allowed, pure.layout, dense_cap)
+    devs = np.zeros(len(family.names))
+    if family.kron_at.size:
+        system, field = family.kron_system, family.kron_field
+        s, f = system.shape[-1], field.shape[-1]
+        norms = _kron_norms(system, field)
+        diff = np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f)).real
+                      - _kron_values(system, field, _branch_gram(branches, s, f)).real)
+        seen = norms > tol
+        devs[family.kron_at[seen]] = diff[seen] / norms[seen]
+    for k, op in family.other.items():
         norm = op_sup_norm(op, pure.layout, dense_cap)
-        if norm <= tol:
-            continue
-        dev = abs(op_expectation(op, pure, tol=np.inf)
-                  - _branch_mean(op, branches).real) / norm
-        if dev > best:
-            best, best_name, best_op = dev, name, op
+        if norm > tol:
+            devs[k] = abs(op_expectation(op, pure, tol=np.inf)
+                          - _branch_mean(op, branches).real) / norm
+    k = int(np.argmax(devs))
+    best = float(devs[k])
     distinguishable = best > tol
     return DiscriminationVerdict(best,
-                                 best_name if distinguishable else None,
+                                 family.names[k] if distinguishable else None,
                                  distinguishable,
-                                 best_op if distinguishable else None)
+                                 family.member(k) if distinguishable else None)
 
 
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,

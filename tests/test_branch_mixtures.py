@@ -18,17 +18,16 @@ from qmeaslab.sectors import (CHAIN_PRESETS, _closed_family,
                               chain_observable_preset, discriminate,
                               op_expectation, op_expectation_mixed, op_sup_norm)
 
-from oracles import dense_expect_mixed, dense_of, random_amplitude_pair
+from oracles import (dense_expect_mixed, dense_of, random_amplitude_pair,
+                     reference_verdict)
 
 RNG = np.random.default_rng(31415)
 
 
 def _presets(n):
-    # the enumerating presets exist for n + 1 <= 6 labels; all_strings at
-    # n = 5 (4096 single strings, ~5 s here) runs the same per-string kernel
-    # as at n <= 4 and is left out for time
-    enumerating = {"all_strings": 4, "sector_preserving": 5}
-    return [p for p in CHAIN_PRESETS if n <= enumerating.get(p, n)]
+    # the enumerating presets exist for n + 1 <= 6 labels
+    return [p for p in CHAIN_PRESETS
+            if n <= 5 or p not in ("all_strings", "sector_preserving")]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -43,18 +42,15 @@ def test_branch_route_matches_dense_mixture(n):
     layout = model.layout
     for preset_name in _presets(n):
         preset = chain_observable_preset(preset_name, n)
-        best, best_name = 0.0, None
+        rows = []
         for name, op in _closed_family(preset, layout, layout.dim):
             want = dense_expect_mixed(dense_of(op, layout), rho)
             assert abs(want.imag) <= 1e-12
             got = op_expectation_mixed(op, branches)
             assert abs(got - want.real) <= 1e-12, (preset_name, name)
-            norm = op_sup_norm(op, layout)
-            if norm <= 1e-12:
-                continue
-            dev = abs(op_expectation(op, psi, tol=np.inf) - want.real) / norm
-            if dev > best:
-                best, best_name = dev, name
+            rows.append((name, op_expectation(op, psi, tol=np.inf), want.real,
+                         op_sup_norm(op, layout)))
+        best, best_name = reference_verdict(rows)
         verdict = discriminate(psi, branches, preset)
         assert abs(verdict.max_deviation - best) <= 1e-12, preset_name
         assert verdict.witness_name == (best_name if best > 1e-12 else None), preset_name

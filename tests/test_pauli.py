@@ -307,6 +307,19 @@ class TestDenseOraclePath:
             dense = np.linalg.norm(dense_of(op, layout), ord=2)
             assert abs(sup_norm_estimate(op, layout, dense_cap=1) - dense) <= 1e-12
 
+    @pytest.mark.parametrize("letters", [dict(a="X"), dict(a="Y", b="Z"),
+                                         dict(a="X", b="Y", c="Z"), dict()])
+    def test_one_term_norm_is_exact(self, letters, monkeypatch):
+        # c P with P a Pauli string has norm |c|, with no dense realization
+        # even under the dense cap
+        import qmeaslab.pauli as pauli_module
+
+        layout = HilbertLayout.qubits(["a", "b", "c"])
+        op = PauliSum.from_string(ps(**letters), complex(*RNG.normal(size=2)))
+        dense = np.linalg.norm(dense_of(op, layout), ord=2)
+        monkeypatch.setattr(pauli_module, "sum_matrix", None)
+        assert abs(sup_norm_estimate(op, layout) - dense) <= 1e-12
+
     def test_apply_sum_matches_dense(self):
         layout = HilbertLayout.qubits(["a", "b", "c"])
         op = PauliSum.from_terms([(0.5, ps(a="X", b="Y")), (-2.0, ps(c="Z"))])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,15 @@ from qmeaslab.radiation import (FieldObservable, RadiationModel,
                                 number_op, quadrature_op,
                                 vacuum_pattern_connector,
                                 with_vacuum_connector)
-from qmeaslab.sectors import op_expectation, op_expectation_mixed
+from qmeaslab.pauli import OperatorError
+from qmeaslab.scenarios import parse_config, run
+from qmeaslab.sectors import (KronObservable, _closed_family, _kron_gram,
+                              _kron_norms, _kron_values, op_expectation,
+                              op_expectation_mixed, op_is_hermitian,
+                              op_sup_norm)
 
-from oracles import random_amplitude_pair
+from oracles import (MATS, dense_expect, dense_expect_mixed,
+                     random_amplitude_pair, reference_verdict)
 
 RNG = np.random.default_rng(161803)
 SQ = np.sqrt(0.5)
@@ -166,6 +174,147 @@ class TestC22:
         seeing = check_c22(model, with_vacuum_connector(model))
         assert (not blind.distinguishable) and seeing.distinguishable
         assert seeing.witness_name == "XX(x)vacuum_connector"
+
+
+FACTORED_MODELS = {
+    "1 mode, cutoff 3": RadiationModel(a1=np.sqrt(0.3), a2=np.sqrt(0.7) * np.exp(0.4j)),
+    "1 mode, cutoff 4": RadiationModel(
+        a1=np.sqrt(0.6), a2=np.sqrt(0.4) * np.exp(2.1j), cutoff=4,
+        photon_amplitudes=(((1,), SQ), ((3,), SQ * np.exp(0.7j)))),
+    "2 modes, cutoff 2": RadiationModel(
+        modes=2, cutoff=2,
+        photon_amplitudes=(((1, 0), SQ), ((1, 1), SQ * np.exp(-1.2j)))),
+    "padded background": add_uncorrelated_mode(
+        RadiationModel(a1=np.sqrt(0.45), a2=np.sqrt(0.55) * np.exp(-0.9j)), 1),
+}
+
+
+def _dense_glauber(model, connector=False):
+    """The generators of glauber_generators (and with_vacuum_connector) as
+    dense matrices, built from literal Pauli matrices and full_observable."""
+    gens = []
+    for f in glauber_field_generators(model):
+        for p1, p2 in itertools.product("IXYZ", repeat=2):
+            gens.append((f"{p1}{p2}(x){f.name}",
+                         full_observable(model, np.kron(MATS[p1], MATS[p2]), f)))
+    if connector:
+        gens.append(("XX(x)vacuum_connector",
+                     full_observable(model, np.kron(MATS["X"], MATS["X"]),
+                                     vacuum_pattern_connector(model))))
+    return gens
+
+
+def _dense_closure(gens):
+    """Generators then the Hermitian parts of their pairwise products, by
+    dense matrix products, in family order."""
+    family = list(gens)
+    for (na, a), (nb, b) in itertools.combinations_with_replacement(gens, 2):
+        prod = a @ b
+        family.append((f"herm({na}*{nb})", 0.5 * (prod + prod.conj().T)))
+    return family
+
+
+class TestFactoredFamily:
+    """The factored route for the closed Glauber family (and the dense
+    connector next to it) against dense matrices and dense norms."""
+
+    @pytest.mark.parametrize("label", FACTORED_MODELS)
+    def test_members_match_dense(self, label):
+        model = FACTORED_MODELS[label]
+        layout = model.layout
+        decomp = build_final_state(model)
+        psi = decomp.state()
+        rho = mixture_of(decomp).matrix
+        family = _closed_family(glauber_generators(model), layout, 64)
+        dense = _dense_closure(_dense_glauber(model))
+        assert family.names == tuple(name for name, _ in dense)
+        assert family.kron_at.size == len(dense)
+        system, field = family.kron_system, family.kron_field
+        gram = _kron_gram(psi.amplitudes, 4, model.field_dim())
+        batched_pure = _kron_values(system, field, gram)
+        batched_norms = _kron_norms(system, field)
+        for r, k in enumerate(family.kron_at):
+            name, q = dense[k]
+            op = family.member(int(k))
+            pure = dense_expect(q, psi.amplitudes).real
+            norm = np.linalg.norm(q, ord=2)
+            assert abs(op_expectation(op, psi) - pure) <= 1e-12, name
+            assert abs(batched_pure[r].real - pure) <= 1e-12, name
+            assert abs(op_expectation_mixed(op, decomp)
+                       - dense_expect_mixed(q, rho).real) <= 1e-12, name
+            assert abs(op_sup_norm(op, layout) - norm) <= 1e-12, name
+            assert abs(batched_norms[r] - norm) <= 1e-12, name
+
+    @pytest.mark.parametrize("label", FACTORED_MODELS)
+    def test_verdicts_match_dense(self, label):
+        model = FACTORED_MODELS[label]
+        decomp = build_final_state(model)
+        psi = decomp.state()
+        rho = mixture_of(decomp).matrix
+        for connector in (False, True):
+            rows = [(name, dense_expect(q, psi.amplitudes).real,
+                     dense_expect_mixed(q, rho).real, np.linalg.norm(q, ord=2))
+                    for name, q in _dense_closure(_dense_glauber(model, connector))]
+            best, best_name = reference_verdict(rows)
+            allowed = glauber_generators(model)
+            if connector:
+                allowed = with_vacuum_connector(model, allowed)
+            verdict = check_c22(model, allowed)
+            assert abs(verdict.max_deviation - best) <= 1e-15, allowed.name
+            if connector:
+                assert verdict.witness_name == best_name == "XX(x)vacuum_connector"
+            else:
+                assert not verdict.distinguishable
+
+    def test_general_factors_match_dense(self):
+        # any square system factor and any real diagonal, negative entries too
+        model = FACTORED_MODELS["1 mode, cutoff 4"]
+        decomp = build_final_state(model)
+        psi = decomp.state()
+        rho = mixture_of(decomp).matrix
+        for _ in range(20):
+            a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
+            op = KronObservable(0.5 * (a + a.conj().T),
+                                RNG.normal(size=model.field_dim()))
+            q = op.matrix()
+            assert abs(op_expectation(op, psi) - dense_expect(q, psi.amplitudes).real) <= 1e-12
+            assert abs(op_expectation_mixed(op, decomp)
+                       - dense_expect_mixed(q, rho).real) <= 1e-12
+            assert abs(op_sup_norm(op, model.layout) - np.linalg.norm(q, ord=2)) <= 1e-12
+        skew = KronObservable(a, np.ones(model.field_dim()))
+        assert op_is_hermitian(op) and not op_is_hermitian(skew)
+        with pytest.raises(OperatorError, match="real diagonal"):
+            KronObservable(np.eye(4), np.ones(model.field_dim()) * 1j)
+
+    def test_rd_basic_builds_no_number_diagonal_matrix(self, monkeypatch):
+        dense_field = FieldObservable.matrix
+
+        def guarded(self):
+            if self.kind == "number_diagonal":
+                raise AssertionError("a number-diagonal field was realized densely")
+            return dense_field(self)
+
+        monkeypatch.setattr(FieldObservable, "matrix", guarded)
+        for text in ("scenario: rd-basic\n",
+                     "scenario: rd-basic\nobservable_preset: with_vacuum_connector\n",
+                     "scenario: rd-basic\nbackground: [1]\n"):
+            assert not run(parse_config(text)).failed_required()
+
+        def refuse(self):
+            raise AssertionError("a factored member was realized densely")
+
+        # without the connector nothing in the family is dense
+        monkeypatch.setattr(KronObservable, "matrix", refuse)
+        model = add_uncorrelated_mode(RadiationModel(), 1)
+        assert not check_c22(model, glauber_generators(model)).distinguishable
+
+    def test_two_modes_cutoff_3(self):
+        report = run(parse_config(
+            "scenario: rd-basic\nmodes: 2\ncutoff: 3\nphotons:\n"
+            "- {pattern: [1, 0], c: [0.7071067811865476, 0]}\n"
+            "- {pattern: [0, 2], c: [0.7071067811865476, 40]}\n"))
+        assert not report.failed_required()
+        assert all(r.passed for r in report.invariants)
 
 
 class TestVacuumConnector:

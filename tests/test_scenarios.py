@@ -92,10 +92,25 @@ class TestParseConfig:
         ("scenario: growth\nn_emit: true\n", "n_emit"),
         ("scenario: growth\nn_emit: 1\n", "n_emit"),
         ("scenario: growth\ndepth: true\n", "depth"),
+        ("scenario: rd-basic\nbackground: [1.5]\n", r"background\[0\]"),
+        ("scenario: rd-basic\nbackground: [true]\n", r"background\[0\]"),
+        ("scenario: rd-basic\nphotons: [{pattern: [1.5], c: [1, 0]}]\n",
+         r"photons\[0\]\.pattern\[0\]"),
+        ("scenario: rd-basic\nphotons: [{pattern: [true], c: [1, 0]}]\n",
+         r"photons\[0\]\.pattern\[0\]"),
+        ("scenario: growth\ntolerance: abc\n", "tolerance"),
+        ("scenario: growth\ntolerance: -1\n", "tolerance > 0"),
+        ("scenario: growth\nseed: true\n", "seed"),
+        ("scenario: growth\nbound: true\n", "bound"),
+        ("scenario: growth\nbound: 100\n", r"n_emit\^depth"),
     ])
     def test_numeric_field_types(self, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(text)
+
+    def test_exponent_tolerance_string(self):
+        # YAML 1.1 reads 1e-10 (no dot) as a string
+        assert parse_config("scenario: growth\ntolerance: 1e-10\n").tolerance == 1e-10
 
     def test_single_b_branch_rejected_at_config_time(self):
         # a1 = a2: the state after stage 1 is a B eigenstate, so recording B
