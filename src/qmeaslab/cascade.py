@@ -18,9 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .chain import SYSTEM_LABEL, it_operator, pointer_operator
-from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, BranchDecomposition,
-                      DensityMatrix, DimensionCapError, HilbertLayout,
-                      StateError, StateVector, canonical_split)
+from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
+                      HilbertLayout, StateError, StateVector, canonical_split,
+                      check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, apply, apply_sum,
                     expectation)
 
@@ -100,10 +100,8 @@ class BranchConnector:
         minus = (self.chi1.amplitudes - self.chi2.amplitudes) / np.sqrt(2.0)
         return plus, minus
 
-    def to_matrix(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-        if self.layout.dim > dense_cap:
-            raise DimensionCapError(
-                f"dense connector of dim {self.layout.dim} exceeds cap {dense_cap}")
+    def to_matrix(self) -> np.ndarray:
+        check_dense_dim(self.layout, "connector")
         k = np.outer(self.chi1.amplitudes, self.chi2.amplitudes.conj())
         return k + k.conj().T
 

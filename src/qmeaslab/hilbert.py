@@ -28,7 +28,7 @@ class LayoutError(ValueError):
 
 
 class DimensionCapError(LayoutError):
-    """Total dimension exceeds the configured cap."""
+    """Total dimension exceeds a fixed cap."""
 
 
 class StateError(ValueError):
@@ -58,7 +58,6 @@ class HilbertLayout:
     states and operators."""
 
     subsystems: tuple[Subsystem, ...]
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
@@ -71,15 +70,15 @@ class HilbertLayout:
         dim = 1
         for s in self.subsystems:
             dim *= s.dim
-            if dim > self.dim_cap:
+            if dim > DEFAULT_DIM_CAP:
                 raise DimensionCapError(
-                    f"layout dimension exceeds cap {self.dim_cap} at subsystem "
+                    f"layout dimension exceeds cap {DEFAULT_DIM_CAP} at subsystem "
                     f"{s.label!r} (labels: {labels})"
                 )
 
     @classmethod
-    def qubits(cls, labels: Iterable[str], dim_cap: int = DEFAULT_DIM_CAP) -> "HilbertLayout":
-        return cls(tuple(Subsystem(l) for l in labels), dim_cap)
+    def qubits(cls, labels: Iterable[str]) -> "HilbertLayout":
+        return cls(tuple(Subsystem(l) for l in labels))
 
     @property
     def dim(self) -> int:
@@ -101,9 +100,6 @@ class HilbertLayout:
                 return k
         raise LayoutError(f"unknown label {label!r}; layout has {self.labels}")
 
-    def subsystem(self, label: str) -> Subsystem:
-        return self.subsystems[self.axis(label)]
-
     def index_of(self, assignment: Sequence[int]) -> int:
         """Flat index of a basis assignment (one local index per subsystem)."""
         return int(np.ravel_multi_index(tuple(assignment), self.dims()))
@@ -115,16 +111,22 @@ class HilbertLayout:
         overlap = set(self.labels) & set(other.labels)
         if overlap:
             raise LayoutError(f"duplicate labels on tensor composition: {sorted(overlap)}")
-        return HilbertLayout(self.subsystems + other.subsystems,
-                             max(self.dim_cap, other.dim_cap))
+        return HilbertLayout(self.subsystems + other.subsystems)
 
     def keep(self, labels: Iterable[str]) -> "HilbertLayout":
         wanted = set(labels)
         unknown = wanted - set(self.labels)
         if unknown:
             raise LayoutError(f"unknown labels {sorted(unknown)}; layout has {self.labels}")
-        return HilbertLayout(tuple(s for s in self.subsystems if s.label in wanted),
-                             self.dim_cap)
+        return HilbertLayout(tuple(s for s in self.subsystems if s.label in wanted))
+
+
+def check_dense_dim(layout: HilbertLayout, what: str) -> None:
+    """Refuse a dense dim x dim realization of `what` above DEFAULT_DENSE_CAP:
+    dense matrices are the oracle path, checked at small dimension only."""
+    if layout.dim > DEFAULT_DENSE_CAP:
+        raise DimensionCapError(
+            f"dense {what} of dim {layout.dim} exceeds cap {DEFAULT_DENSE_CAP}")
 
 
 @dataclass(frozen=True)
@@ -231,9 +233,6 @@ class BranchDecomposition:
         for a, s in self.branches:
             amps = amps + a * s.amplitudes
         return StateVector(self.layout, amps)
-
-    def mixture(self) -> DensityMatrix:
-        return mixture_of(self)
 
     def weights(self) -> tuple[float, ...]:
         return tuple(abs(a) ** 2 for a, _ in self.branches)

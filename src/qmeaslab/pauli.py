@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, DensityMatrix,
-                      DimensionCapError, HilbertLayout, QUBIT, StateVector)
+from .hilbert import (DEFAULT_TOL, DensityMatrix, HilbertLayout, QUBIT,
+                      StateVector, check_dense_dim)
 
 LETTERS = ("I", "X", "Y", "Z")
 
@@ -338,12 +338,9 @@ def expectation_mixed(op: PauliSum, rho: DensityMatrix, tol: float = DEFAULT_TOL
 # ---------------------------------------------------------------------------
 # dense oracle path
 
-def string_matrix(op: PauliString, layout: HilbertLayout,
-                  dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def string_matrix(op: PauliString, layout: HilbertLayout) -> np.ndarray:
     """Full matrix of a Pauli string by Kronecker products in layout order."""
-    if layout.dim > dense_cap:
-        raise DimensionCapError(
-            f"dense realization of dim {layout.dim} exceeds cap {dense_cap}")
+    check_dense_dim(layout, "Pauli string")
     _check_qubit_support(op.support, layout)
     mat = np.array([[_PHASES[op.ipower]]], dtype=complex)
     for sub in layout.subsystems:
@@ -353,29 +350,25 @@ def string_matrix(op: PauliString, layout: HilbertLayout,
     return mat
 
 
-def sum_matrix(op: PauliSum, layout: HilbertLayout,
-               dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def sum_matrix(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
     mat = np.zeros((layout.dim, layout.dim), dtype=complex)
     for c, s in op.terms:
-        mat += c * string_matrix(s, layout, dense_cap)
+        mat += c * string_matrix(s, layout)
     return mat
 
 
-def sup_norm_estimate(op: PauliSum, layout: HilbertLayout | None = None,
-                      dense_cap: int = DEFAULT_DENSE_CAP) -> float:
-    """Spectral norm: exactly |c| for a one-term sum c P (P is unitary) and
-    max |diag| for an {I,Z}-supported sum at any dimension, from a dense
-    realization when one fits under the cap, else the triangle-inequality
-    bound sum |c_k|."""
+def sup_norm_estimate(op: PauliSum, layout: HilbertLayout) -> float:
+    """Exact spectral norm: |c| for a one-term sum c P (P is unitary) and
+    max |diag| for an {I,Z}-supported sum, both at any dimension; any other
+    sum takes the dense ord=2 norm, which is refused with a
+    DimensionCapError above DEFAULT_DENSE_CAP rather than replaced by a
+    bound."""
     if len(op.terms) == 1:
         return float(abs(op.terms[0][0]))
-    if layout is not None and _is_z_diagonal(op):
+    if _is_z_diagonal(op):
         return float(np.max(np.abs(_diagonal_values(op, layout))))
-    if layout is not None and layout.dim <= dense_cap:
-        if op.is_zero():
-            return 0.0
-        return float(np.linalg.norm(sum_matrix(op, layout, dense_cap), ord=2))
-    return float(sum(abs(c) for c, _ in op.terms))
+    check_dense_dim(layout, "spectral norm of a non-diagonal multi-term Pauli sum")
+    return float(np.linalg.norm(sum_matrix(op, layout), ord=2))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_DIM_CAP, DEFAULT_TOL, BranchDecomposition,
-                      HilbertLayout, MODE, StateVector, Subsystem,
-                      canonical_split)
+from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout, MODE,
+                      StateVector, Subsystem, canonical_split)
 from .pauli import PAULI_MATRICES
 from .sectors import (DiscriminationVerdict, KronObservable, ObservableSet,
                       discriminate)
@@ -53,7 +52,6 @@ class RadiationModel:
         ((2,), complex(np.sqrt(0.5))),
     )
     background: tuple[int, ...] = ()
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "photon_amplitudes",
@@ -99,7 +97,7 @@ class RadiationModel:
     def layout(self) -> HilbertLayout:
         subs = [Subsystem(PATH_LABEL), Subsystem(LATTICE_LABEL)]
         subs += [Subsystem(l, self.cutoff, MODE) for l in self.mode_labels()]
-        return HilbertLayout(tuple(subs), self.dim_cap)
+        return HilbertLayout(tuple(subs))
 
     def field_dims(self) -> tuple[int, ...]:
         return (self.cutoff,) * self.all_modes

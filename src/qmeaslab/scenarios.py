@@ -33,6 +33,11 @@ SCENARIOS = ("ch-basic", "ch-heisenberg", "ch-cascade", "rd-basic", "growth")
 # qubits that fit the dimension cap
 _MAX_QUBITS = DEFAULT_DIM_CAP.bit_length() - 1
 
+# rd-basic stacks its closed Glauber family as a members x field_dim float
+# array (and evaluates it through complex arrays of the same shape), so a
+# wide field is refused at config time above this many entries
+_MAX_GLAUBER_FAMILY_ENTRIES = 2 ** 24
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
@@ -146,12 +151,11 @@ def _parse_sweep(raw, scenario: str) -> SweepSpec | None:
     if unknown:
         raise ConfigError(f"sweep.{sorted(unknown)[0]}: unknown key")
     try:
-        spec = SweepSpec(str(raw["parameter"]), float(raw["start"]),
-                         float(raw["stop"]), int(raw["steps"]))
+        spec = SweepSpec(str(raw["parameter"]), _real_text(raw["start"], "sweep.start"),
+                         _real_text(raw["stop"], "sweep.stop"),
+                         _int_at_least(raw["steps"], 1, "sweep.steps"))
     except KeyError as missing:
         raise ConfigError(f"sweep: missing key {missing.args[0]!r}") from None
-    if spec.steps < 1:
-        raise ConfigError(f"sweep.steps: must satisfy steps >= 1, got {spec.steps}")
     if spec.parameter not in _SWEEPABLE[scenario]:
         raise ConfigError(
             f"sweep.parameter: {spec.parameter!r} is not sweepable for {scenario} "
@@ -176,27 +180,88 @@ def _real(value, path: str) -> float:
     return float(value)
 
 
-def _tolerance(value) -> float:
-    """A finite real > 0.  YAML 1.1 reads exponent notation without a dot
-    (`1e-10`) as a string, so a string that parses as a number is taken as
-    that number."""
+def _real_text(value, path: str) -> float:
+    """A finite real that may arrive as text: YAML 1.1 reads exponent
+    notation without a dot (`1e-10`) as a string, so a string that parses
+    as a number is taken as that number."""
     if isinstance(value, str):
         try:
             value = float(value)
         except ValueError:
             raise ConfigError(
-                f"tolerance: requires a finite real number, got {value!r}") from None
-    tol = _real(value, "tolerance")
+                f"{path}: requires a finite real number, got {value!r}") from None
+    return _real(value, path)
+
+
+def _tolerance(value) -> float:
+    """A finite real > 0, written as a number or as numeric text."""
+    tol = _real_text(value, "tolerance")
     if tol <= 0.0:
         raise ConfigError(f"tolerance: requires tolerance > 0, got {tol!r}")
     return tol
 
 
-def _occupations(value, path: str) -> list[int]:
-    """A list of photon occupation numbers, each an integer >= 0."""
+def _occupations(value, path: str, cutoff: int) -> tuple[int, ...]:
+    """A list of photon occupation numbers, each an integer in [0, cutoff)."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: requires a list of occupation numbers, got {value!r}")
-    return [_int_at_least(n, 0, f"{path}[{k}]") for k, n in enumerate(value)]
+    for k, n in enumerate(value):
+        if _int_at_least(n, 0, f"{path}[{k}]") >= cutoff:
+            raise ConfigError(
+                f"{path}[{k}]: requires an occupation below cutoff = {cutoff}, got {n}")
+    return tuple(value)
+
+
+def _glauber_family_entries(modes: int, cutoff: int) -> int:
+    """members x field_dim of the closed Glauber family on `modes` modes:
+    16 system Paulis times 2M + M(M-1)/2 number functions, plus every
+    pairwise product."""
+    g = 16 * (2 * modes + modes * (modes - 1) // 2)
+    return (g + g * (g + 1) // 2) * cutoff ** modes
+
+
+def _check_rd_basic(params: dict[str, Any]):
+    """Photon patterns, background and field size of an rd-basic config.
+    The run's background check adds one mode to the model, so its layout
+    and its closed Glauber family bound those of the model itself."""
+    modes = _int_at_least(params["modes"], 1, "modes")
+    cutoff = _int_at_least(params["cutoff"], 2, "cutoff")
+    _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
+    if not isinstance(params["photons"], list) or not params["photons"]:
+        raise ConfigError("photons: at least one {pattern, c} entry is required")
+    seen: set[tuple[int, ...]] = set()
+    weight = 0.0
+    for k, entry in enumerate(params["photons"]):
+        path = f"photons[{k}]"
+        if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
+            raise ConfigError(f"{path}: entries are mappings with keys pattern and c")
+        pattern = _occupations(entry["pattern"], f"{path}.pattern", cutoff)
+        if len(pattern) != modes:
+            raise ConfigError(f"{path}.pattern: requires one occupation per mode "
+                              f"(modes = {modes}), got {list(pattern)}")
+        if sum(pattern) < 1:
+            raise ConfigError(f"{path}.pattern: the vacuum cannot be an emission "
+                              f"pattern, got {list(pattern)}")
+        if pattern in seen:
+            raise ConfigError(f"{path}.pattern: duplicate pattern {list(pattern)}")
+        seen.add(pattern)
+        weight += _amp(entry["c"], f"{path}.c")[0] ** 2
+    if abs(weight - 1.0) > 1e-9:
+        raise ConfigError(
+            f"photons: amplitudes must satisfy sum |c_j|^2 = 1, got {weight}")
+    field_modes = len(_occupations(params["background"], "background", cutoff)) + modes
+    dim = 4 * cutoff ** (field_modes + 1)
+    if dim > DEFAULT_DIM_CAP:
+        raise ConfigError(
+            f"modes/cutoff/background: the background check's layout of dim 4 * "
+            f"cutoff^(modes + len(background) + 1) = {dim} must fit the dimension "
+            f"cap {DEFAULT_DIM_CAP}")
+    entries = _glauber_family_entries(field_modes + 1, cutoff)
+    if entries > _MAX_GLAUBER_FAMILY_ENTRIES:
+        raise ConfigError(
+            f"modes/cutoff/background: the closed Glauber family of the background "
+            f"check has members x field_dim = {entries} entries, above the bound "
+            f"{_MAX_GLAUBER_FAMILY_ENTRIES}")
 
 
 def _check_params(scenario: str, params: dict[str, Any], tol: float):
@@ -235,18 +300,7 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 f"fit the dimension cap 2^{_MAX_QUBITS}, got {chains!r}")
         _int_at_least(params["phase_scan_points"], 0, "phase_scan_points")
     if scenario == "rd-basic":
-        _int_at_least(params["modes"], 1, "modes")
-        _int_at_least(params["cutoff"], 2, "cutoff")
-        _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
-        if not isinstance(params["photons"], list) or not params["photons"]:
-            raise ConfigError("photons: at least one {pattern, c} entry is required")
-        for k, entry in enumerate(params["photons"]):
-            if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
-                raise ConfigError(
-                    f"photons[{k}]: entries are mappings with keys pattern and c")
-            _occupations(entry["pattern"], f"photons[{k}].pattern")
-            _amp(entry["c"], f"photons[{k}].c")
-        _occupations(params["background"], "background")
+        _check_rd_basic(params)
         if params["observable_preset"] not in ("glauber", "with_vacuum_connector"):
             raise ConfigError(
                 "observable_preset: expected glauber or with_vacuum_connector, "
@@ -308,6 +362,13 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
     tolerance = _tolerance(merged["tolerance"])
     seed = _int_at_least(merged["seed"], 0, "seed")
     _check_params(scenario, params, tolerance)
+    if sweep is not None:
+        for value in map(float, sweep.values()):
+            try:
+                _check_params(scenario, _apply_sweep_value(params, sweep.parameter, value),
+                              tolerance)
+            except ConfigError as err:
+                raise ConfigError(f"sweep: at {sweep.parameter} = {value!r}: {err}") from None
     return ScenarioConfig(
         scenario=scenario,
         tolerance=tolerance,

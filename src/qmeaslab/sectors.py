@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import (DEFAULT_DENSE_CAP, DEFAULT_TOL, BranchDecomposition,
-                      DensityMatrix, DimensionCapError, HilbertLayout,
-                      StateError, StateVector)
+from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
+                      HilbertLayout, StateError, StateVector, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
                     apply_sum, expectation, format_sum, hermitian_part,
                     string_matrix, sum_matrix, sup_norm_estimate,
@@ -41,7 +40,8 @@ class SectorError(ValueError):
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector, stored as a basis mask (diagonal) or a dense
-    matrix.  Masks stay exact at any dimension; matrices obey the dense cap."""
+    matrix.  Masks stay exact at any dimension; a mask's dense realization
+    obeys the dense cap."""
 
     layout: HilbertLayout
     mask: np.ndarray | None = None
@@ -100,12 +100,10 @@ class Projector:
             return rho * np.outer(keep, keep)
         return self.matrix @ rho @ self.matrix
 
-    def to_matrix(self, dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         if self.matrix is not None:
             return np.asarray(self.matrix)
-        if self.layout.dim > dense_cap:
-            raise DimensionCapError(
-                f"dense projector of dim {self.layout.dim} exceeds cap {dense_cap}")
+        check_dense_dim(self.layout, "projector")
         return np.diag(self.mask.astype(complex))
 
     def idempotency_residual(self) -> float:
@@ -113,21 +111,19 @@ class Projector:
             return 0.0
         return float(np.linalg.norm(self.matrix @ self.matrix - self.matrix))
 
-    def commutes_with(self, op, tol: float = DEFAULT_TOL,
-                      dense_cap: int = DEFAULT_DENSE_CAP) -> bool:
+    def commutes_with(self, op, tol: float = DEFAULT_TOL) -> bool:
         """Exact permutation test for single strings on masks; dense
         commutator (under the cap) otherwise."""
         if self.mask is not None and isinstance(op, PauliString):
             pi, _ = _permutation_action(op, self.layout)
             return bool(np.array_equal(self.mask[pi], self.mask))
         if self.mask is not None and isinstance(op, PauliSum):
-            termwise = all(self.commutes_with(s, tol, dense_cap)
-                           for _, s in op.terms)
+            termwise = all(self.commutes_with(s, tol) for _, s in op.terms)
             # termwise preservation is sufficient, and exact for one term
             if termwise or len(op.terms) == 1:
                 return termwise
-        p = self.to_matrix(dense_cap)
-        q = as_matrix(op, self.layout, dense_cap)
+        p = self.to_matrix()
+        q = as_matrix(op, self.layout)
         return float(np.linalg.norm(p @ q - q @ p)) <= tol
 
 
@@ -147,8 +143,7 @@ class SectorDecomposition:
             if len(self.eigenvalues) != len(self.projectors):
                 raise SectorError("one eigenvalue per projector required")
 
-    def validate(self, tol: float = DEFAULT_TOL,
-                 dense_cap: int = DEFAULT_DENSE_CAP) -> "SectorDecomposition":
+    def validate(self, tol: float = DEFAULT_TOL) -> "SectorDecomposition":
         if not self.projectors:
             raise SectorError("empty sector decomposition")
         if all(p.mask is not None for p in self.projectors):
@@ -158,7 +153,7 @@ class SectorDecomposition:
             if not np.array_equal(total, np.ones_like(total)):
                 raise SectorError("masks do not partition the basis")
             return self
-        mats = [p.to_matrix(dense_cap) for p in self.projectors]
+        mats = [p.to_matrix() for p in self.projectors]
         eye = np.eye(self.layout.dim)
         if float(np.linalg.norm(sum(mats) - eye)) > tol:
             raise SectorError("projectors do not sum to identity")
@@ -170,11 +165,11 @@ class SectorDecomposition:
                     raise SectorError("projectors are not mutually orthogonal")
         return self
 
-    def completeness_residual(self, dense_cap: int = DEFAULT_DENSE_CAP) -> float:
+    def completeness_residual(self) -> float:
         if all(p.mask is not None for p in self.projectors):
             total = sum(p.mask.astype(float) for p in self.projectors)
             return float(np.linalg.norm(total - 1.0))
-        mats = [p.to_matrix(dense_cap) for p in self.projectors]
+        mats = [p.to_matrix() for p in self.projectors]
         return float(np.linalg.norm(sum(mats) - np.eye(self.layout.dim)))
 
 
@@ -192,8 +187,7 @@ def _group_values(values: np.ndarray, tol: float) -> list[tuple[float, np.ndarra
 
 def pointer_sectors(pointer: PauliSum, layout: HilbertLayout,
                     degeneracy_tol: float = DEGENERACY_TOL,
-                    tol: float = DEFAULT_TOL,
-                    dense_cap: int = DEFAULT_DENSE_CAP) -> SectorDecomposition:
+                    tol: float = DEFAULT_TOL) -> SectorDecomposition:
     """Spectral projectors of a Hermitian pointer, grouped by eigenvalue
     (descending).  {I,Z}-supported pointers use the exact diagonal path."""
     if not pointer.is_hermitian(tol):
@@ -207,7 +201,7 @@ def pointer_sectors(pointer: PauliSum, layout: HilbertLayout,
             projectors.append(Projector.from_mask(layout, mask, name=f"P({v:g})"))
             eigenvalues.append(v)
         return SectorDecomposition(layout, tuple(projectors), tuple(eigenvalues))
-    mat = sum_matrix(pointer, layout, dense_cap)
+    mat = sum_matrix(pointer, layout)
     vals, vecs = np.linalg.eigh(mat)
     projectors, eigenvalues = [], []
     for v, idx in _group_values(vals, degeneracy_tol):
@@ -330,17 +324,18 @@ def _kron_norms(system: np.ndarray, field: np.ndarray) -> np.ndarray:
 class ObservableSet:
     """A named generating family of Hermitian operators (Pauli sums, dense
     matrices or KronObservables), optionally closed under pairwise
-    products."""
+    products.  Pauli-string generators are stored as one-term sums."""
 
     name: str
     generators: tuple[tuple[str, object], ...]
     closure_depth: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "generators", tuple(
+            (name, PauliSum.from_string(op) if isinstance(op, PauliString) else op)
+            for name, op in self.generators))
 
-    def validate(self, layout: HilbertLayout, tol: float = DEFAULT_TOL,
-                 dense_cap: int = DEFAULT_DENSE_CAP) -> "ObservableSet":
+    def validate(self, tol: float = DEFAULT_TOL) -> "ObservableSet":
         for name, op in self.generators:
             if not op_is_hermitian(op, tol):
                 raise OperatorError(f"generator {name!r} is not Hermitian")
@@ -350,14 +345,13 @@ class ObservableSet:
         return len(self.generators)
 
 
-def as_matrix(op, layout: HilbertLayout,
-              dense_cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense realization; Pauli sums obey the dense cap, a factored
+def as_matrix(op, layout: HilbertLayout) -> np.ndarray:
+    """Dense realization; Pauli operators obey the dense cap, a factored
     observable is realized only next to a dense operand of the same size."""
     if isinstance(op, PauliString):
-        return string_matrix(op, layout, dense_cap)
+        return string_matrix(op, layout)
     if isinstance(op, PauliSum):
-        return sum_matrix(op, layout, dense_cap)
+        return sum_matrix(op, layout)
     arr = op.matrix() if isinstance(op, KronObservable) else np.asarray(op, dtype=complex)
     if arr.shape != (layout.dim, layout.dim):
         raise OperatorError(f"dense operator shape {arr.shape} does not match layout")
@@ -365,8 +359,6 @@ def as_matrix(op, layout: HilbertLayout,
 
 
 def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
-    if isinstance(op, PauliString):
-        return op.is_hermitian()
     if isinstance(op, PauliSum):
         return op.is_hermitian(tol)
     if isinstance(op, KronObservable):
@@ -378,8 +370,6 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
 
 
 def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
-    if isinstance(op, PauliString):
-        op = PauliSum.from_string(op)
     if isinstance(op, PauliSum):
         return expectation(op, state, tol)
     if isinstance(op, KronObservable):
@@ -414,8 +404,6 @@ def op_expectation_mixed(op, branches: BranchDecomposition,
     evaluated on the branch vectors (no density matrix); the branches are
     validated and the imaginary part is checked against tol."""
     branches.validate(tol)
-    if isinstance(op, PauliString):
-        op = PauliSum.from_string(op)
     if isinstance(op, PauliSum) and not op.is_hermitian(tol):
         raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
     val = _branch_mean(op, branches)
@@ -424,22 +412,19 @@ def op_expectation_mixed(op, branches: BranchDecomposition,
     return float(val.real)
 
 
-def op_sup_norm(op, layout: HilbertLayout,
-                dense_cap: int = DEFAULT_DENSE_CAP) -> float:
-    if isinstance(op, PauliString):
-        return 1.0
+def op_sup_norm(op, layout: HilbertLayout) -> float:
     if isinstance(op, PauliSum):
-        return sup_norm_estimate(op, layout, dense_cap)
+        return sup_norm_estimate(op, layout)
     if isinstance(op, KronObservable):
         return float(_kron_norms(op.system, op.field))
     return float(np.linalg.norm(np.asarray(op, dtype=complex), ord=2))
 
 
-def _op_product_hermitian(a, b, layout: HilbertLayout, dense_cap: int):
+def _op_product_hermitian(a, b, layout: HilbertLayout):
     """Hermitian part of a*b, staying in the Pauli algebra when possible."""
     if isinstance(a, PauliSum) and isinstance(b, PauliSum):
         return hermitian_part(a @ b)
-    prod = as_matrix(a, layout, dense_cap) @ as_matrix(b, layout, dense_cap)
+    prod = as_matrix(a, layout) @ as_matrix(b, layout)
     return 0.5 * (prod + prod.conj().T)
 
 
@@ -466,14 +451,12 @@ class _ClosedFamily:
         return ((name, self.member(k)) for k, name in enumerate(self.names))
 
 
-def _closed_family(allowed: ObservableSet, layout: HilbertLayout,
-                   dense_cap: int) -> _ClosedFamily:
+def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFamily:
     """The product of two factored members is herm(S_a S_b) (x) (f_a f_b)
     exactly, because real diagonals commute, so all factored products come
     from one batched matmul and one elementwise product; a product with any
     other operator goes through `_op_product_hermitian`."""
-    gens = [(name, op if not isinstance(op, PauliString) else PauliSum.from_string(op))
-            for name, op in allowed.generators]
+    gens = allowed.generators
     g = len(gens)
     pairs = (list(itertools.combinations_with_replacement(range(g), 2))
              if allowed.closure_depth >= 2 else [])
@@ -486,7 +469,7 @@ def _closed_family(allowed: ObservableSet, layout: HilbertLayout,
         if factored[i] and factored[j]:
             kron_pairs.append((k, i, j))
         else:
-            other[k] = _op_product_hermitian(gens[i][1], gens[j][1], layout, dense_cap)
+            other[k] = _op_product_hermitian(gens[i][1], gens[j][1], layout)
     gen_rows = [i for i in range(g) if factored[i]]
     kron_at = np.array(gen_rows + [k for k, _, _ in kron_pairs], dtype=int)
     system = field = np.empty(0)
@@ -518,11 +501,10 @@ class DiscriminationVerdict:
 
 
 def discriminate(pure: StateVector, branches: BranchDecomposition,
-                 allowed: ObservableSet, tol: float = DEFAULT_TOL,
-                 dense_cap: int = DEFAULT_DENSE_CAP) -> DiscriminationVerdict:
+                 allowed: ObservableSet, tol: float = DEFAULT_TOL) -> DiscriminationVerdict:
     """Maximize |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over the allowed
     family (generators plus pairwise Hermitian products, each normalized by
-    a sup-norm estimate), with the mixture given by its branches.  Members
+    its exact spectral norm), with the mixture given by its branches.  Members
     of norm <= tol are skipped; the first member reaching the maximum is the
     witness.  Distinguishable iff the maximum exceeds tol."""
     if pure.layout.labels != branches.layout.labels:
@@ -530,8 +512,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     if not allowed.generators:
         raise OperatorError(f"observable set {allowed.name!r} is empty")
     branches.validate(tol)
-    allowed.validate(pure.layout, tol, dense_cap)
-    family = _closed_family(allowed, pure.layout, dense_cap)
+    allowed.validate(tol)
+    family = _closed_family(allowed, pure.layout)
     devs = np.zeros(len(family.names))
     if family.kron_at.size:
         system, field = family.kron_system, family.kron_field
@@ -542,7 +524,7 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
         seen = norms > tol
         devs[family.kron_at[seen]] = diff[seen] / norms[seen]
     for k, op in family.other.items():
-        norm = op_sup_norm(op, pure.layout, dense_cap)
+        norm = op_sup_norm(op, pure.layout)
         if norm > tol:
             devs[k] = abs(op_expectation(op, pure, tol=np.inf)
                           - _branch_mean(op, branches).real) / norm
@@ -556,13 +538,12 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
 
 
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,
-                       tol: float = DEFAULT_TOL,
-                       dense_cap: int = DEFAULT_DENSE_CAP) -> ObservableSet:
+                       tol: float = DEFAULT_TOL) -> ObservableSet:
     """Sub-family of candidates commuting with every sector projector (the
     sector-preserving observables)."""
     kept = []
     for name, op in candidate_pool.generators:
-        if all(p.commutes_with(op, tol, dense_cap) for p in sectors.projectors):
+        if all(p.commutes_with(op, tol) for p in sectors.projectors):
             kept.append((name, op))
     return ObservableSet(name=f"{candidate_pool.name}/sector-preserving",
                          generators=tuple(kept),
@@ -573,8 +554,7 @@ def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableS
 # named presets over one measurement chain
 
 def chain_observable_preset(name: str, n_atoms: int,
-                            tol: float = DEFAULT_TOL,
-                            dense_cap: int = DEFAULT_DENSE_CAP) -> ObservableSet:
+                            tol: float = DEFAULT_TOL) -> ObservableSet:
     """Presets: all_strings, sector_preserving, pointer_only, with_B."""
     from .chain import SYSTEM_LABEL, atom_labels, it_operator, pointer_operator
 
@@ -594,6 +574,6 @@ def chain_observable_preset(name: str, n_atoms: int,
         layout = HilbertLayout.qubits(labels)
         z0 = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
         sec = joint_sectors([z0, mu], layout)
-        return restricted_algebra(sec, pool, tol, dense_cap)
+        return restricted_algebra(sec, pool, tol)
     raise ValueError(f"unknown observable preset {name!r}; expected one of "
                      f"{', '.join(CHAIN_PRESETS)}")

@@ -43,7 +43,7 @@ def test_branch_route_matches_dense_mixture(n):
     for preset_name in _presets(n):
         preset = chain_observable_preset(preset_name, n)
         rows = []
-        for name, op in _closed_family(preset, layout, layout.dim):
+        for name, op in _closed_family(preset, layout):
             want = dense_expect_mixed(dense_of(op, layout), rho)
             assert abs(want.imag) <= 1e-12
             got = op_expectation_mixed(op, branches)

@@ -328,7 +328,7 @@ class TestDeeperCascade:
                 tuple((f"mu_z(C{c})", pointer_operator(model.chain_atoms(c)))
                       for c in range(1, k + 1)))
             verdict = discriminate(stage.state, stage.branches,
-                                   pointers, dense_cap=model.layout.dim)
+                                   pointers)
             assert verdict.max_deviation <= 1e-12
             # the next joint IT operator does see the coherence
             connector = joint_it_operator(stage.branches)

@@ -29,7 +29,6 @@ class TestLayout:
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
             HilbertLayout.qubits([f"q{i}" for i in range(15)])
-        HilbertLayout.qubits([f"q{i}" for i in range(15)], dim_cap=2 ** 15)
 
     def test_qubit_dim_fixed(self):
         with pytest.raises(LayoutError):

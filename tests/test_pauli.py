@@ -287,12 +287,15 @@ class TestDenseOraclePath:
         from qmeaslab.hilbert import DimensionCapError
         layout = HilbertLayout.qubits([f"q{i}" for i in range(8)])
         with pytest.raises(DimensionCapError):
-            sum_matrix(PauliSum.identity(), layout, dense_cap=64)
+            sum_matrix(PauliSum.identity(), layout)
 
     @pytest.mark.parametrize("chains", [(1, 1), (2, 1), (2, 2, 1), (5,)])
-    def test_z_diagonal_norm_is_exact(self, chains):
+    def test_z_diagonal_norm_is_exact(self, chains, monkeypatch):
         # pointers and their pairwise products are {I,Z} sums: the norm is
         # max |diag| at any dimension, with no dense realization or SVD
+        import qmeaslab.pauli as pauli_module
+
+        monkeypatch.setattr(pauli_module, "sum_matrix", None)
         labels = ["S0"]
         pointers = [PauliSum.from_string(ps(S0="Z"))]
         for k, size in enumerate(chains, start=1):
@@ -305,7 +308,7 @@ class TestDenseOraclePath:
                              for b in pointers[i:]]
         for op in family:
             dense = np.linalg.norm(dense_of(op, layout), ord=2)
-            assert abs(sup_norm_estimate(op, layout, dense_cap=1) - dense) <= 1e-12
+            assert abs(sup_norm_estimate(op, layout) - dense) <= 1e-12
 
     @pytest.mark.parametrize("letters", [dict(a="X"), dict(a="Y", b="Z"),
                                          dict(a="X", b="Y", c="Z"), dict()])
@@ -319,6 +322,19 @@ class TestDenseOraclePath:
         dense = np.linalg.norm(dense_of(op, layout), ord=2)
         monkeypatch.setattr(pauli_module, "sum_matrix", None)
         assert abs(sup_norm_estimate(op, layout) - dense) <= 1e-12
+
+    def test_non_diagonal_sum_norm_is_dense_and_capped(self):
+        # X0 + Z0 has norm sqrt(2); its terms' triangle bound is 2
+        from qmeaslab.hilbert import DimensionCapError
+
+        op = PauliSum.from_terms([(1.0, ps(q0="X")), (1.0, ps(q0="Z"))])
+        layout = HilbertLayout.qubits([f"q{i}" for i in range(6)])
+        dense = np.linalg.norm(dense_of(op, layout), ord=2)
+        assert abs(dense - np.sqrt(2.0)) <= 1e-12
+        assert abs(sup_norm_estimate(op, layout) - dense) <= 1e-12
+        wide = HilbertLayout.qubits([f"q{i}" for i in range(7)])
+        with pytest.raises(DimensionCapError, match="non-diagonal"):
+            sup_norm_estimate(op, wide)
 
     def test_apply_sum_matches_dense(self):
         layout = HilbertLayout.qubits(["a", "b", "c"])

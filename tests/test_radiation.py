@@ -225,7 +225,7 @@ class TestFactoredFamily:
         decomp = build_final_state(model)
         psi = decomp.state()
         rho = mixture_of(decomp).matrix
-        family = _closed_family(glauber_generators(model), layout, 64)
+        family = _closed_family(glauber_generators(model), layout)
         dense = _dense_closure(_dense_glauber(model))
         assert family.names == tuple(name for name, _ in dense)
         assert family.kron_at.size == len(dense)

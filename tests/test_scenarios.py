@@ -69,6 +69,26 @@ class TestParseConfig:
         ("scenario: ch-basic\nn_atoms: 14\nobservable_preset: pointer_only\n",
          "dimension cap"),
         ("scenario: rd-basic\nobservable_preset: bogus\n", "observable_preset"),
+        ("scenario: rd-basic\nphotons: [{pattern: [5], c: [1, 0]}]\n",
+         r"photons\[0\]\.pattern\[0\]: requires an occupation below cutoff = 3"),
+        ("scenario: rd-basic\nbackground: [7]\n", r"background\[0\].*cutoff = 3"),
+        ("scenario: rd-basic\nphotons: [{pattern: [0], c: [1, 0]}]\n", "vacuum"),
+        ("scenario: rd-basic\nphotons: [{pattern: [1], c: [0.6, 0]}]\n",
+         r"sum \|c_j\|\^2 = 1"),
+        ("scenario: rd-basic\nphotons: [{pattern: [1], c: [0.7071067811865476, 0]},"
+         " {pattern: [1], c: [0.7071067811865476, 90]}]\n", r"photons\[1\].*duplicate"),
+        ("scenario: rd-basic\nphotons: [{pattern: [1, 0], c: [1, 0]}]\n",
+         "one occupation per mode"),
+        ("scenario: rd-basic\ncutoff: 128\n", "dimension cap"),
+        ("scenario: rd-basic\nmodes: 12\ncutoff: 2\n"
+         "photons: [{pattern: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], c: [1, 0]}]\n",
+         "dimension cap"),
+        ("scenario: rd-basic\nmodes: 3\ncutoff: 3\nbackground: [1, 2]\n"
+         "photons: [{pattern: [1, 0, 0], c: [1, 0]}]\n", "Glauber family"),
+        ("scenario: ch-cascade\na1: [0.7071067811865476, 0]\n"
+         "a2: [0.7071067811865476, 60]\n"
+         "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 7}\n",
+         "a2_phase_deg = 0.0: a1/a2: the cascade needs two B eigenbranches"),
     ])
     def test_config_time_preconditions(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -103,6 +123,16 @@ class TestParseConfig:
         ("scenario: growth\nseed: true\n", "seed"),
         ("scenario: growth\nbound: true\n", "bound"),
         ("scenario: growth\nbound: 100\n", r"n_emit\^depth"),
+        ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: abc, stop: 1, steps: 2}\n",
+         r"sweep\.start"),
+        ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: .nan, stop: 1, steps: 2}\n",
+         r"sweep\.start"),
+        ("scenario: ch-heisenberg\n"
+         "sweep: {parameter: j_coupling, start: 0, stop: .inf, steps: 2}\n", r"sweep\.stop"),
+        ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: 0, stop: 1, steps: true}\n",
+         r"sweep\.steps"),
+        ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: 0, stop: 1, steps: 2.7}\n",
+         r"sweep\.steps"),
     ])
     def test_numeric_field_types(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -111,6 +141,30 @@ class TestParseConfig:
     def test_exponent_tolerance_string(self):
         # YAML 1.1 reads 1e-10 (no dot) as a string
         assert parse_config("scenario: growth\ntolerance: 1e-10\n").tolerance == 1e-10
+
+    def test_exponent_sweep_string(self):
+        cfg = parse_config(
+            "scenario: ch-basic\nsweep: {parameter: theta_deg, start: 1e1, stop: 90, steps: 2}\n")
+        assert cfg.sweep.start == 10.0
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 2), (2, 2), (1, 3)])
+    def test_glauber_family_size_formula(self, modes, cutoff):
+        # the config-time bound counts the family the run actually stacks
+        from qmeaslab.radiation import RadiationModel, glauber_generators
+        from qmeaslab.scenarios import _glauber_family_entries
+        from qmeaslab.sectors import _closed_family
+
+        model = RadiationModel(modes=modes, cutoff=cutoff,
+                               photon_amplitudes=(((1,) + (0,) * (modes - 1), 1.0),))
+        family = _closed_family(glauber_generators(model), model.layout)
+        assert family.kron_field.shape == (len(family.names), cutoff ** modes)
+        assert _glauber_family_entries(modes, cutoff) == family.kron_field.size
+
+    def test_widest_admitted_glauber_family(self):
+        # the background check's family on 4 modes at cutoff 3 has
+        # 25,424 members x 81 field entries, inside the bound
+        parse_config("scenario: rd-basic\nmodes: 3\ncutoff: 3\n"
+                     "photons: [{pattern: [1, 0, 0], c: [1, 0]}]\n")
 
     def test_single_b_branch_rejected_at_config_time(self):
         # a1 = a2: the state after stage 1 is a B eigenstate, so recording B
@@ -178,7 +232,8 @@ class TestRunReports:
             witness = unmeasured_it_exists(model)
             assert abs(row["terminal_deviation"] - witness.deviation) <= 1e-12
             final = run_cascade(model).final
-            t = witness.witness.to_matrix(dense_cap=model.layout.dim)
+            k = np.outer(witness.witness.chi1.amplitudes, witness.witness.chi2.amplitudes.conj())
+            t = k + k.conj().T
             pure = final.state.amplitudes
             rho = mixture_of(final.branches).matrix
             dense_dev = abs(np.vdot(pure, t @ pure).real - np.trace(rho @ t).real)
@@ -288,3 +343,24 @@ class TestCli:
 def test_build_config_rejects_non_mapping():
     with pytest.raises(ConfigError, match="mapping"):
         build_config(["scenario"])
+
+
+@pytest.mark.parametrize("text", [
+    *(f"scenario: ch-basic\nn_atoms: {n}\nobservable_preset: {preset}\nfuzz_cases: 1\n"
+      for n in range(1, 6)
+      for preset in ("all_strings", "sector_preserving", "pointer_only", "with_B")),
+    "scenario: ch-basic\nn_atoms: 11\nobservable_preset: with_B\nfuzz_cases: 1\n",
+    "scenario: ch-cascade",
+    "scenario: rd-basic",
+    "scenario: rd-basic\nobservable_preset: with_vacuum_connector\n",
+])
+def test_scenarios_take_no_dense_pauli_norm(monkeypatch, text):
+    # every scenario family is {I,Z} sums, one-term strings, factored
+    # observables and dense arrays: no Pauli norm needs a dense realization
+    import qmeaslab.pauli as pauli_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scenario run took a dense Pauli-sum norm")
+
+    monkeypatch.setattr(pauli_module, "sum_matrix", refuse)
+    assert not run(parse_config(text)).failed_required()

@@ -147,6 +147,18 @@ class TestSectorDecohere:
 
 
 class TestRestrictedAlgebra:
+    def test_mask_commutation_beyond_termwise(self):
+        # P = |00><00|: X_a - X_a Z_b = 2 X_a |1><1|_b annihilates |00> and
+        # its image, so it commutes with P although neither term does
+        layout = HilbertLayout.qubits(["a", "b"])
+        p = Projector.from_mask(layout, [True, False, False, False])
+        xa = PauliString.single("a", "X")
+        xa_zb = PauliString.from_map({"a": "X", "b": "Z"})
+        assert not p.commutes_with(xa) and not p.commutes_with(xa_zb)
+        assert p.commutes_with(PauliSum.from_terms([(1.0, xa), (-1.0, xa_zb)]))
+        xb = PauliString.single("b", "X")
+        assert not p.commutes_with(PauliSum.from_terms([(1.0, xa), (1.0, xb)]))
+
     def _sectors(self, n):
         layout = chain_layout(n)
         z0 = PauliSum.from_string(PauliString.single("S0", "Z"))
