@@ -181,13 +181,11 @@ def _chain_flip(labels: Sequence[str]) -> PauliString:
 
 
 def _ready_residual(state: StateVector, target: Sequence[str]) -> float:
-    arr = state.as_tensor()
-    sel = [slice(None)] * arr.ndim
+    """Norm of the amplitude outside the target chain's all-up subspace."""
+    ready = np.ones(state.layout.dim, dtype=bool)
     for label in target:
-        sel[state.layout.axis(label)] = 0
-    kept = np.zeros_like(arr)
-    kept[tuple(sel)] = arr[tuple(sel)]
-    return float(np.linalg.norm((arr - kept).ravel()))
+        ready &= state.layout._qubit_flip(label)[1] > 0
+    return float(np.linalg.norm(np.where(ready, 0.0, state.amplitudes)))
 
 
 def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,

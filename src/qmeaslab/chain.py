@@ -21,7 +21,7 @@ import numpy as np
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout,
                       StateVector, StateError, basis_state, canonical_split)
 from .pauli import (OperatorError, PauliString, PauliSum, apply_sum,
-                    commutator, expectation)
+                    commutator, expectation, _check_qubit_support)
 
 SYSTEM_LABEL = "S0"
 
@@ -88,22 +88,21 @@ def passage_step(state: StateVector, atom: str,
     composes pulse angles.
     """
     layout = state.layout
-    s_axis = layout.axis(system)
-    a_axis = layout.axis(atom)
-    if s_axis == a_axis:
+    _check_qubit_support((system, atom), layout)
+    if system == atom:
         raise OperatorError("system and atom must be distinct qubits")
-    arr = np.array(state.as_tensor(), dtype=complex, copy=True)
-    sel_u = [slice(None)] * arr.ndim
-    sel_d = [slice(None)] * arr.ndim
-    sel_u[s_axis], sel_d[s_axis] = 1, 1
-    sel_u[a_axis], sel_d[a_axis] = 0, 1
-    block_u = arr[tuple(sel_u)].copy()
-    block_d = arr[tuple(sel_d)].copy()
+    _, s_sign = layout._qubit_flip(system)
+    a_stride, a_sign = layout._qubit_flip(atom)
+    # the pulse rotates atom |u> <-> |d> where the system is |d>
+    up = np.flatnonzero((s_sign < 0) & (a_sign > 0))
+    down = up + a_stride
+    amps = state.amplitudes
+    out = amps.copy()
     c, s = _pulse_coeffs(theta)
     # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x on the atom
-    arr[tuple(sel_u)] = c * block_u - 1j * s * block_d
-    arr[tuple(sel_d)] = c * block_d - 1j * s * block_u
-    return StateVector(layout, arr.reshape(layout.dim)).check_normalized(1e-9)
+    out[up] = c * amps[up] - 1j * s * amps[down]
+    out[down] = c * amps[down] - 1j * s * amps[up]
+    return StateVector(layout, out).check_normalized(1e-9)
 
 
 def full_passage(model: ChainModel) -> StateVector:

@@ -1,8 +1,9 @@
 """Command line front end for scenario runs.
 
-Exit status is nonzero iff a required invariant fails (or the config is
-invalid).  Reports go to --output or stdout; per-invariant pass/fail lines
-go to stderr.
+Exit status is 0 when every required invariant passes, 1 when one fails,
+and 2 when no report is made or written (unreadable or invalid config or
+--set value, refused precondition, unwritable --output).  Reports go to
+--output or stdout; per-invariant pass/fail lines go to stderr.
 """
 
 from __future__ import annotations
@@ -11,17 +12,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import yaml
-
 from .scenarios import (SCENARIOS, ConfigError, ScenarioConfig, build_config,
-                        emit, run)
+                        emit, run, _load_yaml)
 
 
 def _parse_set(entry: str) -> tuple[str, object]:
     if "=" not in entry:
         raise ConfigError(f"--set expects key=value, got {entry!r}")
     key, raw = entry.split("=", 1)
-    return key.strip(), yaml.safe_load(raw)
+    return key.strip(), _load_yaml(raw, f"--set {entry!r}")
 
 
 def _parse_sweep_flag(entry: str) -> dict:
@@ -69,7 +68,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         data: dict = {}
         if args.config is not None:
-            loaded = yaml.safe_load(args.config.read_text())
+            try:
+                text = args.config.read_text()
+            except (OSError, UnicodeDecodeError) as err:
+                raise ConfigError(f"cannot read config file: {err}") from None
+            loaded = _load_yaml(text, f"config file {str(args.config)!r}")
             if loaded is not None:
                 if not isinstance(loaded, dict):
                     raise ConfigError("config file must hold a YAML mapping")

@@ -2,11 +2,14 @@
 matrices, branch decompositions, and the generic premeasurement builder.
 
 Index convention: flat indices are row-major in subsystem order, so the
-first subsystem is the most significant digit.
+first subsystem is the most significant digit.  `HilbertLayout` is the only
+place that maps flat indices to subsystem digits; every qubit kernel reads
+a qubit's stride and per-index |u>/|d> sign from the layout's flip table.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -55,7 +58,7 @@ class Subsystem:
 @dataclass(frozen=True)
 class HilbertLayout:
     """Ordered list of labeled subsystems; the indexing contract for all
-    states and operators."""
+    states and operators.  Derived facts are computed once per object."""
 
     subsystems: tuple[Subsystem, ...]
 
@@ -75,6 +78,11 @@ class HilbertLayout:
                     f"layout dimension exceeds cap {DEFAULT_DIM_CAP} at subsystem "
                     f"{s.label!r} (labels: {labels})"
                 )
+        object.__setattr__(self, "_dim", dim)
+        object.__setattr__(self, "_labels", tuple(labels))
+        object.__setattr__(self, "_dims", tuple(s.dim for s in self.subsystems))
+        object.__setattr__(self, "_axes", {l: k for k, l in enumerate(labels)})
+        object.__setattr__(self, "_flips", {})
 
     @classmethod
     def qubits(cls, labels: Iterable[str]) -> "HilbertLayout":
@@ -82,23 +90,34 @@ class HilbertLayout:
 
     @property
     def dim(self) -> int:
-        d = 1
-        for s in self.subsystems:
-            d *= s.dim
-        return d
+        return self._dim
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.subsystems)
+        return self._labels
 
     def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.subsystems)
+        return self._dims
 
     def axis(self, label: str) -> int:
-        for k, s in enumerate(self.subsystems):
-            if s.label == label:
-                return k
-        raise LayoutError(f"unknown label {label!r}; layout has {self.labels}")
+        if label not in self._axes:
+            raise LayoutError(f"unknown label {label!r}; layout has {self.labels}")
+        return self._axes[label]
+
+    def _qubit_flip(self, label: str) -> tuple[np.intp, np.ndarray]:
+        """(stride, sign) of a qubit label (callers check the kind): a read-only
+        int8 sign over the flat basis, +1 on |u> and -1 on |d>; flipping the
+        qubit moves flat index i to i + stride * sign[i]."""
+        table = self._flips.get(label)
+        if table is None:
+            axis = self.axis(label)
+            stride = np.intp(math.prod(self._dims[axis + 1:]))
+            sign = np.empty((self._dim // (2 * stride), 2, stride), dtype=np.int8)
+            sign[:, 0], sign[:, 1] = 1, -1
+            sign = sign.reshape(self._dim)
+            sign.setflags(write=False)
+            table = self._flips[label] = (stride, sign)
+        return table
 
     def index_of(self, assignment: Sequence[int]) -> int:
         """Flat index of a basis assignment (one local index per subsystem)."""
@@ -158,9 +177,6 @@ class StateVector:
         if self.layout.labels != other.layout.labels:
             raise StateError("inner product between states on different layouts")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def as_tensor(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.dims())
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.layout, np.outer(self.amplitudes,

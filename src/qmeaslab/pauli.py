@@ -6,8 +6,11 @@ Conventions are fixed once here: with the local basis ordered (|u>, |d>),
 
 String phases are stored exactly as integer powers of i, so products and
 commutators of Hermitian strings stay in {+1, -1, +i, -i} with no rounding.
-Strings act on state vectors directly through axis flips and broadcast
-phase multiplies; the dense matrix realization is a separate oracle path.
+A string acts on the layout basis as a signed permutation,
+op|e_i> = ph[i] |e_pi[i]>, read from the layout's qubit flip tables
+(`_string_action`); state vectors and density matrices are transformed
+through it directly, and the dense matrix realization is a separate oracle
+path.
 """
 
 from __future__ import annotations
@@ -233,40 +236,32 @@ def _check_qubit_support(op_support: Sequence[str], layout: HilbertLayout):
     for label in op_support:
         axis = layout.axis(label)  # raises LayoutError on unknown label
         if layout.subsystems[axis].kind != QUBIT:
-            raise OperatorError(f"Pauli letter on non-qubit subsystem {label!r}")
+            raise OperatorError(f"qubit operator on non-qubit subsystem {label!r}")
+
+
+def _string_action(op: PauliString, layout: HilbertLayout):
+    """pi, ph with op|e_i> = ph[i] |e_pi[i]> on the layout basis, read from
+    the layout's qubit flip tables: X/Y move index i by stride * sign[i],
+    Z/Y multiply the phase by sign[i] (times i for Y)."""
+    _check_qubit_support(op.support, layout)
+    pi = np.arange(layout.dim)
+    ph = np.full(layout.dim, _PHASES[op.ipower], dtype=complex)
+    for label, letter in op.letters:
+        stride, sign = layout._qubit_flip(label)
+        if letter != "X":
+            ph = ph * (1.0j * sign if letter == "Y" else sign)
+        if letter != "Z":
+            pi = pi + stride * sign
+    return pi, ph
 
 
 def apply(op: PauliString, state: StateVector) -> StateVector:
-    """Apply a Pauli string to a state vector.
-
-    One axis flip per X/Y letter and one broadcast phase multiply per Y/Z
-    letter on the reshaped amplitude tensor; cost O(support * dim).
-    """
-    layout = state.layout
-    _check_qubit_support(op.support, layout)
-    arr = state.as_tensor()
-    flip_axes = []
-    phase_ops = []  # (axis, per-level phase vector)
-    for label, letter in op.letters:
-        axis = layout.axis(label)
-        if letter == "X":
-            flip_axes.append(axis)
-        elif letter == "Y":
-            flip_axes.append(axis)
-            # after the flip, level 1 received i*in[0], level 0 got -i*in[1]
-            phase_ops.append((axis, np.array([-1.0j, 1.0j])))
-        else:  # Z
-            phase_ops.append((axis, np.array([1.0, -1.0])))
-    if flip_axes:
-        arr = np.flip(arr, axis=tuple(flip_axes))
-    arr = np.array(arr, dtype=complex, copy=True)
-    for axis, vec in phase_ops:
-        shape = [1] * arr.ndim
-        shape[axis] = 2
-        arr *= vec.reshape(shape)
-    if op.ipower:
-        arr *= _PHASES[op.ipower]
-    return StateVector(layout, arr.reshape(layout.dim))
+    """Apply a Pauli string to a state vector: one scatter of the phased
+    amplitudes through its basis permutation; cost O(support * dim)."""
+    pi, ph = _string_action(op, state.layout)
+    out = np.empty(state.layout.dim, dtype=complex)
+    out[pi] = ph * state.amplitudes
+    return StateVector(state.layout, out)
 
 
 def apply_sum(op: PauliSum, state: StateVector) -> np.ndarray:
@@ -288,26 +283,6 @@ def expectation(op: PauliSum, state: StateVector, tol: float = DEFAULT_TOL) -> f
     return float(val.real)
 
 
-def _permutation_action(op: PauliString, layout: HilbertLayout):
-    """pi, ph with op|e_i> = ph[i] |e_pi[i]> on the layout basis."""
-    _check_qubit_support(op.support, layout)
-    dims = layout.dims()
-    comps = [np.array(c) for c in np.unravel_index(np.arange(layout.dim), dims)]
-    ph = np.full(layout.dim, _PHASES[op.ipower], dtype=complex)
-    for label, letter in op.letters:
-        axis = layout.axis(label)
-        bits = comps[axis]
-        if letter == "Z":
-            ph = ph * (1.0 - 2.0 * bits)
-        elif letter == "Y":
-            ph = ph * (1.0j * (1.0 - 2.0 * bits))
-            comps[axis] = 1 - bits
-        else:  # X
-            comps[axis] = 1 - bits
-    pi = np.ravel_multi_index(tuple(comps), dims)
-    return pi, ph
-
-
 def _is_z_diagonal(op: PauliSum) -> bool:
     return all(all(letter == "Z" for _, letter in s.letters) for _, s in op.terms)
 
@@ -316,7 +291,7 @@ def _diagonal_values(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
     """Exact diagonal of a {I,Z}-supported Pauli sum on the layout basis."""
     diag = np.zeros(layout.dim, dtype=complex)
     for c, s in op.terms:
-        _, ph = _permutation_action(s, layout)
+        _, ph = _string_action(s, layout)
         diag += c * ph
     return diag
 
@@ -328,7 +303,7 @@ def expectation_mixed(op: PauliSum, rho: DensityMatrix, tol: float = DEFAULT_TOL
     total = 0.0 + 0.0j
     idx = np.arange(rho.layout.dim)
     for c, s in op.terms:
-        pi, ph = _permutation_action(s, rho.layout)
+        pi, ph = _string_action(s, rho.layout)
         total += c * np.sum(ph * rho.matrix[idx, pi])
     if abs(total.imag) > tol:
         raise OperatorError(f"trace expectation has imaginary part {total.imag}")

@@ -361,6 +361,9 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
               if k not in ("tolerance", "seed", "format", "output", "sweep")}
     tolerance = _tolerance(merged["tolerance"])
     seed = _int_at_least(merged["seed"], 0, "seed")
+    output = merged["output"]
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output: expected a path string or null, got {output!r}")
     _check_params(scenario, params, tolerance)
     if sweep is not None:
         for value in map(float, sweep.values()):
@@ -374,18 +377,22 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
         tolerance=tolerance,
         seed=seed,
         fmt=fmt,
-        output=merged["output"],
+        output=output,
         sweep=sweep,
         params=params,
     )
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def _load_yaml(text: str, what: str = "config"):
+    """The YAML value of `text`; malformed YAML is a ConfigError naming `what`."""
     try:
-        data = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as err:
-        raise ConfigError(f"config is not valid YAML: {err}") from err
-    return build_config(data or {})
+        raise ConfigError(f"{what} is not valid YAML: {err}") from err
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    return build_config(_load_yaml(text) or {})
 
 
 # ---------------------------------------------------------------------------

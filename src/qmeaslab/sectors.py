@@ -26,7 +26,7 @@ from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
                     apply_sum, expectation, format_sum, hermitian_part,
                     string_matrix, sum_matrix, sup_norm_estimate,
-                    _diagonal_values, _is_z_diagonal, _permutation_action)
+                    _diagonal_values, _is_z_diagonal, _string_action)
 
 DEGENERACY_TOL = 1e-9
 
@@ -115,7 +115,7 @@ class Projector:
         """Exact permutation test for single strings on masks; dense
         commutator (under the cap) otherwise."""
         if self.mask is not None and isinstance(op, PauliString):
-            pi, _ = _permutation_action(op, self.layout)
+            pi, _ = _string_action(op, self.layout)
             return bool(np.array_equal(self.mask[pi], self.mask))
         if self.mask is not None and isinstance(op, PauliSum):
             termwise = all(self.commutes_with(s, tol) for _, s in op.terms)

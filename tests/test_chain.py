@@ -9,7 +9,8 @@ from qmeaslab.chain import (ChainModel, atom_labels, closed_form_final,
                             heisenberg_hamiltonian, initial_state,
                             it_commutator_audit, it_operator, passage_step,
                             pointer_operator, strict_check)
-from qmeaslab.hilbert import HilbertLayout, StateVector, basis_state, mixture_of
+from qmeaslab.hilbert import (HilbertLayout, LayoutError, MODE, StateVector,
+                              Subsystem, basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, commutator,
                             expectation, expectation_mixed)
 
@@ -87,6 +88,19 @@ class TestPassageStep:
             t2 = passage_step(s2, "A2", theta=1.1)
             assert abs(t1.inner(t2) - s1.inner(s2)) < 1e-12
             assert abs(t1.norm() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("atom, system, error, match", [
+        ("m", "S0", OperatorError, "'m'"),
+        ("S0", "m", OperatorError, "'m'"),
+        ("A9", "S0", LayoutError, "unknown label 'A9'"),
+        ("S0", "S0", OperatorError, "distinct"),
+    ])
+    def test_rejects_non_qubit_unknown_and_repeated_labels(self, atom, system,
+                                                           error, match):
+        # a photon mode is not rotated as if its levels 0 and 1 were a qubit
+        layout = HilbertLayout((Subsystem("S0"), Subsystem("m", 3, MODE)))
+        with pytest.raises(error, match=match):
+            passage_step(basis_state(layout, [1, 0]), atom, system=system)
 
 
 class TestFullPassage:

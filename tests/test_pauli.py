@@ -1,20 +1,25 @@
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmeaslab.chain import it_operator, pointer_operator
-from qmeaslab.hilbert import (HilbertLayout, MODE, StateVector, Subsystem,
-                              basis_state, qubit_state)
+from qmeaslab.chain import it_operator, passage_step, pointer_operator
+from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, MODE, QUBIT,
+                              StateVector, Subsystem, basis_state, qubit_state)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
                             apply, apply_sum, commutator, expectation,
                             expectation_mixed, format_string, format_sum,
                             hermitian_part, multiply, parse_string, parse_sum,
-                            string_matrix, sum_matrix, sup_norm_estimate)
+                            string_matrix, sum_matrix, sup_norm_estimate,
+                            _diagonal_values)
+from qmeaslab.sectors import Projector
 
-from oracles import (ch_final_dense, dense_commutator, dense_expect,
-                     dense_expect_mixed, dense_of, random_amplitude_pair,
-                     random_state)
+from oracles import (X, ch_final_dense, dense_commutator, dense_expect,
+                     dense_expect_mixed, dense_of, kron_all,
+                     random_amplitude_pair, random_state)
 
 RNG = np.random.default_rng(77)
 
@@ -161,13 +166,62 @@ class TestApply:
             slow = dense_of(s, layout) @ vec
             assert np.max(np.abs(fast - slow)) <= 1e-12
 
-    def test_mixed_dims_layout(self):
-        layout = HilbertLayout((Subsystem("q"), Subsystem("m", 3, MODE)))
-        vec = random_state(RNG, 6)
+    @pytest.mark.parametrize("subsystems", [
+        (Subsystem("q"), Subsystem("m", 3, MODE)),
+        # qubit a has stride 6: its flip is no single-bit xor of the index
+        (Subsystem("m1", 3, MODE), Subsystem("a"), Subsystem("m2", 3, MODE),
+         Subsystem("b")),
+    ], ids=["q-m3", "m3-a-m3-b"])
+    def test_mixed_dims_layout(self, subsystems):
+        layout = HilbertLayout(subsystems)
+        qubits = [sub.label for sub in subsystems if sub.kind == QUBIT]
+        vec = random_state(RNG, layout.dim)
         state = StateVector(layout, vec)
-        s = ps(q="Y")
+        s = ps(**{qubits[0]: "Y"})
         np.testing.assert_allclose(apply(s, state).amplitudes,
                                    dense_of(s, layout) @ vec, atol=1e-14)
+        rng = np.random.default_rng(6)
+        rho = sum(w * np.outer(v, v.conj()) for w, v in zip(
+            (0.5, 0.3, 0.2), (random_state(rng, layout.dim) for _ in range(3))))
+        # a mask blind to the first qubit: flips of that qubit keep it, others need not
+        first = layout.axis(qubits[0])
+        base = rng.random(layout.dim) < 0.5
+        mask = np.array([base[layout.index_of(
+            [0 if k == first else d for k, d in enumerate(layout.assignment_of(i))])]
+            for i in range(layout.dim)])
+        proj = Projector.from_mask(layout, mask)
+        z_terms = []
+        for bare in all_strings(qubits):
+            for ipower in range(4):
+                s = PauliString(bare.letters, ipower)
+                mat = string_matrix(s, layout)
+                np.testing.assert_allclose(apply(s, state).amplitudes, mat @ vec,
+                                           atol=1e-14)
+                assert proj.commutes_with(s) == (not np.any(
+                    mat * mask[None, :] - mask[:, None] * mat))
+                if s.is_hermitian():
+                    got = expectation_mixed(PauliSum.from_string(s),
+                                            DensityMatrix(layout, rho))
+                    assert abs(got - dense_expect_mixed(mat, rho).real) <= 1e-14
+                if all(letter == "Z" for _, letter in s.letters):
+                    np.testing.assert_array_equal(
+                        _diagonal_values(PauliSum.from_string(s), layout), np.diag(mat))
+            if all(letter == "Z" for _, letter in bare.letters):
+                z_terms.append((len(z_terms) + 0.5, bare))
+        z_sum = PauliSum.from_terms(z_terms)
+        assert abs(sup_norm_estimate(z_sum, layout)
+                   - np.linalg.norm(sum_matrix(z_sum, layout), ord=2)) <= 1e-12
+        # the chain pulse: exp(-i theta sigma_x) on the atom where the system is |d>
+        def kron_over(local):
+            return kron_all([local.get(sub.label, np.eye(sub.dim))
+                             for sub in layout.subsystems])
+        for system, atom in itertools.permutations(qubits, 2):
+            for theta in (np.pi / 2, 0.7):
+                dense = (kron_over({system: np.diag([1.0, 0.0])})
+                         + kron_over({system: np.diag([0.0, 1.0]),
+                                      atom: scipy.linalg.expm(-1j * theta * X)}))
+                out = passage_step(state, atom, system=system, theta=theta)
+                np.testing.assert_allclose(out.amplitudes, dense @ vec, atol=1e-12)
 
     def test_rejects_mode_letter(self):
         layout = HilbertLayout((Subsystem("q"), Subsystem("m", 3, MODE)))

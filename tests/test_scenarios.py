@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,7 @@ class TestParseConfig:
          "a2: [0.7071067811865476, 60]\n"
          "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 7}\n",
          "a2_phase_deg = 0.0: a1/a2: the cascade needs two B eigenbranches"),
+        ("scenario: growth\noutput: 5\n", "output: expected a path string or null"),
     ])
     def test_config_time_preconditions(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -329,6 +331,19 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["--scenario", "ch-basic", "--set", "n_atoms=0"]) == 2
         assert "n_atoms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, match", [
+        (["--config", "{tmp}/missing.yaml"], "cannot read config file"),
+        (["--config", "{tmp}"], "cannot read config file"),
+        (["--config", "{tmp}/bad.yaml"], "bad.yaml' is not valid YAML"),
+        (["--scenario", "growth", "--set", "depth=["], "--set 'depth=\\[' is not valid YAML"),
+    ])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, args, match):
+        (tmp_path / "bad.yaml").write_text("scenario: growth\ndepth: [\n")
+        code = main([a.format(tmp=tmp_path) for a in args])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and re.search(match, err)
 
     def test_seed_and_tolerance_flags(self, tmp_path):
         out = tmp_path / "r.json"
