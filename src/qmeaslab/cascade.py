@@ -7,24 +7,37 @@ term B of (S0, chain 1), and stage k >= 3 records the joint IT operator of
 stage k-1.  The terminal joint IT operator, with no chain left to record
 it, is the unmeasurable witness; its expectation separates the final
 superposition from the branch mixture.
+
+The stage kernel has a leading scan axis: it records a block of cascades,
+one per row of a `(points, dim)` amplitude array, in one call per stage;
+a row whose stage leaves a single branch is masked to record nothing at
+the later stages.  `run_cascade` is its one-row case.
+`scan_terminal_deviation` runs a whole a2 scan through it in blocks of at
+most `SCAN_BLOCK_AMPLITUDES` amplitudes per array, so m stage calls per
+block replace one cascade run per point (at dim 2^14 a block is one
+point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chain import SYSTEM_LABEL, it_operator, pointer_operator
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
-                      HilbertLayout, StateError, StateVector, canonical_split,
-                      check_dense_dim)
-from .pauli import (OperatorError, PauliString, PauliSum, apply, apply_sum,
-                    expectation)
+                      HilbertLayout, StateError, StateVector, _check_unit_rows,
+                      _gauge_rows, _row_norms, check_dense_dim)
+from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
+                    _apply_sum_rows, apply, expectation)
 
 _Z_SYSTEM = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
+
+# amplitudes per array in one block of a batched scan: bounds its memory
+SCAN_BLOCK_AMPLITUDES = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -59,9 +72,19 @@ class CascadeModel:
             labels.extend(self.chain_atoms(k))
         return tuple(labels)
 
-    @property
+    @cached_property
     def layout(self) -> HilbertLayout:
+        # built once per model, so its flip tables are shared by every state
         return HilbertLayout.qubits((SYSTEM_LABEL,) + self.observer_labels)
+
+
+def _connector_expectation(chi1: np.ndarray, chi2: np.ndarray,
+                           rows: np.ndarray) -> np.ndarray:
+    """<v|T|v> for T = |chi1><chi2| + |chi2><chi1| and every row v of
+    `rows` (chi1, chi2 row by row alongside, or single vectors)."""
+    c1 = np.vecdot(chi2, rows)[..., None]
+    c2 = np.vecdot(chi1, rows)[..., None]
+    return np.real(np.vecdot(rows, c1 * chi1 + c2 * chi2))
 
 
 @dataclass(frozen=True)
@@ -81,24 +104,13 @@ class BranchConnector:
     def layout(self) -> HilbertLayout:
         return self.chi1.layout
 
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        c1 = np.vdot(self.chi2.amplitudes, vec)
-        c2 = np.vdot(self.chi1.amplitudes, vec)
-        return c1 * self.chi1.amplitudes + c2 * self.chi2.amplitudes
-
     def expectation(self, state: StateVector) -> float:
-        return float(np.real(np.vdot(state.amplitudes,
-                                     self.apply_vec(state.amplitudes))))
+        return float(_connector_expectation(self.chi1.amplitudes, self.chi2.amplitudes,
+                                            state.amplitudes))
 
     def expectation_mixed(self, rho: DensityMatrix) -> float:
         v = self.chi2.amplitudes.conj() @ rho.matrix @ self.chi1.amplitudes
         return float(2.0 * np.real(v))
-
-    def eigenvectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit eigenvectors for eigenvalues +1 and -1."""
-        plus = (self.chi1.amplitudes + self.chi2.amplitudes) / np.sqrt(2.0)
-        minus = (self.chi1.amplitudes - self.chi2.amplitudes) / np.sqrt(2.0)
-        return plus, minus
 
     def to_matrix(self) -> np.ndarray:
         check_dense_dim(self.layout, "connector")
@@ -157,22 +169,23 @@ def _involution_check(b: PauliSum, tol: float):
         raise OperatorError("operator is not an involution (B^2 != identity)")
 
 
-def _pauli_split(state: StateVector, b: PauliSum, target: Sequence[str],
-                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _pauli_split(layout: HilbertLayout, rows: np.ndarray, b: PauliSum,
+                 target: Sequence[str], tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The +/-1 eigencomponents (P+ psi, P- psi) of a Pauli involution B
-    that leaves the recording chain `target` alone."""
+    that leaves the recording chain `target` alone, for every amplitude row
+    psi of `rows`."""
     if set(b.support) & set(target):
         raise OperatorError("B must not act on the recording chain")
     _involution_check(b, tol)
-    b_psi = apply_sum(b, state)
-    return 0.5 * (state.amplitudes + b_psi), 0.5 * (state.amplitudes - b_psi)
+    b_psi = _apply_sum_rows(b, layout, rows)
+    return 0.5 * (rows + b_psi), 0.5 * (rows - b_psi)
 
 
 def b_eigenbranches(psi: StateVector, b: PauliSum,
                     tol: float = DEFAULT_TOL) -> BranchDecomposition:
     """Decompose psi into the +/-1 eigencomponents of an involution B,
     canonically gauged; branches with zero weight are dropped."""
-    return _record(psi, *_pauli_split(psi, b, (), tol), (), tol)[1]
+    return _record(psi, *_pauli_split(psi.layout, psi.amplitudes, b, (), tol), (), tol)[1]
 
 
 def _chain_flip(labels: Sequence[str]) -> PauliString:
@@ -180,12 +193,73 @@ def _chain_flip(labels: Sequence[str]) -> PauliString:
     return PauliString.from_map({l: "X" for l in labels}, ipower=3 * len(labels))
 
 
-def _ready_residual(state: StateVector, target: Sequence[str]) -> float:
-    """Norm of the amplitude outside the target chain's all-up subspace."""
-    ready = np.ones(state.layout.dim, dtype=bool)
+def _ready_residuals(layout: HilbertLayout, rows: np.ndarray,
+                     target: Sequence[str]) -> np.ndarray:
+    """Per row, the norm of the amplitude outside the target chain's all-up
+    subspace."""
+    ready = np.ones(layout.dim, dtype=bool)
     for label in target:
-        ready &= state.layout._qubit_flip(label)[1] > 0
-    return float(np.linalg.norm(np.where(ready, 0.0, state.amplitudes)))
+        ready &= layout._qubit_flip(label)[1] > 0
+    return _row_norms(np.where(ready, 0.0, rows))
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The value of the first row flagged bad, for an error message."""
+    return float(values[bad][0])
+
+
+class _StageRows(NamedTuple):
+    """One recorded stage of a block: the new states, and per row the
+    canonically gauged branch pair (plus part, flipped part).  `kept` marks
+    the parts that carry weight; a dropped part has amplitude 0 and a zero
+    row."""
+
+    state: np.ndarray  # (points, dim)
+    amps: np.ndarray   # (points, 2)
+    units: np.ndarray  # (points, 2, dim)
+    kept: np.ndarray   # (points, 2) bool
+
+    def branches(self, layout: HilbertLayout, row: int) -> BranchDecomposition:
+        return BranchDecomposition(layout, tuple(
+            (self.amps[row, j], StateVector(layout, self.units[row, j]))
+            for j in (0, 1) if self.kept[row, j]))
+
+
+def _record_rows(layout: HilbertLayout, state: np.ndarray, plus: np.ndarray,
+                 minus: np.ndarray, target: Sequence[str], tol: float) -> _StageRows:
+    """`_record` for a block of states, one per row: every check is made
+    row by row with the same tolerance, and the first failing row raises."""
+    target = tuple(target)
+    r = _ready_residuals(layout, state, target)
+    if np.any(r > tol):
+        raise StateError("target chain is not in the ready all-up state "
+                         f"(residual {_first(r, r > tol)})")
+    err = _row_norms(plus + minus - state)
+    if np.any(err > tol):
+        raise StateError(
+            f"eigencomponent reconstruction error {_first(err, err > tol)} exceeds {tol}")
+    parts = np.stack([plus, _apply_rows(_chain_flip(target), layout, minus)], axis=1)
+    new_state = parts[:, 0] + parts[:, 1]
+    _check_unit_rows(new_state, 1e-9)
+    # the branch decomposition of each row: its kept parts, gauged, must be
+    # orthonormal with weights summing to 1
+    kept = _row_norms(parts) > tol
+    if not np.all(np.any(kept, axis=1)):
+        raise StateError("branch decomposition needs at least one branch")
+    if not kept.all():
+        # a dropped part is gauged as a stand-in row of ones, then cleared
+        parts = np.where(kept[..., None], parts, 1.0)
+    amps, units = _gauge_rows(parts, tol)
+    _check_unit_rows(units, tol)
+    amps[~kept], units[~kept] = 0.0, 0.0
+    overlap = np.abs(np.vecdot(units[:, 0], units[:, 1]))
+    if np.any(overlap > tol):
+        raise StateError(f"branches not orthogonal (overlap {_first(overlap, overlap > tol)})")
+    total = np.sum(np.abs(amps) ** 2, axis=1)
+    off = np.abs(total - 1.0) > tol
+    if np.any(off):
+        raise StateError(f"branch weights sum to {_first(total, off)}, not 1")
+    return _StageRows(new_state, amps, units, kept)
 
 
 def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,
@@ -195,19 +269,11 @@ def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,
     split state = plus + minus into its +1 and -1 eigencomponents: identity
     on plus, the per-atom -i flip of the target on minus.  The two parts,
     canonically gauged, are the new branch pair.  An empty target flips
-    nothing and leaves the plain eigenbranches."""
-    target = tuple(target)
-    r = _ready_residual(state, target)
-    if r > tol:
-        raise StateError(f"target chain is not in the ready all-up state (residual {r})")
-    err = float(np.linalg.norm(plus + minus - state.amplitudes))
-    if err > tol:
-        raise StateError(f"eigencomponent reconstruction error {err} exceeds {tol}")
-    flipped = apply(_chain_flip(target), StateVector(state.layout, minus)).amplitudes
-    new_state = StateVector(state.layout, plus + flipped).check_normalized(1e-9)
-    branches = tuple(canonical_split(state.layout, part, tol)
-                     for part in (plus, flipped) if np.linalg.norm(part) > tol)
-    return new_state, BranchDecomposition(state.layout, branches).validate(tol)
+    nothing and leaves the plain eigenbranches.  The one-row case of
+    `_record_rows`."""
+    rec = _record_rows(state.layout, state.amplitudes[None], np.asarray(plus)[None],
+                       np.asarray(minus)[None], target, tol)
+    return StateVector(state.layout, rec.state[0]), rec.branches(state.layout, 0)
 
 
 def second_chain_measure(state: StateVector, b: PauliSum,
@@ -215,8 +281,57 @@ def second_chain_measure(state: StateVector, b: PauliSum,
                          tol: float = DEFAULT_TOL) -> StateVector:
     """Record the involution B on a fresh all-up chain: identity on the
     B=+1 eigenspace, the per-atom -i flip of the target on B=-1."""
-    return _record(state, *_pauli_split(state, b, target_chain, tol),
-                   target_chain, tol)[0]
+    return _record(state, *_pauli_split(state.layout, state.amplitudes, b,
+                                        target_chain, tol), target_chain, tol)[0]
+
+
+def _recorded(k: int) -> str:
+    """What stage k records."""
+    return {1: "mu_z(C1)", 2: "B(S0,C1)"}.get(k, f"joint IT of stage {k - 1}")
+
+
+def _run_rows(model: CascadeModel, state: np.ndarray, stages: int, tol: float):
+    """Stages 1..`stages` for a block of cascades, one per row of `state`,
+    each stage one `_record_rows` call over the block; yields (k, rec) with
+    `rec` the block's stage k.
+
+    Stage k >= 3 splits each row along the eigenvectors (chi1 +- chi2)/sqrt 2
+    of its previous stage's joint IT operator.  A row whose stage left a
+    single branch has no interference term for a later chain to record: it
+    is masked to record nothing (identity on its whole state), so it keeps
+    its one branch, and the block ends early only when no row is left with
+    two.
+    """
+    layout = model.layout
+    for k in range(1, stages + 1):
+        target = model.chain_atoms(k)
+        if k <= 2:
+            b = _Z_SYSTEM if k == 1 else it_operator(model.chain_atoms(1))
+            plus, minus = _pauli_split(layout, state, b, target, tol)
+        else:
+            two = np.all(rec.kept, axis=1)
+            if not two.any():
+                return
+            chi1, chi2 = rec.units[:, 0], rec.units[:, 1]
+            eigvecs = ((chi1 + chi2) / np.sqrt(2.0), (chi1 - chi2) / np.sqrt(2.0))
+            plus, minus = (np.vecdot(w, state)[:, None] * w for w in eigvecs)
+            if not two.all():
+                plus = np.where(two[:, None], plus, state)
+                minus = np.where(two[:, None], minus, 0.0)
+        rec = _record_rows(layout, state, plus, minus, target, tol)
+        state = rec.state
+        yield k, rec
+
+
+def _terminal_deviation(state: np.ndarray, amps: np.ndarray,
+                        units: np.ndarray) -> np.ndarray:
+    """|<T>_pure - sum_i |a_i|^2 <chi_i|T|chi_i>| per row, with T the joint
+    IT operator of the row's branch pair (chi1, chi2) = units (meaningful
+    for two-branch rows only)."""
+    chi1, chi2 = units[..., 0, :], units[..., 1, :]
+    mixed = sum(np.abs(amps[..., i]) ** 2
+                * _connector_expectation(chi1, chi2, units[..., i, :]) for i in (0, 1))
+    return np.abs(_connector_expectation(chi1, chi2, state) - mixed)
 
 
 @dataclass(frozen=True)
@@ -263,10 +378,9 @@ class CascadeRun:
         stage left a single branch, which is its own mixture."""
         if len(self.final.branches.branches) < 2:
             return 0.0
-        t = self.terminal_connector()
-        mixed = sum(abs(a) ** 2 * t.expectation(chi)
-                    for a, chi in self.final.branches.branches)
-        return abs(t.expectation(self.final.state) - mixed)
+        (a1, chi1), (a2, chi2) = self.final.branches.branches
+        return float(_terminal_deviation(self.final.state.amplitudes, np.array([a1, a2]),
+                                          np.stack([chi1.amplitudes, chi2.amplitudes])))
 
     def terminal_witness(self, tol: float = DEFAULT_TOL) -> TerminalWitnessReport:
         """The last stage's joint IT operator with its support and its
@@ -285,13 +399,20 @@ class CascadeRun:
         )
 
 
-def initial_cascade_state(model: CascadeModel) -> StateVector:
+def _initial_rows(model: CascadeModel, a2s) -> np.ndarray:
+    """Rows a1|u>|u...u> + a2|d>|u...u>, one per entry of a2s, each checked
+    normalized."""
     layout = model.layout
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros((len(a2s), layout.dim), dtype=complex)
     zeros = [0] * len(model.observer_labels)
-    amps[layout.index_of([0] + zeros)] = model.a1
-    amps[layout.index_of([1] + zeros)] = model.a2
-    return StateVector(layout, amps).check_normalized()
+    amps[:, layout.index_of([0] + zeros)] = model.a1
+    amps[:, layout.index_of([1] + zeros)] = a2s
+    _check_unit_rows(amps, DEFAULT_TOL)
+    return amps
+
+
+def initial_cascade_state(model: CascadeModel) -> StateVector:
+    return StateVector(model.layout, _initial_rows(model, [model.a2])[0])
 
 
 def run_cascade(model: CascadeModel, stages: int | None = None,
@@ -302,30 +423,36 @@ def run_cascade(model: CascadeModel, stages: int | None = None,
     (the complete-flip passage), B of (S0, chain 1) for chain 2, and for
     k >= 3 the joint IT operator of stage k-1, split along its eigenvectors.
     A stage that leaves a single branch ends the run: no interference term
-    is left for a later chain to record.
+    is left for a later chain to record.  This is the one-row case of the
+    batched stage kernel.
     """
     stages = model.m if stages is None else stages
     if not 1 <= stages <= model.m:
         raise ValueError(f"stages must be in 1..{model.m}, got {stages}")
-    state = initial_cascade_state(model)
-    out: list[CascadeStage] = []
-    for k in range(1, stages + 1):
-        if k >= 3 and len(out[-1].branches.branches) < 2:
-            break
-        target = model.chain_atoms(k)
-        if k == 1:
-            recorded = "mu_z(C1)"
-            parts = _pauli_split(state, _Z_SYSTEM, target, tol)
-        elif k == 2:
-            recorded = "B(S0,C1)"
-            parts = _pauli_split(state, it_operator(model.chain_atoms(1)), target, tol)
-        else:
-            recorded = f"joint IT of stage {k - 1}"
-            eigvecs = joint_it_operator(out[-1].branches).eigenvectors()
-            parts = tuple(np.vdot(w, state.amplitudes) * w for w in eigvecs)
-        state, branches = _record(state, *parts, target, tol)
-        out.append(CascadeStage(recorded, state, branches))
-    return CascadeRun(model, tuple(out))
+    layout = model.layout
+    start = initial_cascade_state(model).amplitudes[None]
+    return CascadeRun(model, tuple(
+        CascadeStage(_recorded(k), StateVector(layout, rec.state[0]), rec.branches(layout, 0))
+        for k, rec in _run_rows(model, start, stages, tol)))
+
+
+def scan_terminal_deviation(model: CascadeModel, a2s: Sequence[complex],
+                            tol: float = DEFAULT_TOL) -> np.ndarray:
+    """`run_cascade(...).terminal_deviation()` of `model` with its a2
+    replaced by each entry of `a2s` (a1 kept), with no run per entry: each
+    block of at most SCAN_BLOCK_AMPLITUDES amplitudes (at least one row)
+    goes through the m stages together.  A row whose run ends with a single
+    branch reads 0.0."""
+    a2s = np.asarray(a2s, dtype=complex)
+    out = np.zeros(len(a2s))
+    size = max(1, SCAN_BLOCK_AMPLITUDES // model.layout.dim)
+    for start in range(0, len(a2s), size):
+        for _, rec in _run_rows(model, _initial_rows(model, a2s[start:start + size]),
+                                model.m, tol):
+            pass  # the deviation reads the last stage only
+        dev = _terminal_deviation(rec.state, rec.amps, rec.units)
+        out[start:start + size] = np.where(np.all(rec.kept, axis=1), dev, 0.0)
+    return out
 
 
 @dataclass(frozen=True)

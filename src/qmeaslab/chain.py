@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +58,9 @@ class ChainModel:
     def atoms(self) -> tuple[str, ...]:
         return atom_labels(self.n_atoms)
 
-    @property
+    @cached_property
     def layout(self) -> HilbertLayout:
+        # built once per model, so its flip tables are shared by every state
         return HilbertLayout.qubits((SYSTEM_LABEL,) + self.atoms)
 
 

@@ -5,6 +5,9 @@ Index convention: flat indices are row-major in subsystem order, so the
 first subsystem is the most significant digit.  `HilbertLayout` is the only
 place that maps flat indices to subsystem digits; every qubit kernel reads
 a qubit's stride and per-index |u>/|d> sign from the layout's flip table.
+
+The canonical branch gauge lives here once, over the rows of an amplitude
+array (`_gauge_rows`); `canonical_split` is its one-row case.
 """
 
 from __future__ import annotations
@@ -169,8 +172,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def check_normalized(self, tol: float = DEFAULT_TOL) -> "StateVector":
-        if abs(self.norm() - 1.0) > tol:
-            raise StateError(f"state norm {self.norm()!r} deviates from 1 beyond {tol}")
+        _check_unit_rows(self.amplitudes, tol)
         return self
 
     def inner(self, other: "StateVector") -> complex:
@@ -279,20 +281,48 @@ def tensor(states: Sequence[StateVector]) -> StateVector:
     return StateVector(layout, amps)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, bit for bit those of
+    np.linalg.norm on each row."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _check_unit_rows(rows: np.ndarray, tol: float) -> None:
+    """StateVector.check_normalized for every row of an amplitude array."""
+    norms = _row_norms(rows)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
+    if bad.size:
+        norm = float(norms.flat[bad[0]])
+        raise StateError(f"state norm {norm!r} deviates from 1 beyond {tol}")
+
+
+def _gauge_rows(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical gauge of every row of a complex array: amplitudes a and
+    unit rows u with row = a * u and the first component of u above
+    1e-9 * |row| real positive."""
+    norms = _row_norms(rows)
+    if np.any(norms <= tol):
+        raise StateError("cannot split a (numerically) zero vector")
+    idx = np.argmax(np.abs(rows) > 1e-9 * norms[..., None], axis=-1)
+    first = np.take_along_axis(rows, idx[..., None], axis=-1)[..., 0]
+    # np.hypot, not np.abs: numpy's vectorised complex abs can differ from
+    # hypot in the last bit, and hypot keeps every gauged branch (and so
+    # every report) what the scalar rule gave
+    amps = norms * (first / np.hypot(first.real, first.imag))
+    return amps, rows / amps[..., None]
+
+
 def canonical_split(layout: HilbertLayout, vector: np.ndarray,
                     tol: float = DEFAULT_TOL) -> tuple[complex, StateVector]:
     """Split an unnormalized vector into (amplitude, unit state) with the
-    state's first significant component real positive.
+    state's first significant component real positive: the one-row case of
+    the canonical gauge.
 
     The gauge is deterministic, so branch amplitudes are reproducible.
     """
-    vector = np.asarray(vector, dtype=complex)
-    n = float(np.linalg.norm(vector))
-    if n <= tol:
-        raise StateError("cannot split a (numerically) zero vector")
-    idx = int(np.argmax(np.abs(vector) > 1e-9 * n))
-    phase = vector[idx] / abs(vector[idx])
-    return complex(n * phase), StateVector(layout, vector / (n * phase))
+    amps, units = _gauge_rows(np.asarray(vector, dtype=complex)[None], tol)
+    return complex(amps[0]), StateVector(layout, units[0])
 
 
 def build_premeasurement(a1: complex, a2: complex,

@@ -8,9 +8,9 @@ String phases are stored exactly as integer powers of i, so products and
 commutators of Hermitian strings stay in {+1, -1, +i, -i} with no rounding.
 A string acts on the layout basis as a signed permutation,
 op|e_i> = ph[i] |e_pi[i]>, read from the layout's qubit flip tables
-(`_string_action`); state vectors and density matrices are transformed
-through it directly, and the dense matrix realization is a separate oracle
-path.
+(`_string_action`); state vectors, stacks of amplitude rows and density
+matrices are transformed through it directly, and the dense matrix
+realization is a separate oracle path.
 """
 
 from __future__ import annotations
@@ -255,21 +255,31 @@ def _string_action(op: PauliString, layout: HilbertLayout):
     return pi, ph
 
 
+def _apply_rows(op: PauliString, layout: HilbertLayout, amps: np.ndarray) -> np.ndarray:
+    """op on every amplitude row (last axis) of `amps`: one scatter of the
+    phased amplitudes through its basis permutation."""
+    pi, ph = _string_action(op, layout)
+    out = np.empty(amps.shape, dtype=complex)
+    out[..., pi] = ph * amps
+    return out
+
+
+def _apply_sum_rows(op: PauliSum, layout: HilbertLayout, amps: np.ndarray) -> np.ndarray:
+    """op on every amplitude row (last axis) of `amps`, term by term."""
+    out = np.zeros(amps.shape, dtype=complex)
+    for c, s in op.terms:
+        out += c * _apply_rows(s, layout, amps)
+    return out
+
+
 def apply(op: PauliString, state: StateVector) -> StateVector:
-    """Apply a Pauli string to a state vector: one scatter of the phased
-    amplitudes through its basis permutation; cost O(support * dim)."""
-    pi, ph = _string_action(op, state.layout)
-    out = np.empty(state.layout.dim, dtype=complex)
-    out[pi] = ph * state.amplitudes
-    return StateVector(state.layout, out)
+    """Apply a Pauli string to a state vector; cost O(support * dim)."""
+    return StateVector(state.layout, _apply_rows(op, state.layout, state.amplitudes))
 
 
 def apply_sum(op: PauliSum, state: StateVector) -> np.ndarray:
     """Raw amplitude array of op|state> (not normalized)."""
-    out = np.zeros(state.layout.dim, dtype=complex)
-    for c, s in op.terms:
-        out += c * apply(s, state).amplitudes
-    return out
+    return _apply_sum_rows(op, state.layout, state.amplitudes)
 
 
 def expectation(op: PauliSum, state: StateVector, tol: float = DEFAULT_TOL) -> float:

@@ -619,8 +619,9 @@ def _run_ch_cascade(params, tol, rng):
     trade = run.tradeoff(tol)
     witness = run.terminal_witness(tol)
     b1_op = ch.it_operator(model.chain_atoms(1))
+    psi = run.stages[0].state
     b1_sq, b2_sq = (float(np.linalg.norm(part) ** 2)
-                    for part in casc._pauli_split(run.stages[0].state, b1_op, (), tol))
+                    for part in casc._pauli_split(psi.layout, psi.amplitudes, b1_op, (), tol))
     bamp1, bamp2 = witness.branch_amplitudes
     expectations: dict[str, float | None] = {
         "mu_before": trade.mu_before,
@@ -665,18 +666,14 @@ def _run_ch_cascade(params, tol, rng):
     invariants.append(_inv("pointers_cannot_discriminate", v.max_deviation, tol))
     extras["pointer_verdict"] = _verdict_dict(pointer_set.name, v)
     # excluded-parameter scan: phases where the terminal witness goes blind
-    scan = []
-    excluded = []
     mag1, _ = _amp(params["a1"], "a1")
     mag2, _ = _amp(params["a2"], "a2")
-    for deg in np.linspace(0.0, 180.0, params["phase_scan_points"]):
-        m = casc.CascadeModel(chains, mag1, _to_complex((mag2, float(deg))))
-        dev = casc.run_cascade(m, tol=tol).terminal_deviation()
-        scan.append({"a2_phase_deg": float(deg), "terminal_deviation": float(dev)})
-        if dev <= tol:
-            excluded.append(float(deg))
-    extras["phase_scan"] = scan
-    extras["excluded_phases_deg"] = excluded
+    degs = [float(d) for d in np.linspace(0.0, 180.0, params["phase_scan_points"])]
+    devs = casc.scan_terminal_deviation(casc.CascadeModel(chains, mag1, mag2),
+                                        [_to_complex((mag2, d)) for d in degs], tol)
+    extras["phase_scan"] = [{"a2_phase_deg": d, "terminal_deviation": float(dev)}
+                            for d, dev in zip(degs, devs)]
+    extras["excluded_phases_deg"] = [d for d, dev in zip(degs, devs) if dev <= tol]
     return expectations, invariants, [], extras
 
 

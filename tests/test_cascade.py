@@ -1,12 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qmeaslab.cascade import (BranchConnector, CascadeModel, _record,
+from qmeaslab.cascade import (BranchConnector, CascadeModel, _record, _record_rows,
                               build_B2_flip_sum, b_eigenbranches,
                               information_tradeoff, initial_cascade_state,
                               joint_it_operator, run_cascade,
                               second_chain_measure, unmeasured_it_exists)
-from qmeaslab.chain import it_operator, passage_step, pointer_operator
+from qmeaslab.chain import ChainModel, it_operator, passage_step, pointer_operator
 from qmeaslab.hilbert import (HilbertLayout, StateError, StateVector,
                               basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
@@ -387,3 +389,59 @@ def test_single_branch_stage_ends_the_run():
     assert len(run.stages) == 2
     assert len(run.final.branches.branches) == 1
     assert run.terminal_deviation() == 0.0
+
+
+def test_record_rows_checks_every_row():
+    # a block fails when any one of its rows fails a check of _record
+    layout = HilbertLayout.qubits(["S0", "C1A1", "C2A1"])
+    ready = basis_state(layout, [1, 0, 0]).amplitudes
+    block = np.stack([ready, basis_state(layout, [0, 0, 1]).amplitudes, ready])
+    zero = np.zeros_like(block)
+    with pytest.raises(StateError, match="ready"):
+        _record_rows(layout, block, block, zero, ["C2A1"], 1e-12)
+    block = np.stack([ready, ready, ready])
+    plus = block.copy()
+    plus[2] *= 0.5
+    with pytest.raises(StateError, match="reconstruction"):
+        _record_rows(layout, block, plus, zero, ["C2A1"], 1e-12)
+    block[1] *= 2.0
+    with pytest.raises(StateError, match="state norm 2.0"):
+        _record_rows(layout, block, block, zero, ["C2A1"], 1e-12)
+
+
+def test_record_rows_keeps_single_branch_rows():
+    # a row with an empty flipped part keeps one branch; its neighbour two
+    layout = HilbertLayout.qubits(["S0", "C1A1", "C2A1"])
+    up = basis_state(layout, [0, 0, 0]).amplitudes
+    down = basis_state(layout, [1, 0, 0]).amplitudes
+    block = np.stack([SQ * (up + down), up])
+    plus = np.stack([SQ * up, up])
+    minus = np.stack([SQ * down, 0.0 * up])
+    rec = _record_rows(layout, block, plus, minus, ["C2A1"], 1e-12)
+    assert rec.kept.tolist() == [[True, True], [True, False]]
+    assert rec.amps[1, 1] == 0.0 and not rec.units[1, 1].any()
+    np.testing.assert_array_equal(rec.state[1], up)
+    assert len(rec.branches(layout, 1).branches) == 1
+    one_state, one_branches = _record(StateVector(layout, block[0]), plus[0], minus[0],
+                                      ["C2A1"], 1e-12)
+    np.testing.assert_array_equal(one_state.amplitudes, rec.state[0])
+    for (a, chi), (b, phi) in zip(one_branches.branches, rec.branches(layout, 0).branches,
+                                  strict=True):
+        assert a == b
+        np.testing.assert_array_equal(chi.amplitudes, phi.amplitudes)
+
+
+@pytest.mark.parametrize("make", [lambda: ChainModel(3, 0.6, 0.8j),
+                                  lambda: CascadeModel((2, 1), 0.6, 0.8j)],
+                         ids=["chain", "cascade"])
+def test_model_layout_built_once(make):
+    model, twin = make(), make()
+    assert model == twin and hash(model) == hash(twin)
+    layout = model.layout
+    assert model.layout is layout
+    assert twin.layout is not layout and twin.layout == layout
+    # the cached layout is no field: equality and hashing are unchanged
+    assert model == twin and hash(model) == hash(twin)
+    assert "layout" not in [f.name for f in dataclasses.fields(model)]
+    other = dataclasses.replace(model, a1=0.8, a2=0.6)
+    assert other != model and other.layout is not layout

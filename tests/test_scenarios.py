@@ -4,11 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from qmeaslab import cascade
 from qmeaslab.cascade import CascadeModel, run_cascade, unmeasured_it_exists
 from qmeaslab.cli import main
 from qmeaslab.hilbert import mixture_of
 from qmeaslab.scenarios import (ConfigError, SCENARIOS, build_config, emit,
                                 parse_config, run)
+
+SQ = float(np.sqrt(0.5))
 
 
 class TestParseConfig:
@@ -254,6 +257,70 @@ class TestRunReports:
         assert report.extras["excluded_phases_deg"][0] == 0.0
         assert all(row["terminal_deviation"] > 1e-12 for row in scan[1:-1])
 
+    @pytest.mark.parametrize("chains, mag", [
+        ((1, 1), None), ((3, 2), None), ((2, 2, 1, 1, 1), None),
+        # |a1| = |a2|: rows left with one branch by stage 2 (0 and 180
+        # degrees) and by stage 3 (90 degrees) share blocks with the others
+        ((1, 1, 1, 1), SQ)], ids=["1-1", "3-2", "2-2-1-1-1", "1-1-1-1-equal"])
+    def test_ch_cascade_scan_matches_per_point_runs(self, chains, mag):
+        text = f"scenario: ch-cascade\nchains: {list(chains)}\nphase_scan_points: 181\n"
+        mag1, mag2 = np.sqrt(0.7), np.sqrt(0.3)
+        if mag is not None:
+            text += f"a1: [{mag!r}, 0]\na2: [{mag!r}, 60]\n"
+            mag1 = mag2 = mag
+        report = run(parse_config(text))
+        scan = report.extras["phase_scan"]
+        degs = [row["a2_phase_deg"] for row in scan]
+        assert degs == [float(d) for d in np.linspace(0.0, 180.0, 181)]
+        per_point = [run_cascade(CascadeModel(
+            chains, mag1, mag2 * np.exp(1j * np.radians(d)))).terminal_deviation()
+            for d in degs]
+        for row, dev in zip(scan, per_point):
+            assert abs(row["terminal_deviation"] - dev) <= 1e-14
+        assert report.extras["excluded_phases_deg"] == [
+            d for d, dev in zip(degs, per_point) if dev <= report.tolerance]
+        assert not report.failed_required()
+
+    @pytest.mark.parametrize("points, degs", [(0, []), (1, [0.0])])
+    def test_ch_cascade_scan_edge_sizes(self, points, degs):
+        # the one point of a one-point scan is 0 degrees: real amplitudes,
+        # an excluded phase
+        report = run(parse_config(f"scenario: ch-cascade\nphase_scan_points: {points}\n"))
+        scan = report.extras["phase_scan"]
+        assert [row["a2_phase_deg"] for row in scan] == degs
+        assert report.extras["excluded_phases_deg"] == degs
+        for row in scan:
+            model = CascadeModel((1, 1), np.sqrt(0.7), np.sqrt(0.3))
+            assert row["terminal_deviation"] == run_cascade(model).terminal_deviation()
+        assert not report.failed_required()
+
+    @pytest.mark.parametrize("chains", [(2, 2, 1), (2, 2, 1, 1, 1)], ids=["m3", "m5"])
+    def test_ch_cascade_scan_masks_single_branch_rows(self, chains):
+        # |a1| = |a2|: at 0 and 180 degrees a1 = +-a2, so stage 2 leaves one
+        # branch (with five chains, 90 degrees is left with one at stage 4);
+        # those rows are masked through the later stages in one block with
+        # the others and read exactly 0.0
+        report = run(parse_config(
+            f"scenario: ch-cascade\nchains: {list(chains)}\n"
+            f"a1: [{SQ!r}, 0]\na2: [{SQ!r}, 60]\nphase_scan_points: 5\n"))
+        assert not report.failed_required()
+        scan = {row["a2_phase_deg"]: row["terminal_deviation"]
+                for row in report.extras["phase_scan"]}
+        assert list(scan) == [0.0, 45.0, 90.0, 135.0, 180.0]
+        for deg, dev in scan.items():
+            a2 = SQ * np.exp(1j * np.radians(deg))
+            per_point = run_cascade(CascadeModel(chains, SQ, a2))
+            if deg in (0.0, 180.0):
+                assert len(per_point.stages) == 2
+            if len(per_point.final.branches.branches) == 1:
+                assert dev == 0.0
+            assert abs(dev - per_point.terminal_deviation()) <= 1e-14
+        # three chains see every point off 0 and 180; with five, equal
+        # magnitudes leave the terminal witness blind at every phase
+        seen = [deg for deg, dev in scan.items() if dev > report.tolerance]
+        assert seen == ([45.0, 90.0, 135.0] if len(chains) == 3 else [])
+        assert report.extras["excluded_phases_deg"] == [d for d in scan if d not in seen]
+
     def test_growth_report(self):
         report = run(parse_config("scenario: growth\nn_emit: 3\ndepth: 4\n"))
         assert report.extras["counts_by_generation"][-1] == 81
@@ -379,3 +446,20 @@ def test_scenarios_take_no_dense_pauli_norm(monkeypatch, text):
 
     monkeypatch.setattr(pauli_module, "sum_matrix", refuse)
     assert not run(parse_config(text)).failed_required()
+
+
+def test_ch_cascade_report_runs_one_cascade(monkeypatch):
+    # the phase scan is one batched run, not a cascade run per point
+    calls = []
+    original = cascade.run_cascade
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cascade, "run_cascade", counting)
+    report = run(parse_config(
+        "scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\nphase_scan_points: 181\n"))
+    assert len(report.extras["phase_scan"]) == 181
+    assert not report.failed_required()
+    assert len(calls) == 1
