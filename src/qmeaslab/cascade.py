@@ -29,8 +29,8 @@ import numpy as np
 
 from .chain import SYSTEM_LABEL, it_operator, pointer_operator
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
-                      HilbertLayout, StateError, StateVector, _check_unit_rows,
-                      _gauge_rows, _row_norms, check_dense_dim)
+                      HilbertLayout, StateError, StateVector, _check_branch_rows,
+                      _check_unit_rows, _gauge_rows, _row_norms, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
                     _apply_sum_rows, apply, expectation)
 
@@ -241,24 +241,14 @@ def _record_rows(layout: HilbertLayout, state: np.ndarray, plus: np.ndarray,
     parts = np.stack([plus, _apply_rows(_chain_flip(target), layout, minus)], axis=1)
     new_state = parts[:, 0] + parts[:, 1]
     _check_unit_rows(new_state, 1e-9)
-    # the branch decomposition of each row: its kept parts, gauged, must be
-    # orthonormal with weights summing to 1
+    # the branch decomposition of each row: its kept parts, gauged
     kept = _row_norms(parts) > tol
-    if not np.all(np.any(kept, axis=1)):
-        raise StateError("branch decomposition needs at least one branch")
     if not kept.all():
         # a dropped part is gauged as a stand-in row of ones, then cleared
         parts = np.where(kept[..., None], parts, 1.0)
     amps, units = _gauge_rows(parts, tol)
-    _check_unit_rows(units, tol)
     amps[~kept], units[~kept] = 0.0, 0.0
-    overlap = np.abs(np.vecdot(units[:, 0], units[:, 1]))
-    if np.any(overlap > tol):
-        raise StateError(f"branches not orthogonal (overlap {_first(overlap, overlap > tol)})")
-    total = np.sum(np.abs(amps) ** 2, axis=1)
-    off = np.abs(total - 1.0) > tol
-    if np.any(off):
-        raise StateError(f"branch weights sum to {_first(total, off)}, not 1")
+    _check_branch_rows(amps, units, tol, kept)
     return _StageRows(new_state, amps, units, kept)
 
 

@@ -74,9 +74,14 @@ def initial_state(model: ChainModel) -> StateVector:
     return StateVector(layout, amps).check_normalized()
 
 
+def _complete_flip(theta: float) -> bool:
+    # the calibrated pi/2 to a few ulps: the pulse is exact, branches exist
+    return abs(theta - math.pi / 2) < 1e-15
+
+
 def _pulse_coeffs(theta: float) -> tuple[float, float]:
     # the calibrated complete flip is exact, not cos(pi/2) ~ 6e-17
-    if abs(theta - math.pi / 2) < 1e-15:
+    if _complete_flip(theta):
         return 0.0, 1.0
     return math.cos(theta), math.sin(theta)
 
@@ -137,7 +142,7 @@ def final_branches(model: ChainModel, tol: float = DEFAULT_TOL) -> BranchDecompo
     Only defined for the calibrated complete flip, where the two branches
     are orthogonal basis products.
     """
-    if abs(model.theta - math.pi / 2) > tol:
+    if not _complete_flip(model.theta):
         raise StateError("pointer branches require the complete flip theta = pi/2")
     layout = model.layout
     n = model.n_atoms

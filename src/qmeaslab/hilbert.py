@@ -230,20 +230,12 @@ class BranchDecomposition:
                            tuple((complex(a), s) for a, s in self.branches))
 
     def validate(self, tol: float = DEFAULT_TOL) -> "BranchDecomposition":
-        if not self.branches:
-            raise StateError("branch decomposition needs at least one branch")
-        total = 0.0
-        for k, (a, s) in enumerate(self.branches):
+        for k, (_, s) in enumerate(self.branches):
             if s.layout.labels != self.layout.labels:
                 raise StateError(f"branch {k} lives on a different layout")
-            s.check_normalized(tol)
-            total += abs(a) ** 2
-            for a2, s2 in self.branches[k + 1:]:
-                ov = abs(s.inner(s2))
-                if ov > tol:
-                    raise StateError(f"branches not orthogonal (overlap {ov})")
-        if abs(total - 1.0) > tol:
-            raise StateError(f"branch weights sum to {total}, not 1")
+        units = np.array([s.amplitudes for _, s in self.branches], dtype=complex)
+        _check_branch_rows(np.array([[a for a, _ in self.branches]], dtype=complex),
+                           units.reshape(1, len(self.branches), self.layout.dim), tol)
         return self
 
     def state(self) -> StateVector:
@@ -295,6 +287,26 @@ def _check_unit_rows(rows: np.ndarray, tol: float) -> None:
     if bad.size:
         norm = float(norms.flat[bad[0]])
         raise StateError(f"state norm {norm!r} deviates from 1 beyond {tol}")
+
+
+def _check_branch_rows(amps: np.ndarray, units: np.ndarray, tol: float,
+                       kept: np.ndarray | None = None) -> None:
+    """The branch rules, row p of a block holding the amplitudes amps[p] of
+    the states units[p]: a branch at least, unit branches, pairwise orthogonal,
+    weights summing to 1.  A branch not `kept` has amplitude 0, a zero row."""
+    kept = np.ones(amps.shape, dtype=bool) if kept is None else kept
+    if not kept.any(axis=-1).all():
+        raise StateError("branch decomposition needs at least one branch")
+    _check_unit_rows(units[kept], tol)
+    for a in range(units.shape[-2] - 1):
+        overlap = np.abs(np.vecdot(units[:, a, None], units[:, a + 1:]))
+        if (overlap > tol).any():
+            raise StateError(
+                f"branches not orthogonal (overlap {float(overlap[overlap > tol][0])})")
+    total = (np.abs(amps) ** 2).sum(axis=-1)
+    off = np.abs(total - 1.0) > tol
+    if off.any():
+        raise StateError(f"branch weights sum to {float(total[off][0])}, not 1")
 
 
 def _gauge_rows(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:

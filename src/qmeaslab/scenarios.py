@@ -194,10 +194,14 @@ def _real_text(value, path: str) -> float:
 
 
 def _tolerance(value) -> float:
-    """A finite real > 0, written as a number or as numeric text."""
+    """A finite real >= 1e-14, written as a number or as numeric text: every
+    self-check runs at the tolerance, and below 1e-14 rounding fails them."""
     tol = _real_text(value, "tolerance")
     if tol <= 0.0:
         raise ConfigError(f"tolerance: requires tolerance > 0, got {tol!r}")
+    if tol < 1e-14:
+        raise ConfigError(f"tolerance: requires tolerance >= 1e-14, where float rounding "
+                          f"no longer fails the self-checks, got {tol!r}")
     return tol
 
 
@@ -319,10 +323,14 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
         if key in params:
             _amp(params[key], key)
     if "a1" in params and "a2" in params:
-        w = _amp(params["a1"], "a1")[0] ** 2 + _amp(params["a2"], "a2")[0] ** 2
+        mags = (_amp(params["a1"], "a1")[0], _amp(params["a2"], "a2")[0])
+        w = mags[0] ** 2 + mags[1] ** 2
         if abs(w - 1.0) > 1e-9:
             raise ConfigError(
                 f"a1/a2: amplitudes must satisfy |a1|^2 + |a2|^2 = 1, got {w}")
+        if tol >= max(mags):  # a branch is kept only where its amplitude exceeds tol
+            raise ConfigError(f"tolerance: requires tolerance < max(|a1|, |a2|) = "
+                              f"{max(mags)} so that a branch is kept, got {tol!r}")
     if scenario == "ch-cascade":
         # recording B splits the state into eigenbranches of weight
         # (1 +- <B>)/2 with |<B>| = |2 Re(a1* a2)|; one branch leaves no
@@ -532,7 +540,7 @@ def _run_ch_basic(params, tol, rng):
     expectations["fuzz_worst_residual"] = fuzz_worst
     invariants.append(_inv("closed_form_fuzz", fuzz_worst, tol))
 
-    complete_flip = abs(params["theta_deg"] - 90.0) < 1e-12
+    complete_flip = ch._complete_flip(theta)
     extras: dict[str, Any] = {"pointer_branches": complete_flip,
                               "fuzz_cases": params["fuzz_cases"]}
     if complete_flip:

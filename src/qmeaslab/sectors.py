@@ -173,65 +173,47 @@ class SectorDecomposition:
         return float(np.linalg.norm(sum(mats) - np.eye(self.layout.dim)))
 
 
-def _group_values(values: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
-    order = np.argsort(-values)
-    groups: list[tuple[float, list[int]]] = []
-    for idx in order:
-        v = float(values[idx])
-        if groups and abs(groups[-1][0] - v) <= tol:
-            groups[-1][1].append(int(idx))
+def _grouped_sectors(layout: HilbertLayout, values: np.ndarray,
+                     vecs: np.ndarray | None = None) -> SectorDecomposition:
+    """Sectors of the rows of `values` (one row per basis index, or per
+    eigenvector column of `vecs`; one column per pointer) grouped by their
+    entries rounded to DEGENERACY_TOL, in descending order, each named and
+    labeled by its first row: basis masks, or spans of the eigenvectors."""
+    _, first, group = np.unique(np.round(values / DEGENERACY_TOL), axis=0,
+                                return_index=True, return_inverse=True)
+    group, projectors = group.reshape(-1), []
+    for g in reversed(range(len(first))):
+        name = "P(" + ",".join(f"{v:g}" for v in values[first[g]]) + ")"
+        if vecs is None:
+            projectors.append(Projector.from_mask(layout, group == g, name))
         else:
-            groups.append((v, [int(idx)]))
-    return [(v, np.array(ix, dtype=int)) for v, ix in groups]
+            block = vecs[:, group == g]
+            projectors.append(Projector.from_matrix(layout, block @ block.conj().T, name))
+    eigenvalues = [float(values[i, 0]) for i in first[::-1]] if values.shape[1] == 1 else None
+    return SectorDecomposition(layout, tuple(projectors), eigenvalues)
 
 
 def pointer_sectors(pointer: PauliSum, layout: HilbertLayout,
-                    degeneracy_tol: float = DEGENERACY_TOL,
                     tol: float = DEFAULT_TOL) -> SectorDecomposition:
     """Spectral projectors of a Hermitian pointer, grouped by eigenvalue
     (descending).  {I,Z}-supported pointers use the exact diagonal path."""
     if not pointer.is_hermitian(tol):
         raise OperatorError(f"pointer is not Hermitian: {format_sum(pointer)}")
     if _is_z_diagonal(pointer):
-        diag = np.real(_diagonal_values(pointer, layout))
-        projectors, eigenvalues = [], []
-        for v, idx in _group_values(diag, degeneracy_tol):
-            mask = np.zeros(layout.dim, dtype=bool)
-            mask[idx] = True
-            projectors.append(Projector.from_mask(layout, mask, name=f"P({v:g})"))
-            eigenvalues.append(v)
-        return SectorDecomposition(layout, tuple(projectors), tuple(eigenvalues))
-    mat = sum_matrix(pointer, layout)
-    vals, vecs = np.linalg.eigh(mat)
-    projectors, eigenvalues = [], []
-    for v, idx in _group_values(vals, degeneracy_tol):
-        block = vecs[:, idx]
-        projectors.append(Projector.from_matrix(layout, block @ block.conj().T,
-                                                name=f"P({v:g})"))
-        eigenvalues.append(v)
-    return SectorDecomposition(layout, tuple(projectors), tuple(eigenvalues))
+        return _grouped_sectors(layout, np.real(_diagonal_values(pointer, layout))[:, None])
+    vals, vecs = np.linalg.eigh(sum_matrix(pointer, layout))
+    return _grouped_sectors(layout, vals[:, None], vecs)
 
 
-def joint_sectors(pointers: Sequence[PauliSum], layout: HilbertLayout,
-                  degeneracy_tol: float = DEGENERACY_TOL) -> SectorDecomposition:
+def joint_sectors(pointers: Sequence[PauliSum], layout: HilbertLayout) -> SectorDecomposition:
     """Joint eigenvalue sectors of a commuting {I,Z}-supported family."""
     if not pointers:
         raise SectorError("joint_sectors needs at least one pointer")
     for p in pointers:
         if not _is_z_diagonal(p):
             raise SectorError("joint sectors are implemented for Z-diagonal pointers")
-    diags = [np.real(_diagonal_values(p, layout)) for p in pointers]
-    keys = {}
-    for i in range(layout.dim):
-        key = tuple(round(float(d[i]) / degeneracy_tol) for d in diags)
-        keys.setdefault(key, []).append(i)
-    projectors = []
-    for key in sorted(keys, reverse=True):
-        mask = np.zeros(layout.dim, dtype=bool)
-        mask[keys[key]] = True
-        vals = ",".join(f"{d[keys[key][0]]:g}" for d in diags)
-        projectors.append(Projector.from_mask(layout, mask, name=f"P({vals})"))
-    return SectorDecomposition(layout, tuple(projectors))
+    return _grouped_sectors(layout, np.stack(
+        [np.real(_diagonal_values(p, layout)) for p in pointers], axis=1))
 
 
 def structure_residual(state: StateVector, projectors: Sequence[Projector],
@@ -417,7 +399,9 @@ def op_sup_norm(op, layout: HilbertLayout) -> float:
         return sup_norm_estimate(op, layout)
     if isinstance(op, KronObservable):
         return float(_kron_norms(op.system, op.field))
-    return float(np.linalg.norm(np.asarray(op, dtype=complex), ord=2))
+    arr = np.asarray(op, dtype=complex)
+    # most products of the vacuum connector vanish exactly: no SVD for them
+    return float(np.linalg.norm(arr, ord=2)) if arr.any() else 0.0
 
 
 def _op_product_hermitian(a, b, layout: HilbertLayout):

@@ -463,3 +463,68 @@ def test_ch_cascade_report_runs_one_cascade(monkeypatch):
     assert len(report.extras["phase_scan"]) == 181
     assert not report.failed_required()
     assert len(calls) == 1
+
+
+_TWO_MODES = ("scenario: rd-basic\nmodes: 2\ncutoff: 3\nphotons:\n"
+              "- {pattern: [1, 0], c: [0.7071067811865476, 0]}\n"
+              "- {pattern: [0, 1], c: [0.7071067811865476, 0]}\n")
+
+
+@pytest.mark.parametrize("text", [
+    # below the floor float rounding alone fails a self-check inside run
+    "scenario: ch-basic\ntolerance: 1.0e-16\n",
+    "scenario: ch-cascade\ntolerance: 1.0e-16\n",
+    "scenario: rd-basic\ntolerance: 1.0e-16\n",
+    "scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\ntolerance: 1.0e-15\n",
+    "scenario: ch-cascade\nchains: [3, 3, 3, 4]\ntolerance: 1.0e-15\n",
+    # at or above max(|a1|, |a2|) every branch is dropped
+    "scenario: ch-basic\ntolerance: 0.71\n",
+    "scenario: rd-basic\ntolerance: 0.9\n",
+])
+def test_tolerance_that_would_crash_run_is_refused(text):
+    with pytest.raises(ConfigError, match="tolerance"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", [
+    *(f"scenario: {s}\n" for s in SCENARIOS),
+    "scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\n",
+    "scenario: ch-cascade\nchains: [3, 3, 3, 4]\nphase_scan_points: 5\n",
+    _TWO_MODES,
+])
+def test_floor_tolerance_runs(text):
+    report = run(parse_config(text + "tolerance: 1.0e-14\n"))
+    assert not report.failed_required()
+
+
+def test_readme_minimal_config_runs():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config:", 1)[1]
+    text = re.search(r"```yaml\n(.*?)```", block, re.S).group(1)
+    cfg = parse_config(text)
+    report = run(cfg)
+    assert not report.failed_required()
+    assert emit(report, cfg.fmt).startswith(b"a2_phase_deg,")
+
+
+def test_no_spectral_norm_of_a_zero_member(monkeypatch):
+    # most products of the vacuum connector vanish exactly on two modes;
+    # op_sup_norm takes no SVD of them
+    from qmeaslab import radiation, sectors
+
+    model = radiation.RadiationModel(modes=2, photon_amplitudes=(
+        ((1, 0), SQ), ((0, 1), SQ)))
+    family = sectors._closed_family(radiation.with_vacuum_connector(model), model.layout)
+    assert sum(not np.any(op) for op in family.other.values()) > 0
+    norm, nonzero = np.linalg.norm, []
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            nonzero.append(bool(np.any(x)))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    assert not run(parse_config(_TWO_MODES)).failed_required()
+    assert nonzero and all(nonzero)
