@@ -26,11 +26,11 @@ print(f"branch overlap <phi1|phi2> = {abs(phi1.inner(phi2)):.1f} "
       "(vacuum orthogonal to every emission pattern)")
 
 print("\nvacuum matrix elements of the allowed field observables:")
-for gen in glauber_field_generators(model):
-    print(f"  <vac|{gen.name}|j gamma> max = "
+for name, gen in glauber_field_generators(model):
+    print(f"  <vac|{name}|j gamma> max = "
           f"{check_no_vacuum_interference(gen, model):.1f}")
 quad = quadrature_op(model, 1)
-print(f"  <vac|{quad.name}|j gamma> max = "
+print(f"  <vac|(a+adag)1|j gamma> max = "
       f"{check_no_vacuum_interference(quad, model):.1f}   (NOT a number function)")
 
 allowed = glauber_generators(model)

@@ -1,5 +1,7 @@
 """Radiation-decoherence model: particle path x lattice state x truncated
 photon field, with photodetection-restricted (number-diagonal) observables.
+A field factor is a plain array: 1-D and real for a photon-number function
+(its diagonal over the occupation basis), 2-D for a general field matrix.
 
 The asymptotic state is  a1 |x1>|L>|vac>  +  a2 sum_j c_j |x2>|L'>|j gamma>,
 with every emission pattern orthogonal to the vacuum.  Observables built
@@ -141,41 +143,12 @@ def build_final_state(model: RadiationModel,
     return BranchDecomposition(layout, tuple(branches)).validate(tol)
 
 
-@dataclass(frozen=True)
-class FieldObservable:
-    """Observable on the field factor alone: a real diagonal over the
-    occupation basis, or a general Hermitian matrix."""
-
-    kind: str
-    data: np.ndarray
-    name: str = "Q_E"
-
-    def __post_init__(self):
-        if self.kind not in ("number_diagonal", "general"):
-            raise ValueError(f"unknown field observable kind {self.kind!r}")
-        arr = np.asarray(self.data,
-                         dtype=float if self.kind == "number_diagonal" else complex)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "number_diagonal":
-            return np.diag(self.data.astype(complex))
-        return np.asarray(self.data)
+def number_op(model: RadiationModel, mode: int) -> np.ndarray:
+    """Photon number of one mode (1-based over all modes), as a diagonal."""
+    return np.array(list(np.ndindex(*model.field_dims())), dtype=float)[:, mode - 1]
 
 
-def number_diagonal(model: RadiationModel, values, name: str) -> FieldObservable:
-    return FieldObservable("number_diagonal", np.asarray(values, dtype=float), name)
-
-
-def number_op(model: RadiationModel, mode: int) -> FieldObservable:
-    """Photon number of one mode (1-based over all modes), diagonal."""
-    occ = np.array(list(np.ndindex(*model.field_dims())))
-    return number_diagonal(model, occ[:, mode - 1], f"n{mode}")
-
-
-def quadrature_op(model: RadiationModel, mode: int) -> FieldObservable:
+def quadrature_op(model: RadiationModel, mode: int) -> np.ndarray:
     """Truncated a + a^dagger on one mode: Hermitian but NOT a photon-number
     function; it connects occupations differing by one."""
     d = model.cutoff
@@ -186,11 +159,11 @@ def quadrature_op(model: RadiationModel, mode: int) -> FieldObservable:
     mat = np.array([[1.0]], dtype=complex)
     for m in range(1, model.all_modes + 1):
         mat = np.kron(mat, quad if m == mode else np.eye(d))
-    return FieldObservable("general", mat, name=f"(a+adag){mode}")
+    return mat
 
 
 def vacuum_pattern_connector(model: RadiationModel,
-                             pattern: Sequence[int] | None = None) -> FieldObservable:
+                             pattern: Sequence[int] | None = None) -> np.ndarray:
     """|ref><pattern| + h.c. on the field: the vacuum-connecting Hermitian
     that the photocounting restriction excludes."""
     if pattern is None:
@@ -203,7 +176,7 @@ def vacuum_pattern_connector(model: RadiationModel,
     j = model.field_index(pattern)
     mat[i0, j] = 1.0
     mat[j, i0] = 1.0
-    return FieldObservable("general", mat, name=f"|vac><{tuple(pattern)}|+h.c.")
+    return mat
 
 
 def _system_paulis() -> list[tuple[str, np.ndarray]]:
@@ -214,25 +187,26 @@ def _system_paulis() -> list[tuple[str, np.ndarray]]:
 
 
 def full_observable(model: RadiationModel, system: np.ndarray,
-                    field_obs: FieldObservable, name: str | None = None) -> np.ndarray:
-    """system (4x4 on path x lattice) tensor field observable, on the full
-    layout: the dense reference for the factored KronObservable."""
+                    field: np.ndarray) -> np.ndarray:
+    """system (4x4 on path x lattice) tensor a field factor, on the full
+    layout: the dense reference for the factored KronObservable, and the one
+    place a field factor is made dense."""
     sys = np.asarray(system, dtype=complex)
     if sys.shape != (4, 4):
         raise ValueError("system factor must be 4x4 (path x lattice)")
-    return np.kron(sys, field_obs.matrix())
+    field = np.asarray(field, dtype=complex)
+    return np.kron(sys, np.diag(field) if field.ndim == 1 else field)
 
 
-def glauber_field_generators(model: RadiationModel) -> list[FieldObservable]:
-    """{n_m, n_m^2, n_m n_m'}: the generating photon-number functions."""
+def glauber_field_generators(model: RadiationModel) -> list[tuple[str, np.ndarray]]:
+    """(name, diagonal) of n_m, n_m^2, n_m n_m': the generating number functions."""
     occ = np.array(list(np.ndindex(*model.field_dims())), dtype=float)
     gens = []
     for m in range(1, model.all_modes + 1):
-        gens.append(number_diagonal(model, occ[:, m - 1], f"n{m}"))
-        gens.append(number_diagonal(model, occ[:, m - 1] ** 2, f"n{m}^2"))
+        gens.append((f"n{m}", occ[:, m - 1]))
+        gens.append((f"n{m}^2", occ[:, m - 1] ** 2))
     for m1, m2 in itertools.combinations(range(1, model.all_modes + 1), 2):
-        gens.append(number_diagonal(model, occ[:, m1 - 1] * occ[:, m2 - 1],
-                                    f"n{m1}*n{m2}"))
+        gens.append((f"n{m1}*n{m2}", occ[:, m1 - 1] * occ[:, m2 - 1]))
     return gens
 
 
@@ -241,9 +215,9 @@ def glauber_generators(model: RadiationModel) -> ObservableSet:
     tensored with every Hermitian path x lattice basis element, kept
     factored."""
     gens = []
-    for f in glauber_field_generators(model):
+    for f_name, f in glauber_field_generators(model):
         for sys_name, sys in _system_paulis():
-            gens.append((f"{sys_name}(x){f.name}", KronObservable(sys, f.data)))
+            gens.append((f"{sys_name}(x){f_name}", KronObservable(sys, f)))
     return ObservableSet("glauber", tuple(gens), closure_depth=2)
 
 
@@ -259,18 +233,18 @@ def with_vacuum_connector(model: RadiationModel,
                          closure_depth=base.closure_depth)
 
 
-def check_no_vacuum_interference(q_e: FieldObservable,
+def check_no_vacuum_interference(q_e: np.ndarray,
                                  model: RadiationModel) -> float:
-    """max_j |<vac|Q_E|j gamma>| over the emission patterns; identically
-    zero for photon-number functions."""
+    """max_j |<vac|Q_E|j gamma>| over the emission patterns for a field
+    factor Q_E; identically zero for photon-number functions."""
     i0 = model.field_index(model.reference_occupation())
     worst = 0.0
     for occ, _ in model.branch_occupations():
         j = model.field_index(occ)
-        if q_e.kind == "number_diagonal":
-            element = q_e.data[i0] if i0 == j else 0.0
+        if q_e.ndim == 1:
+            element = q_e[i0] if i0 == j else 0.0
         else:
-            element = q_e.data[i0, j]
+            element = q_e[i0, j]
         worst = max(worst, abs(complex(element)))
     return worst
 

@@ -701,8 +701,9 @@ def _run_rd_basic(params, tol, rng):
     decomp = rad.build_final_state(model, tol)
     pure = decomp.state()
     field_gens = rad.glauber_field_generators(model)
-    c2_max = max(rad.check_no_vacuum_interference(f, model) for f in field_gens)
-    quad_c2 = rad.check_no_vacuum_interference(rad.quadrature_op(model, 1), model)
+    c2_max = max(rad.check_no_vacuum_interference(f, model) for _, f in field_gens)
+    quad = rad.quadrature_op(model, len(model.background) + 1)  # first emission mode
+    quad_c2 = rad.check_no_vacuum_interference(quad, model)
     preset = params["observable_preset"]
     glauber = rad.glauber_generators(model)
     augmented = rad.with_vacuum_connector(model, glauber)
@@ -712,14 +713,13 @@ def _run_rd_basic(params, tol, rng):
                           else (augmented, v_counter))
     bg_model = rad.add_uncorrelated_mode(model, 1)
     v_bg = rad.check_c22(bg_model, rad.glauber_generators(bg_model), tol)
+    # per case: a random system factor, then a random field generator
+    draws = [(_random_hermitian(rng, 4), field_gens[int(rng.integers(len(field_gens)))][1])
+             for _ in range(params["system_factor_cases"])]
     worst_random = 0.0
-    for _ in range(params["system_factor_cases"]):
-        sysmat = _random_hermitian(rng, 4)
-        f = field_gens[int(rng.integers(len(field_gens)))]
-        q = sec.KronObservable(sysmat, f.data)
-        dev = abs(sec.op_expectation(q, pure, tol=np.inf)
-                  - sec.op_expectation_mixed(q, decomp, tol=np.inf))
-        worst_random = max(worst_random, dev)
+    if draws:
+        systems, fields = map(np.stack, zip(*draws))
+        worst_random = float(np.max(sec._kron_deviations(systems, fields, pure, decomp)))
     overlap = abs(decomp.branches[0][1].inner(decomp.branches[-1][1])) \
         if len(decomp.branches) == 2 else 0.0
     expectations = {

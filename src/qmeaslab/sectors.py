@@ -24,8 +24,8 @@ import numpy as np
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                    apply_sum, expectation, format_sum, hermitian_part,
-                    string_matrix, sum_matrix, sup_norm_estimate,
+                    apply_sum, expectation, format_string, format_sum,
+                    hermitian_part, string_matrix, sum_matrix, sup_norm_estimate,
                     _diagonal_values, _is_z_diagonal, _string_action)
 
 DEGENERACY_TOL = 1e-9
@@ -295,6 +295,15 @@ def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray) -> np.
     return np.sum((system.reshape(-1, s * s) @ gram) * field.reshape(-1, f), axis=1)
 
 
+def _kron_deviations(system: np.ndarray, field: np.ndarray, pure: StateVector,
+                     branches: BranchDecomposition) -> np.ndarray:
+    """|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| of every stacked observable,
+    from the real parts of both expectations."""
+    s, f = system.shape[-1], field.shape[-1]
+    return np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f)).real
+                  - _kron_values(system, field, _branch_gram(branches, s, f)).real)
+
+
 def _kron_norms(system: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Spectral norms ||S||_2 max|f|, exact: the singular values of a
     Kronecker product are the products of the factors' singular values."""
@@ -477,7 +486,6 @@ class DiscriminationVerdict:
     max_deviation: float
     witness_name: str | None
     distinguishable: bool
-    witness: object | None = None
 
     def __post_init__(self):
         if self.distinguishable != (self.witness_name is not None):
@@ -501,10 +509,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     devs = np.zeros(len(family.names))
     if family.kron_at.size:
         system, field = family.kron_system, family.kron_field
-        s, f = system.shape[-1], field.shape[-1]
         norms = _kron_norms(system, field)
-        diff = np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f)).real
-                      - _kron_values(system, field, _branch_gram(branches, s, f)).real)
+        diff = _kron_deviations(system, field, pure, branches)
         seen = norms > tol
         devs[family.kron_at[seen]] = diff[seen] / norms[seen]
     for k, op in family.other.items():
@@ -515,10 +521,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     k = int(np.argmax(devs))
     best = float(devs[k])
     distinguishable = best > tol
-    return DiscriminationVerdict(best,
-                                 family.names[k] if distinguishable else None,
-                                 distinguishable,
-                                 family.member(k) if distinguishable else None)
+    return DiscriminationVerdict(best, family.names[k] if distinguishable else None,
+                                 distinguishable)
 
 
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,
@@ -550,7 +554,7 @@ def chain_observable_preset(name: str, n_atoms: int,
     if name == "with_B":
         return ObservableSet("with_B", (("mu_z", mu), ("B", it_operator(atoms))))
     if name in ("all_strings", "sector_preserving"):
-        gens = tuple((format_sum(PauliSum.from_string(s)), PauliSum.from_string(s))
+        gens = tuple((format_string(s), PauliSum.from_string(s))
                      for s in all_strings(labels))
         pool = ObservableSet("all_strings", gens, closure_depth=1)
         if name == "all_strings":

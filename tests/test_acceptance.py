@@ -208,9 +208,9 @@ def test_criterion_09_radiation_model():
     failures = []
     model = RadiationModel()  # M=1, cutoff 3
     gens = glauber_field_generators(model)
-    for g in gens:
+    for name, g in gens:
         if check_no_vacuum_interference(g, model) != 0.0:
-            failures.append(("C2 residual nonzero", g.name))
+            failures.append(("C2 residual nonzero", name))
     from qmeaslab.radiation import build_final_state
     dec = build_final_state(model)
     pure = dec.state()
@@ -218,7 +218,7 @@ def test_criterion_09_radiation_model():
     for _ in range(100):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         q = full_observable(model, 0.5 * (a + a.conj().T),
-                            gens[int(rng.integers(len(gens)))])
+                            gens[int(rng.integers(len(gens)))][1])
         dev = abs(op_expectation(q, pure, tol=np.inf)
                   - op_expectation_mixed(q, dec, tol=np.inf))
         worst = max(worst, dev)

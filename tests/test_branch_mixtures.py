@@ -60,7 +60,7 @@ def test_dense_array_observable_matches_dense_mixture():
     model = RadiationModel(a1=np.sqrt(0.4), a2=np.sqrt(0.6) * np.exp(0.3j))
     decomp = build_final_state(model)
     rho = hilbert.mixture_of(decomp).matrix
-    for f in glauber_field_generators(model):
+    for _, f in glauber_field_generators(model):
         a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
         q = full_observable(model, 0.5 * (a + a.conj().T), f)
         want = dense_expect_mixed(q, rho)

@@ -1,10 +1,12 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from qmeaslab.hilbert import mixture_of
-from qmeaslab.radiation import (FieldObservable, RadiationModel,
+from qmeaslab import radiation, sectors
+from qmeaslab.hilbert import BranchDecomposition, StateVector, mixture_of
+from qmeaslab.radiation import (RadiationModel,
                                 add_uncorrelated_mode, build_final_state,
                                 cascade_growth, check_c22,
                                 check_no_vacuum_interference, full_observable,
@@ -14,10 +16,10 @@ from qmeaslab.radiation import (FieldObservable, RadiationModel,
                                 with_vacuum_connector)
 from qmeaslab.pauli import OperatorError
 from qmeaslab.scenarios import parse_config, run
-from qmeaslab.sectors import (KronObservable, _closed_family, _kron_gram,
-                              _kron_norms, _kron_values, op_expectation,
-                              op_expectation_mixed, op_is_hermitian,
-                              op_sup_norm)
+from qmeaslab.sectors import (KronObservable, _closed_family, _kron_deviations,
+                              _kron_gram, _kron_norms, _kron_values,
+                              op_expectation, op_expectation_mixed,
+                              op_is_hermitian, op_sup_norm)
 
 from oracles import (MATS, dense_expect, dense_expect_mixed,
                      random_amplitude_pair, reference_verdict)
@@ -71,15 +73,15 @@ class TestGlauberGenerators:
     def test_number_operator_eigenvalue(self):
         model = single_photon_model()
         n1 = number_op(model, 1)
-        assert n1.kind == "number_diagonal"
-        assert n1.data[model.field_index((1,))] == 1.0
-        assert n1.data[model.field_index((0,))] == 0.0
+        assert n1.ndim == 1
+        assert n1[model.field_index((1,))] == 1.0
+        assert n1[model.field_index((0,))] == 0.0
 
     def test_diagonal_generators_commute_with_occupation_projectors(self):
         model = RadiationModel()
         d = model.field_dim()
-        for gen in glauber_field_generators(model):
-            mat = gen.matrix()
+        for _, gen in glauber_field_generators(model):
+            mat = np.diag(gen)
             for k in range(d):
                 proj = np.zeros((d, d))
                 proj[k, k] = 1.0
@@ -93,14 +95,14 @@ class TestGlauberGenerators:
     def test_two_mode_pair_products(self):
         model = RadiationModel(modes=2, cutoff=2,
                                photon_amplitudes=(((1, 0), SQ), ((0, 1), SQ)))
-        names = [f.name for f in glauber_field_generators(model)]
+        names = [name for name, _ in glauber_field_generators(model)]
         assert "n1*n2" in names
 
 
 class TestNoVacuumInterference:
     def test_number_diagonal_exactly_zero(self):
         model = RadiationModel()
-        for gen in glauber_field_generators(model):
+        for _, gen in glauber_field_generators(model):
             assert check_no_vacuum_interference(gen, model) == 0.0
 
     def test_quadrature_hits_single_photon(self):
@@ -114,8 +116,7 @@ class TestNoVacuumInterference:
 
     def test_identity_field_observable(self):
         model = RadiationModel()
-        ident = FieldObservable("number_diagonal",
-                                np.ones(model.field_dim()), "1")
+        ident = np.ones(model.field_dim())
         assert check_no_vacuum_interference(ident, model) == 0.0
 
 
@@ -149,7 +150,7 @@ class TestC22:
         for _ in range(100):
             a = RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4))
             herm = 0.5 * (a + a.conj().T)
-            q = full_observable(model, herm, gens[int(RNG.integers(len(gens)))])
+            q = full_observable(model, herm, gens[int(RNG.integers(len(gens)))][1])
             dev = abs(op_expectation(q, pure, tol=np.inf)
                       - op_expectation_mixed(q, decomp, tol=np.inf))
             worst = max(worst, dev)
@@ -193,9 +194,9 @@ def _dense_glauber(model, connector=False):
     """The generators of glauber_generators (and with_vacuum_connector) as
     dense matrices, built from literal Pauli matrices and full_observable."""
     gens = []
-    for f in glauber_field_generators(model):
+    for f_name, f in glauber_field_generators(model):
         for p1, p2 in itertools.product("IXYZ", repeat=2):
-            gens.append((f"{p1}{p2}(x){f.name}",
+            gens.append((f"{p1}{p2}(x){f_name}",
                          full_observable(model, np.kron(MATS[p1], MATS[p2]), f)))
     if connector:
         gens.append(("XX(x)vacuum_connector",
@@ -287,14 +288,14 @@ class TestFactoredFamily:
             KronObservable(np.eye(4), np.ones(model.field_dim()) * 1j)
 
     def test_rd_basic_builds_no_number_diagonal_matrix(self, monkeypatch):
-        dense_field = FieldObservable.matrix
+        dense_field = radiation.full_observable
 
-        def guarded(self):
-            if self.kind == "number_diagonal":
+        def guarded(model, system, field):
+            if np.ndim(field) == 1:
                 raise AssertionError("a number-diagonal field was realized densely")
-            return dense_field(self)
+            return dense_field(model, system, field)
 
-        monkeypatch.setattr(FieldObservable, "matrix", guarded)
+        monkeypatch.setattr(radiation, "full_observable", guarded)
         for text in ("scenario: rd-basic\n",
                      "scenario: rd-basic\nobservable_preset: with_vacuum_connector\n",
                      "scenario: rd-basic\nbackground: [1]\n"):
@@ -320,8 +321,7 @@ class TestFactoredFamily:
 class TestVacuumConnector:
     def test_connects_reference_and_pattern(self):
         model = RadiationModel()
-        conn = vacuum_pattern_connector(model, (1,))
-        mat = conn.matrix()
+        mat = vacuum_pattern_connector(model, (1,))
         i0 = model.field_index((0,))
         j = model.field_index((1,))
         assert mat[i0, j] == 1.0 and mat[j, i0] == 1.0
@@ -366,3 +366,94 @@ def test_random_amplitudes_keep_orthogonality():
         if len(decomp.branches) == 2:
             (_, b1), (_, b2) = decomp.branches
             assert abs(b1.inner(b2)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# rd-basic's random system-factor check and its quadrature probe
+
+RD_BASIC = {
+    "1 mode, cutoff 4": ("cutoff: 4\n", RadiationModel(cutoff=4)),
+    "2 modes, cutoff 3": (
+        "modes: 2\ncutoff: 3\nphotons:\n"
+        "- {pattern: [1, 0], c: [0.7071067811865476, 0]}\n"
+        "- {pattern: [0, 2], c: [0.7071067811865476, 0]}\n",
+        RadiationModel(modes=2, cutoff=3,
+                       photon_amplitudes=(((1, 0), SQ), ((0, 2), SQ)))),
+    "background [1]": ("background: [1]\n", add_uncorrelated_mode(RadiationModel(), 1)),
+    "no cases": ("system_factor_cases: 0\n", RadiationModel()),
+}
+
+
+def _draws(model, cases, rng):
+    """rd-basic's draws: per case a random Hermitian system factor, then a
+    random Glauber field generator."""
+    gens = glauber_field_generators(model)
+    out = []
+    for _ in range(cases):
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        out.append((0.5 * (a + a.conj().T), gens[int(rng.integers(len(gens)))][1]))
+    return out
+
+
+def _per_observable_deviations(decomp, draws):
+    """One KronObservable per draw, through op_expectation and
+    op_expectation_mixed."""
+    pure = decomp.state()
+    return [abs(op_expectation(KronObservable(s, f), pure, tol=np.inf)
+                - op_expectation_mixed(KronObservable(s, f), decomp, tol=np.inf))
+            for s, f in draws]
+
+
+@pytest.mark.parametrize("text, model", RD_BASIC.values(), ids=RD_BASIC)
+def test_stacked_random_factor_check_matches_per_observable_route(text, model,
+                                                                  monkeypatch):
+    stacked = []
+    kernel = sectors._kron_deviations
+
+    def spy(system, field, pure, branches):
+        if sys._getframe(1).f_code.co_name == "_run_rd_basic":
+            stacked.append((system, field))
+        return kernel(system, field, pure, branches)
+
+    monkeypatch.setattr(sectors, "_kron_deviations", spy)
+    config = parse_config("scenario: rd-basic\n" + text)
+    report = run(config)
+    draws = _draws(model, config.params["system_factor_cases"],
+                   np.random.default_rng(config.seed))
+    devs = _per_observable_deviations(build_final_state(model), draws)
+    got = report.expectations["random_factor_worst_deviation"]
+    assert abs(got - max(devs, default=0.0)) <= 1e-15
+    # the check is one stacked call over the same draws, in the same order
+    if draws:
+        assert len(stacked) == 1
+        assert np.array_equal(stacked[0][0], np.stack([s for s, _ in draws]))
+        assert np.array_equal(stacked[0][1], np.stack([f for _, f in draws]))
+    else:
+        assert not stacked and got == 0.0
+
+
+def test_stacked_deviations_match_per_observable_route_off_the_blind_family():
+    # two random orthogonal branches on the radiation layout: the random
+    # factors see their coherence, so the deviations are of order one
+    model = RadiationModel(modes=2, cutoff=3,
+                           photon_amplitudes=(((1, 0), SQ), ((0, 2), SQ)))
+    dim = model.layout.dim
+    q, _ = np.linalg.qr(RNG.normal(size=(dim, 2)) + 1j * RNG.normal(size=(dim, 2)))
+    decomp = BranchDecomposition(model.layout, (
+        (np.sqrt(0.3), StateVector(model.layout, q[:, 0])),
+        (np.sqrt(0.7) * np.exp(0.4j), StateVector(model.layout, q[:, 1])))).validate()
+    draws = _draws(model, 30, np.random.default_rng(7))
+    want = _per_observable_deviations(decomp, draws)
+    got = _kron_deviations(np.stack([s for s, _ in draws]),
+                           np.stack([f for _, f in draws]), decomp.state(), decomp)
+    assert max(want) > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("background", ["[1]", "[2, 1]"])
+def test_quadrature_c2_ignores_background_modes(background):
+    # the quadrature probes the first emission mode, wherever it sits
+    plain = run(parse_config("scenario: rd-basic\n"))
+    padded = run(parse_config(f"scenario: rd-basic\nbackground: {background}\n"))
+    assert plain.expectations["quadrature_c2"] == 1.0
+    assert padded.expectations["quadrature_c2"] == plain.expectations["quadrature_c2"]
