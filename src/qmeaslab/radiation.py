@@ -189,8 +189,8 @@ def _system_paulis() -> list[tuple[str, np.ndarray]]:
 def full_observable(model: RadiationModel, system: np.ndarray,
                     field: np.ndarray) -> np.ndarray:
     """system (4x4 on path x lattice) tensor a field factor, on the full
-    layout: the dense reference for the factored KronObservable, and the one
-    place a field factor is made dense."""
+    layout: the dense reference for the factored KronObservable, and the
+    vacuum connector's builder (its products make generators dense too)."""
     sys = np.asarray(system, dtype=complex)
     if sys.shape != (4, 4):
         raise ValueError("system factor must be 4x4 (path x lattice)")
@@ -214,9 +214,9 @@ def glauber_generators(model: RadiationModel) -> ObservableSet:
     """Photodetection-allowed generators: every number-function field factor
     tensored with every Hermitian path x lattice basis element, kept
     factored."""
-    gens = []
+    gens, paulis = [], _system_paulis()
     for f_name, f in glauber_field_generators(model):
-        for sys_name, sys in _system_paulis():
+        for sys_name, sys in paulis:
             gens.append((f"{sys_name}(x){f_name}", KronObservable(sys, f)))
     return ObservableSet("glauber", tuple(gens), closure_depth=2)
 

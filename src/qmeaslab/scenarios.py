@@ -707,8 +707,8 @@ def _run_rd_basic(params, tol, rng):
     preset = params["observable_preset"]
     glauber = rad.glauber_generators(model)
     augmented = rad.with_vacuum_connector(model, glauber)
-    v_glauber = rad.check_c22(model, glauber, tol)
-    v_counter = rad.check_c22(model, augmented, tol)
+    v_glauber = sec.discriminate(pure, decomp, glauber, tol)
+    v_counter = sec.discriminate(pure, decomp, augmented, tol)
     allowed, v_allowed = ((glauber, v_glauber) if preset == "glauber"
                           else (augmented, v_counter))
     bg_model = rad.add_uncorrelated_mode(model, 1)
@@ -807,8 +807,8 @@ def run(config: ScenarioConfig) -> RunReport:
             rows.append(row)
             for r in inv:
                 merged.setdefault(r.name, []).append(r)
-        columns = [config.sweep.parameter] + [k for k in rows[0]
-                                              if k != config.sweep.parameter]
+        # every row starts with the parameter; a later point may add keys
+        columns = list(dict.fromkeys(k for row in rows for k in row))
         sweep_payload = {"parameter": config.sweep.parameter,
                          "columns": columns, "rows": rows}
         invariants = [

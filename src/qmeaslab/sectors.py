@@ -15,9 +15,8 @@ for them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -421,27 +420,19 @@ def _op_product_hermitian(a, b, layout: HilbertLayout):
     return 0.5 * (prod + prod.conj().T)
 
 
-@dataclass(frozen=True)
-class _ClosedFamily:
-    """Generators then their pairwise Hermitian products, in sweep order.
-    Members built only from KronObservables are stacked: row r of
-    kron_system and kron_field is the member at position kron_at[r]
+class _ClosedFamily(NamedTuple):
+    """Generators then their pairwise Hermitian products, in sweep order:
+    member g + p is herm(G_i[p] G_j[p]) for g generators, the pairs in
+    np.triu_indices order.  Members built only from KronObservables are
+    stacked: row r of system and field is the member at position at[r]
     (ascending).  Every other member is its own operator in `other`."""
 
-    names: tuple[str, ...]
-    kron_at: np.ndarray
-    kron_system: np.ndarray
-    kron_field: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    at: np.ndarray
+    system: np.ndarray
+    field: np.ndarray
     other: dict[int, object]
-
-    def member(self, k: int):
-        r = int(np.searchsorted(self.kron_at, k))
-        if r < self.kron_at.size and self.kron_at[r] == k:
-            return KronObservable(self.kron_system[r], self.kron_field[r])
-        return self.other[k]
-
-    def __iter__(self):
-        return ((name, self.member(k)) for k, name in enumerate(self.names))
 
 
 def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFamily:
@@ -449,34 +440,26 @@ def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFami
     exactly, because real diagonals commute, so all factored products come
     from one batched matmul and one elementwise product; a product with any
     other operator goes through `_op_product_hermitian`."""
-    gens = allowed.generators
+    gens = [op for _, op in allowed.generators]
     g = len(gens)
-    pairs = (list(itertools.combinations_with_replacement(range(g), 2))
-             if allowed.closure_depth >= 2 else [])
-    names = tuple(name for name, _ in gens) + tuple(
-        f"herm({gens[i][0]}*{gens[j][0]})" for i, j in pairs)
-    factored = [isinstance(op, KronObservable) for _, op in gens]
-    other = {k: op for k, (_, op) in enumerate(gens) if not factored[k]}
-    kron_pairs = []
-    for k, (i, j) in enumerate(pairs, start=g):
-        if factored[i] and factored[j]:
-            kron_pairs.append((k, i, j))
-        else:
-            other[k] = _op_product_hermitian(gens[i][1], gens[j][1], layout)
-    gen_rows = [i for i in range(g) if factored[i]]
-    kron_at = np.array(gen_rows + [k for k, _, _ in kron_pairs], dtype=int)
+    i, j = np.triu_indices(g if allowed.closure_depth >= 2 else 0)
+    factored = np.array([isinstance(op, KronObservable) for op in gens], dtype=bool)
+    both = factored[i] & factored[j]
+    at = np.concatenate([np.flatnonzero(factored), g + np.flatnonzero(both)])
+    other = {k: op for k, op in enumerate(gens) if not factored[k]}
+    for p in np.flatnonzero(~both):
+        other[g + int(p)] = _op_product_hermitian(gens[i[p]], gens[j[p]], layout)
+    kron = [op for op in gens if isinstance(op, KronObservable)]
     system = field = np.empty(0)
-    if gen_rows:
-        row = np.zeros(g, dtype=int)
-        row[gen_rows] = np.arange(len(gen_rows))
-        a = row[[i for _, i, _ in kron_pairs]]
-        b = row[[j for _, _, j in kron_pairs]]
-        system = np.stack([gens[i][1].system for i in gen_rows])
-        field = np.stack([gens[i][1].field for i in gen_rows])
+    if kron:
+        row = np.cumsum(factored) - 1  # stack row of each factored generator
+        a, b = row[i[both]], row[j[both]]
+        system = np.stack([op.system for op in kron])
+        field = np.stack([op.field for op in kron])
         prod = system[a] @ system[b]
         system = np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))])
         field = np.concatenate([field, field[a] * field[b]])
-    return _ClosedFamily(names, kron_at, system, field, other)
+    return _ClosedFamily(i, j, at, system, field, other)
 
 
 @dataclass(frozen=True)
@@ -485,11 +468,10 @@ class DiscriminationVerdict:
 
     max_deviation: float
     witness_name: str | None
-    distinguishable: bool
 
-    def __post_init__(self):
-        if self.distinguishable != (self.witness_name is not None):
-            raise StateError("witness must be present iff distinguishable")
+    @property
+    def distinguishable(self) -> bool:
+        return self.witness_name is not None
 
 
 def discriminate(pure: StateVector, branches: BranchDecomposition,
@@ -498,7 +480,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     family (generators plus pairwise Hermitian products, each normalized by
     its exact spectral norm), with the mixture given by its branches.  Members
     of norm <= tol are skipped; the first member reaching the maximum is the
-    witness.  Distinguishable iff the maximum exceeds tol."""
+    witness, and only its name is formatted.  Distinguishable iff the maximum
+    exceeds tol."""
     if pure.layout.labels != branches.layout.labels:
         raise StateError("pure state and mixture live on different layouts")
     if not allowed.generators:
@@ -506,13 +489,13 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     branches.validate(tol)
     allowed.validate(tol)
     family = _closed_family(allowed, pure.layout)
-    devs = np.zeros(len(family.names))
-    if family.kron_at.size:
-        system, field = family.kron_system, family.kron_field
-        norms = _kron_norms(system, field)
-        diff = _kron_deviations(system, field, pure, branches)
+    names = [name for name, _ in allowed.generators]
+    devs = np.zeros(len(names) + family.i.size)
+    if family.at.size:
+        norms = _kron_norms(family.system, family.field)
+        diff = _kron_deviations(family.system, family.field, pure, branches)
         seen = norms > tol
-        devs[family.kron_at[seen]] = diff[seen] / norms[seen]
+        devs[family.at[seen]] = diff[seen] / norms[seen]
     for k, op in family.other.items():
         norm = op_sup_norm(op, pure.layout)
         if norm > tol:
@@ -520,9 +503,11 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
                           - _branch_mean(op, branches).real) / norm
     k = int(np.argmax(devs))
     best = float(devs[k])
-    distinguishable = best > tol
-    return DiscriminationVerdict(best, family.names[k] if distinguishable else None,
-                                 distinguishable)
+    if best <= tol:
+        return DiscriminationVerdict(best, None)
+    p = k - len(names)
+    return DiscriminationVerdict(best, names[k] if p < 0 else
+                                 f"herm({names[family.i[p]]}*{names[family.j[p]]})")
 
 
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,

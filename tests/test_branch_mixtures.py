@@ -6,15 +6,18 @@ route is checked against the dense density matrix from `mixture_of`, and the
 scenario runs are checked never to build a density matrix at all.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from qmeaslab import hilbert
 from qmeaslab.chain import ChainModel, final_branches, full_passage
+from qmeaslab.pauli import hermitian_part
 from qmeaslab.radiation import (RadiationModel, build_final_state,
                                 full_observable, glauber_field_generators)
 from qmeaslab.scenarios import parse_config, run
-from qmeaslab.sectors import (CHAIN_PRESETS, _closed_family,
+from qmeaslab.sectors import (CHAIN_PRESETS,
                               chain_observable_preset, discriminate,
                               op_expectation, op_expectation_mixed, op_sup_norm)
 
@@ -30,6 +33,16 @@ def _presets(n):
             if n <= 5 or p not in ("all_strings", "sector_preserving")]
 
 
+def _closure(allowed):
+    """(name, op) of a Pauli-sum family in sweep order: the generators,
+    then the Hermitian parts of their pairwise products."""
+    gens = list(allowed.generators)
+    pairs = (itertools.combinations_with_replacement(gens, 2)
+             if allowed.closure_depth >= 2 else ())
+    return gens + [(f"herm({na}*{nb})", hermitian_part(a @ b))
+                   for (na, a), (nb, b) in pairs]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_branch_route_matches_dense_mixture(n):
     """op_expectation_mixed on every family member, and the discriminate
@@ -43,7 +56,7 @@ def test_branch_route_matches_dense_mixture(n):
     for preset_name in _presets(n):
         preset = chain_observable_preset(preset_name, n)
         rows = []
-        for name, op in _closed_family(preset, layout):
+        for name, op in _closure(preset):
             want = dense_expect_mixed(dense_of(op, layout), rho)
             assert abs(want.imag) <= 1e-12
             got = op_expectation_mixed(op, branches)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qmeaslab import radiation, sectors
+from qmeaslab.chain import ChainModel, final_branches, full_passage
 from qmeaslab.hilbert import BranchDecomposition, StateVector, mixture_of
 from qmeaslab.radiation import (RadiationModel,
                                 add_uncorrelated_mode, build_final_state,
@@ -14,14 +15,14 @@ from qmeaslab.radiation import (RadiationModel,
                                 number_op, quadrature_op,
                                 vacuum_pattern_connector,
                                 with_vacuum_connector)
-from qmeaslab.pauli import OperatorError
+from qmeaslab.pauli import OperatorError, PauliString, PauliSum
 from qmeaslab.scenarios import parse_config, run
-from qmeaslab.sectors import (KronObservable, _closed_family, _kron_deviations,
-                              _kron_gram, _kron_norms, _kron_values,
-                              op_expectation, op_expectation_mixed,
-                              op_is_hermitian, op_sup_norm)
+from qmeaslab.sectors import (KronObservable, ObservableSet, _closed_family,
+                              _kron_deviations, _kron_gram, _kron_norms,
+                              _kron_values, discriminate, op_expectation,
+                              op_expectation_mixed, op_is_hermitian, op_sup_norm)
 
-from oracles import (MATS, dense_expect, dense_expect_mixed,
+from oracles import (MATS, dense_expect, dense_expect_mixed, dense_of, kron_all,
                      random_amplitude_pair, reference_verdict)
 
 RNG = np.random.default_rng(161803)
@@ -226,17 +227,20 @@ class TestFactoredFamily:
         decomp = build_final_state(model)
         psi = decomp.state()
         rho = mixture_of(decomp).matrix
-        family = _closed_family(glauber_generators(model), layout)
+        glauber = glauber_generators(model)
+        family = _closed_family(glauber, layout)
         dense = _dense_closure(_dense_glauber(model))
-        assert family.names == tuple(name for name, _ in dense)
-        assert family.kron_at.size == len(dense)
-        system, field = family.kron_system, family.kron_field
+        names = [name for name, _ in glauber.generators]
+        names += [f"herm({names[i]}*{names[j]})" for i, j in zip(family.i, family.j)]
+        assert names == [name for name, _ in dense]
+        assert family.at.size == len(dense)
+        system, field = family.system, family.field
         gram = _kron_gram(psi.amplitudes, 4, model.field_dim())
         batched_pure = _kron_values(system, field, gram)
         batched_norms = _kron_norms(system, field)
-        for r, k in enumerate(family.kron_at):
+        for r, k in enumerate(family.at):
             name, q = dense[k]
-            op = family.member(int(k))
+            op = KronObservable(system[r], field[r])
             pure = dense_expect(q, psi.amplitudes).real
             norm = np.linalg.norm(q, ord=2)
             assert abs(op_expectation(op, psi) - pure) <= 1e-12, name
@@ -316,6 +320,42 @@ class TestFactoredFamily:
             "- {pattern: [0, 2], c: [0.7071067811865476, 40]}\n"))
         assert not report.failed_required()
         assert all(r.passed for r in report.invariants)
+
+
+def test_product_member_witness_names():
+    """In both families only herm(G_1 G_2) sees the coherence: Pauli sums
+    (the per-operator route) and KronObservables (the stacked route) name
+    the product witness from its pair and agree with a dense closure."""
+    a1, a2 = np.sqrt(0.3), np.sqrt(0.7) * np.exp(0.4j)
+    chain = ChainModel(1, a1, a2)
+    paulis = ObservableSet("paulis", tuple(
+        (name, PauliSum.from_string(PauliString.single(label, letter)))
+        for name, label, letter in (("Z0", "S0", "Z"), ("X0", "S0", "X"),
+                                    ("Y1", "A1", "Y"))))
+    paulis_dense = [(name, dense_of(op, chain.layout)) for name, op in paulis.generators]
+    layout = single_photon_model().layout  # path, lattice, one mode of dim 2
+    e = np.eye(layout.dim)
+    branches = BranchDecomposition(layout, ((a1, StateVector(layout, e[0])),
+                                            (a2, StateVector(layout, e[6]))))
+    letters = (("ZI", "Z", "I"), ("XI", "X", "I"), ("IX", "I", "X"))
+    krons = ObservableSet("krons", tuple(
+        (name, KronObservable(np.kron(MATS[p], MATS[q]), np.ones(2)))
+        for name, p, q in letters))
+    krons_dense = [(name, kron_all([MATS[p], MATS[q], MATS["I"]]))
+                   for name, p, q in letters]
+    cases = [(paulis, paulis_dense, full_passage(chain), final_branches(chain),
+              "herm(X0*Y1)"),
+             (krons, krons_dense, branches.state(), branches, "herm(XI*IX)")]
+    for allowed, gens, psi, mixture, witness in cases:
+        rho = mixture_of(mixture).matrix
+        best, best_name = reference_verdict([
+            (name, dense_expect(q, psi.amplitudes).real,
+             dense_expect_mixed(q, rho).real, np.linalg.norm(q, ord=2))
+            for name, q in _dense_closure(gens)])
+        verdict = discriminate(psi, mixture, allowed)
+        assert verdict.witness_name == best_name == witness
+        assert abs(verdict.max_deviation - best) <= 1e-12
+        assert abs(verdict.max_deviation - 2 * abs((np.conj(a1) * a2).real)) <= 1e-12
 
 
 class TestVacuumConnector:

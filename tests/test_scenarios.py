@@ -161,9 +161,10 @@ class TestParseConfig:
 
         model = RadiationModel(modes=modes, cutoff=cutoff,
                                photon_amplitudes=(((1,) + (0,) * (modes - 1), 1.0),))
-        family = _closed_family(glauber_generators(model), model.layout)
-        assert family.kron_field.shape == (len(family.names), cutoff ** modes)
-        assert _glauber_family_entries(modes, cutoff) == family.kron_field.size
+        glauber = glauber_generators(model)
+        family = _closed_family(glauber, model.layout)
+        assert family.field.shape == (len(glauber) + family.i.size, cutoff ** modes)
+        assert _glauber_family_entries(modes, cutoff) == family.field.size
 
     def test_widest_admitted_glauber_family(self):
         # the background check's family on 4 modes at cutoff 3 has
@@ -354,6 +355,20 @@ class TestEmission:
         assert header[0] == "a2_phase_deg"
         assert "b_pure" in header
         assert len(rows1) == 6  # header + 5 points
+
+    def test_sweep_columns_cover_every_point(self):
+        # only the 90 degree point reports b_mixed: it still gets a column,
+        # and the points without it get empty CSV cells
+        cfg = parse_config(
+            "scenario: ch-basic\nn_atoms: 2\nformat: csv\n"
+            "sweep: {parameter: theta_deg, start: 0, stop: 90, steps: 3}\n")
+        report = run(cfg)
+        lines = emit(report, "csv").decode().splitlines()
+        header = lines[0].split(",")
+        assert header == report.sweep["columns"]
+        assert "b_mixed" in header
+        cells = [line.split(",")[header.index("b_mixed")] for line in lines[1:]]
+        assert cells == ["", "", repr(report.sweep["rows"][2]["b_mixed"])]
 
     def test_csv_single_run(self):
         cfg = parse_config("scenario: growth\nformat: csv\n")
