@@ -29,8 +29,8 @@ rho_mixed = mixture_of(branches)
 z0 = PauliSum.from_string(PauliString.single("S0", "Z"))
 sectors = joint_sectors([z0, pointer_operator(N)], model.layout)
 print(f"joint (sigma0_z, mu_z) sectors at N={N}: "
-      f"{len(sectors.projectors)} sectors, completeness residual "
-      f"{sectors.completeness_residual():.1e}")
+      f"{len(sectors.projectors)} sectors of ranks "
+      f"{[p.rank for p in sectors.projectors]}")
 
 decohered = sector_decohere(rho_pure, sectors)
 print(f"sector-decohered pure state equals the branch mixture to "

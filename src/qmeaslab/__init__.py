@@ -19,8 +19,8 @@ from .chain import (ChainModel, StrictMeasurementReport, closed_form_final,
                     it_operator, passage_step, pointer_operator, strict_check)
 from .sectors import (DiscriminationVerdict, ObservableSet, Projector,
                       SectorDecomposition, chain_observable_preset,
-                      discriminate, joint_sectors, pointer_sectors,
-                      restricted_algebra, sector_decohere, structure_residual)
+                      discriminate, joint_sectors, restricted_algebra,
+                      sector_decohere, structure_residual)
 from .cascade import (BranchConnector, CascadeModel, build_B2_flip_sum,
                       b_eigenbranches, information_tradeoff, joint_it_operator,
                       run_cascade, second_chain_measure, unmeasured_it_exists)

@@ -120,33 +120,26 @@ class BranchConnector:
     def support(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
         """Qubit labels the operator acts on nontrivially.
 
-        A label is trivial iff the commutators with X and Z there vanish;
-        Frobenius norms come from Gram matrices of the branch vectors, no
-        dense matrices involved.
+        A label is trivial iff the commutators with X and Z there vanish.
+        For a Hermitian involution A, ||[T, A]||_F^2 = 2 tr(T^2) - 2 tr(TATA)
+        = 4 (Re s^2 + n1 n2 - Re u^2 - v w) with s = <chi1|chi2>,
+        n_i = <chi_i|chi_i>, u = <chi1|A|chi2>, v = <chi1|A|chi1> and
+        w = <chi2|A|chi2>: five inner products, no dense matrices.
         """
+        c1, c2 = self.chi1.amplitudes, self.chi2.amplitudes
+        s = np.vdot(c1, c2)
+        t_sq = np.real(s * s) + np.vdot(c1, c1).real * np.vdot(c2, c2).real
         labels = []
         for sub in self.layout.subsystems:
-            nontrivial = False
             for letter in ("X", "Z"):
                 op = PauliString.single(sub.label, letter)
                 a1 = apply(op, self.chi1).amplitudes
                 a2 = apply(op, self.chi2).amplitudes
-                # [T, A] = |chi1><A chi2| - |A chi1><chi2|
-                #        + |chi2><A chi1| - |A chi2><chi1|
-                us = [self.chi1.amplitudes, a1, self.chi2.amplitudes, a2]
-                vs = [a2, self.chi2.amplitudes, a1, self.chi1.amplitudes]
-                cs = [1.0, -1.0, 1.0, -1.0]
-                norm_sq = 0.0
-                for s in range(4):
-                    for t in range(4):
-                        norm_sq += np.real(cs[s] * np.conj(cs[t])
-                                           * np.vdot(us[t], us[s])
-                                           * np.vdot(vs[s], vs[t]))
-                if norm_sq > tol:
-                    nontrivial = True
+                u = np.vdot(c1, a2)
+                v, w = np.vdot(c1, a1).real, np.vdot(c2, a2).real
+                if 4.0 * (t_sq - np.real(u * u) - v * w) > tol:
+                    labels.append(sub.label)
                     break
-            if nontrivial:
-                labels.append(sub.label)
         return tuple(labels)
 
 

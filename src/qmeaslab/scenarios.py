@@ -331,6 +331,11 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
         if tol >= max(mags):  # a branch is kept only where its amplitude exceeds tol
             raise ConfigError(f"tolerance: requires tolerance < max(|a1|, |a2|) = "
                               f"{max(mags)} so that a branch is kept, got {tol!r}")
+        if scenario == "rd-basic" and min(mags) <= tol:
+            # one branch leaves no superposition for the vacuum connector
+            raise ConfigError(
+                "a1/a2: rd-basic needs two branches, i.e. min(|a1|, |a2|) > "
+                f"tolerance {tol}, got {min(mags)}")
     if scenario == "ch-cascade":
         # recording B splits the state into eigenbranches of weight
         # (1 +- <B>)/2 with |<B>| = |2 Re(a1* a2)|; one branch leaves no

@@ -1,7 +1,8 @@
 """Sector decompositions, restricted observable algebras, and the operational
 pure/mixed discrimination engine.
 
-A sector decomposition is a complete family of orthogonal projectors.
+A sector decomposition is a partition of the computational basis: one
+sector label per basis state, and one mask projector per sector.
 Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
@@ -16,6 +17,7 @@ for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,85 +40,38 @@ class SectorError(ValueError):
 
 @dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector, stored as a basis mask (diagonal) or a dense
-    matrix.  Masks stay exact at any dimension; a mask's dense realization
-    obeys the dense cap."""
+    """Orthogonal projector onto the basis states of a mask.  Exact at any
+    dimension; its dense realization obeys the dense cap."""
 
     layout: HilbertLayout
-    mask: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    mask: np.ndarray
     name: str = "P"
 
     def __post_init__(self):
-        if (self.mask is None) == (self.matrix is None):
-            raise SectorError("projector needs exactly one of mask or matrix")
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool).copy()
-            if m.shape != (self.layout.dim,):
-                raise SectorError("mask length does not match layout dimension")
-            m.setflags(write=False)
-            object.__setattr__(self, "mask", m)
-        else:
-            mat = np.asarray(self.matrix, dtype=complex).copy()
-            d = self.layout.dim
-            if mat.shape != (d, d):
-                raise SectorError("projector matrix shape does not match layout")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def from_mask(cls, layout: HilbertLayout, mask, name: str = "P") -> "Projector":
-        return cls(layout, mask=np.asarray(mask, dtype=bool), name=name)
-
-    @classmethod
-    def from_matrix(cls, layout: HilbertLayout, matrix, name: str = "P") -> "Projector":
-        return cls(layout, matrix=matrix, name=name)
-
-    @classmethod
-    def from_span(cls, states: Sequence[StateVector], name: str = "P") -> "Projector":
-        if not states:
-            raise SectorError("span projector needs at least one state")
-        layout = states[0].layout
-        vecs = np.column_stack([s.amplitudes for s in states])
-        q, _ = np.linalg.qr(vecs)
-        return cls(layout, matrix=q @ q.conj().T, name=name)
+        m = np.asarray(self.mask, dtype=bool).copy()
+        if m.shape != (self.layout.dim,):
+            raise SectorError("mask length does not match layout dimension")
+        m.setflags(write=False)
+        object.__setattr__(self, "mask", m)
 
     @property
     def rank(self) -> int:
-        if self.mask is not None:
-            return int(self.mask.sum())
-        return int(round(float(np.real(np.trace(self.matrix)))))
+        return int(self.mask.sum())
 
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        if self.mask is not None:
-            return np.where(self.mask, vec, 0.0)
-        return self.matrix @ vec
-
-    def conjugate(self, rho: np.ndarray) -> np.ndarray:
-        """P rho P."""
-        if self.mask is not None:
-            keep = self.mask.astype(float)
-            return rho * np.outer(keep, keep)
-        return self.matrix @ rho @ self.matrix
+        return np.where(self.mask, vec, 0.0)
 
     def to_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return np.asarray(self.matrix)
         check_dense_dim(self.layout, "projector")
         return np.diag(self.mask.astype(complex))
 
-    def idempotency_residual(self) -> float:
-        if self.mask is not None:
-            return 0.0
-        return float(np.linalg.norm(self.matrix @ self.matrix - self.matrix))
-
     def commutes_with(self, op, tol: float = DEFAULT_TOL) -> bool:
-        """Exact permutation test for single strings on masks; dense
-        commutator (under the cap) otherwise."""
-        if self.mask is not None and isinstance(op, PauliString):
+        """Exact permutation test for single strings and term by term for
+        sums; dense commutator (under the cap) otherwise."""
+        if isinstance(op, PauliString):
             pi, _ = _string_action(op, self.layout)
             return bool(np.array_equal(self.mask[pi], self.mask))
-        if self.mask is not None and isinstance(op, PauliSum):
+        if isinstance(op, PauliSum):
             termwise = all(self.commutes_with(s, tol) for _, s in op.terms)
             # termwise preservation is sufficient, and exact for one term
             if termwise or len(op.terms) == 1:
@@ -128,116 +83,80 @@ class Projector:
 
 @dataclass(frozen=True)
 class SectorDecomposition:
-    """Orthogonal projectors summing to identity, one per sector, labeled by
-    the pointer eigenvalue they collect (when known)."""
+    """A partition of the basis: `labels[i]` is the sector of basis state i,
+    `names[k]` names sector k, and `eigenvalues[k]` is the pointer
+    eigenvalue it collects (when known)."""
 
     layout: HilbertLayout
-    projectors: tuple[Projector, ...]
+    labels: np.ndarray
+    names: tuple[str, ...]
     eigenvalues: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "projectors", tuple(self.projectors))
+        labels, names = np.array(self.labels), tuple(self.names)
+        if labels.shape != (self.layout.dim,):
+            raise SectorError("labels length does not match layout dimension")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise SectorError(f"sector labels must be integers, got {labels.dtype}")
+        if labels.min() < 0 or labels.max() >= len(names):
+            raise SectorError(f"sector labels must lie in 0..{len(names) - 1}")
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "names", names)
         if self.eigenvalues is not None:
             object.__setattr__(self, "eigenvalues", tuple(self.eigenvalues))
-            if len(self.eigenvalues) != len(self.projectors):
-                raise SectorError("one eigenvalue per projector required")
+            if len(self.eigenvalues) != len(names):
+                raise SectorError("one eigenvalue per sector required")
 
-    def validate(self, tol: float = DEFAULT_TOL) -> "SectorDecomposition":
-        if not self.projectors:
-            raise SectorError("empty sector decomposition")
-        if all(p.mask is not None for p in self.projectors):
-            total = np.zeros(self.layout.dim, dtype=int)
-            for p in self.projectors:
-                total += p.mask.astype(int)
-            if not np.array_equal(total, np.ones_like(total)):
-                raise SectorError("masks do not partition the basis")
-            return self
-        mats = [p.to_matrix() for p in self.projectors]
-        eye = np.eye(self.layout.dim)
-        if float(np.linalg.norm(sum(mats) - eye)) > tol:
-            raise SectorError("projectors do not sum to identity")
-        for i, a in enumerate(mats):
-            if float(np.linalg.norm(a @ a - a)) > tol:
-                raise SectorError(f"projector {i} is not idempotent")
-            for b in mats[i + 1:]:
-                if float(np.linalg.norm(a @ b)) > tol:
-                    raise SectorError("projectors are not mutually orthogonal")
-        return self
-
-    def completeness_residual(self) -> float:
-        if all(p.mask is not None for p in self.projectors):
-            total = sum(p.mask.astype(float) for p in self.projectors)
-            return float(np.linalg.norm(total - 1.0))
-        mats = [p.to_matrix() for p in self.projectors]
-        return float(np.linalg.norm(sum(mats) - np.eye(self.layout.dim)))
+    @cached_property
+    def projectors(self) -> tuple[Projector, ...]:
+        # cached: restricted_algebra reads it once per candidate
+        return tuple(Projector(self.layout, self.labels == k, name)
+                     for k, name in enumerate(self.names))
 
 
-def _grouped_sectors(layout: HilbertLayout, values: np.ndarray,
-                     vecs: np.ndarray | None = None) -> SectorDecomposition:
-    """Sectors of the rows of `values` (one row per basis index, or per
-    eigenvector column of `vecs`; one column per pointer) grouped by their
-    entries rounded to DEGENERACY_TOL, in descending order, each named and
-    labeled by its first row: basis masks, or spans of the eigenvectors."""
+def _grouped_sectors(layout: HilbertLayout, values: np.ndarray) -> SectorDecomposition:
+    """Sectors of the rows of `values` (one row per basis index, one column
+    per pointer) grouped by their entries rounded to DEGENERACY_TOL, in
+    descending order, each named and labeled by its first row."""
     _, first, group = np.unique(np.round(values / DEGENERACY_TOL), axis=0,
                                 return_index=True, return_inverse=True)
-    group, projectors = group.reshape(-1), []
-    for g in reversed(range(len(first))):
-        name = "P(" + ",".join(f"{v:g}" for v in values[first[g]]) + ")"
-        if vecs is None:
-            projectors.append(Projector.from_mask(layout, group == g, name))
-        else:
-            block = vecs[:, group == g]
-            projectors.append(Projector.from_matrix(layout, block @ block.conj().T, name))
-    eigenvalues = [float(values[i, 0]) for i in first[::-1]] if values.shape[1] == 1 else None
-    return SectorDecomposition(layout, tuple(projectors), eigenvalues)
-
-
-def pointer_sectors(pointer: PauliSum, layout: HilbertLayout,
-                    tol: float = DEFAULT_TOL) -> SectorDecomposition:
-    """Spectral projectors of a Hermitian pointer, grouped by eigenvalue
-    (descending).  {I,Z}-supported pointers use the exact diagonal path."""
-    if not pointer.is_hermitian(tol):
-        raise OperatorError(f"pointer is not Hermitian: {format_sum(pointer)}")
-    if _is_z_diagonal(pointer):
-        return _grouped_sectors(layout, np.real(_diagonal_values(pointer, layout))[:, None])
-    vals, vecs = np.linalg.eigh(sum_matrix(pointer, layout))
-    return _grouped_sectors(layout, vals[:, None], vecs)
+    first = first[::-1]
+    names = ["P(" + ",".join(f"{v:g}" for v in values[i]) + ")" for i in first]
+    eigenvalues = [float(values[i, 0]) for i in first] if values.shape[1] == 1 else None
+    return SectorDecomposition(layout, len(first) - 1 - group.reshape(-1), names,
+                               eigenvalues)
 
 
 def joint_sectors(pointers: Sequence[PauliSum], layout: HilbertLayout) -> SectorDecomposition:
-    """Joint eigenvalue sectors of a commuting {I,Z}-supported family."""
+    """Joint eigenvalue sectors of a commuting family of Hermitian
+    {I,Z}-supported pointers, in descending order."""
     if not pointers:
         raise SectorError("joint_sectors needs at least one pointer")
     for p in pointers:
         if not _is_z_diagonal(p):
             raise SectorError("joint sectors are implemented for Z-diagonal pointers")
+        if not p.is_hermitian():
+            raise OperatorError(f"pointer is not Hermitian: {format_sum(p)}")
     return _grouped_sectors(layout, np.stack(
         [np.real(_diagonal_values(p, layout)) for p in pointers], axis=1))
 
 
-def structure_residual(state: StateVector, projectors: Sequence[Projector],
-                       tol: float = DEFAULT_TOL) -> float:
+def structure_residual(state: StateVector, projectors: Sequence[Projector]) -> float:
     """||(prod_j P_j) psi - psi||; zero iff psi is a +1 eigenstate of every
     P_j, i.e. the structure-conservation condition holds."""
-    for p in projectors:
-        r = p.idempotency_residual()
-        if r > tol:
-            raise SectorError(f"projector {p.name} not idempotent (residual {r})")
     vec = state.amplitudes
     for p in projectors:
         vec = p.apply_vec(vec)
     return float(np.linalg.norm(vec - state.amplitudes))
 
 
-def sector_decohere(rho: DensityMatrix, sectors: SectorDecomposition,
-                    tol: float = DEFAULT_TOL) -> DensityMatrix:
+def sector_decohere(rho: DensityMatrix, sectors: SectorDecomposition) -> DensityMatrix:
     """sum_k P_k rho P_k: deletes intersector coherences, preserves trace,
     idempotent."""
-    sectors.validate(tol)
-    out = np.zeros_like(rho.matrix)
-    for p in sectors.projectors:
-        out = out + p.conjugate(rho.matrix)
-    return DensityMatrix(rho.layout, out)
+    labels = sectors.labels
+    return DensityMatrix(rho.layout, np.where(labels[:, None] == labels[None, :],
+                                              rho.matrix, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,41 @@ class TestJointITOperator:
         assert abs(t.expectation_mixed(rho)
                    - np.trace(rho.matrix @ mat).real) < 1e-12
 
+    def test_support_matches_dense_commutators(self):
+        # a label is kept iff ||[T, X]||^2 or ||[T, Z]||^2 there exceeds tol.
+        # A nonzero rank-2 T is never the identity on a qubit, so at the
+        # default tol the support is the whole layout; a tol between two
+        # labels' dense norms leaves a strict, nonempty subset
+        rng = np.random.default_rng(31)
+        layout = HilbertLayout.qubits(["q0", "q1", "q2", "q3"])
+        labels = tuple(layout.labels)
+
+        def unit(n):
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            return v / np.linalg.norm(v)
+
+        up = np.array([1.0, 0.0])
+        pairs = [(unit(16), unit(16)) for _ in range(3)]
+        # |u> on q0 in both vectors: [T, Z_q0] = 0 exactly
+        pairs += [(np.kron(up, unit(8)), np.kron(up, unit(8))) for _ in range(3)]
+        for c1, c2 in pairs:
+            t = BranchConnector(StateVector(layout, c1), StateVector(layout, c2))
+            mat = t.to_matrix()
+            norms = {}
+            for label in labels:
+                ops = (dense_of(PauliString.single(label, a), layout) for a in "XZ")
+                norms[label] = max(np.linalg.norm(mat @ a - a @ mat) ** 2 for a in ops)
+            assert t.support() == labels
+            levels = sorted(norms.values())
+            for lo, hi in zip(levels, levels[1:]):
+                assert hi - lo > 1e-9 * hi
+                kept = t.support(0.5 * (lo + hi))
+                assert kept == tuple(lb for lb in labels if norms[lb] > 0.5 * (lo + hi))
+                assert 0 < len(kept) < len(labels)
+        c = unit(16)
+        zero = BranchConnector(StateVector(layout, c), StateVector(layout, 1j * c))
+        assert zero.support() == ()
+
 
 class TestTerminalWitness:
     def test_m2_support_covers_everything(self):

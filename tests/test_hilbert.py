@@ -180,17 +180,16 @@ class TestMixture:
 
     def test_mixture_equals_projected_pure(self):
         # cross-check: sum_k P_k |psi><psi| P_k with the branch projectors
-        from qmeaslab.sectors import Projector, SectorDecomposition, sector_decohere
+        from qmeaslab.sectors import SectorDecomposition, sector_decohere
 
         decomp = build_premeasurement(0.6, 0.8j, [(u("D"), d("D"))])
         psi = decomp.state()
         (_, b1), (_, b2) = decomp.branches
-        p1 = Projector.from_span([b1], "P1")
-        p2 = Projector.from_span([b2], "P2")
-        rest = Projector.from_matrix(
-            psi.layout,
-            np.eye(psi.layout.dim) - p1.to_matrix() - p2.to_matrix(), "rest")
-        sectors = SectorDecomposition(psi.layout, (p1, p2, rest))
+        # both branches are basis states: one sector each, the rest a third
+        labels = np.full(psi.layout.dim, 2)
+        labels[np.flatnonzero(b1.amplitudes)] = 0
+        labels[np.flatnonzero(b2.amplitudes)] = 1
+        sectors = SectorDecomposition(psi.layout, labels, ("P1", "P2", "rest"))
         projected = sector_decohere(psi.to_density(), sectors)
         np.testing.assert_allclose(projected.matrix, mixture_of(decomp).matrix,
                                    atol=1e-12)

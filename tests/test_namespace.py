@@ -21,7 +21,7 @@ PUBLIC_NAMES = (
     "initial_state", "it_commutator_audit", "it_operator", "joint_it_operator",
     "joint_sectors", "mixture_of", "multiply", "number_op", "parse_config",
     "parse_sum", "partial_trace", "passage_step", "pointer_operator",
-    "pointer_sectors", "quadrature_op", "qubit_state", "restricted_algebra",
+    "quadrature_op", "qubit_state", "restricted_algebra",
     "run", "run_cascade", "second_chain_measure", "sector_decohere",
     "strict_check", "string_matrix", "structure_residual", "sum_matrix",
     "tensor", "unmeasured_it_exists", "vacuum_pattern_connector",
@@ -32,5 +32,5 @@ PUBLIC_NAMES = (
 def test_public_names_are_pinned():
     public = {name for name, value in vars(qmeaslab).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_NAMES) == 74
+    assert len(PUBLIC_NAMES) == 73
     assert public == set(PUBLIC_NAMES)

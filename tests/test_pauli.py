@@ -189,7 +189,7 @@ class TestApply:
         mask = np.array([base[layout.index_of(
             [0 if k == first else d for k, d in enumerate(layout.assignment_of(i))])]
             for i in range(layout.dim)])
-        proj = Projector.from_mask(layout, mask)
+        proj = Projector(layout, mask)
         z_terms = []
         for bare in all_strings(qubits):
             for ipower in range(4):

@@ -13,7 +13,7 @@ from qmeaslab.cascade import _record_rows
 from qmeaslab.chain import ChainModel, closed_form_final, final_branches, pointer_operator
 from qmeaslab.hilbert import (BranchDecomposition, HilbertLayout, StateError,
                               StateVector, _check_branch_rows, basis_state)
-from qmeaslab.sectors import joint_sectors, pointer_sectors
+from qmeaslab.sectors import joint_sectors
 
 SQ = math.sqrt(0.5)
 # ch-basic at 2 atoms, 1e-12 degrees from the complete flip: inside the old
@@ -133,13 +133,9 @@ def test_unit_branch_rule():
 # the pointer-eigenvalue grouping
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_pointer_and_joint_sectors_group_alike(n):
+def test_pointer_eigenvalue_grouping(n):
     layout = HilbertLayout.qubits(["S0"] + [f"A{i}" for i in range(1, n + 1)])
-    mu = pointer_operator(n)
-    single, joint = pointer_sectors(mu, layout), joint_sectors([mu], layout)
-    assert [p.name for p in single.projectors] == [p.name for p in joint.projectors]
-    for p, q in zip(single.projectors, joint.projectors, strict=True):
-        np.testing.assert_array_equal(p.mask, q.mask)
+    sec = joint_sectors([pointer_operator(n)], layout)
     # descending eigenvalues (n - 2k)/n with binomial multiplicities
-    assert single.eigenvalues == pytest.approx([(n - 2 * k) / n for k in range(n + 1)])
-    assert [p.rank for p in single.projectors] == [2 * math.comb(n, k) for k in range(n + 1)]
+    assert sec.eigenvalues == pytest.approx([(n - 2 * k) / n for k in range(n + 1)])
+    assert [p.rank for p in sec.projectors] == [2 * math.comb(n, k) for k in range(n + 1)]

@@ -501,6 +501,15 @@ def test_tolerance_that_would_crash_run_is_refused(text):
         parse_config(text)
 
 
+@pytest.mark.parametrize("a1, a2", [
+    ("[0.0, 0]", "[1.0, 0]"), ("[1.0, 0]", "[0.0, 0]"), ("[1.0, 0]", "[1.0e-13, 30]"),
+])
+def test_one_branch_radiation_state_is_refused(a1, a2):
+    # one branch leaves no superposition for the vacuum connector to discriminate
+    with pytest.raises(ConfigError, match=r"a1/a2: rd-basic needs two branches"):
+        parse_config(f"scenario: rd-basic\na1: {a1}\na2: {a2}\n")
+
+
 @pytest.mark.parametrize("text", [
     *(f"scenario: {s}\n" for s in SCENARIOS),
     "scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\n",

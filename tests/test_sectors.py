@@ -3,15 +3,14 @@ import pytest
 
 from qmeaslab.chain import (ChainModel, final_branches, full_passage,
                             it_operator, pointer_operator)
-from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, StateVector,
-                              basis_state, mixture_of)
+from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, basis_state,
+                              mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
                             expectation, expectation_mixed, string_matrix)
-from qmeaslab.sectors import (ObservableSet, Projector,
+from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               SectorError, chain_observable_preset,
-                              discriminate, joint_sectors, pointer_sectors,
-                              restricted_algebra, sector_decohere,
-                              structure_residual)
+                              discriminate, joint_sectors, restricted_algebra,
+                              sector_decohere, structure_residual)
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
 
@@ -27,13 +26,13 @@ class TestStructureResidual:
     def test_inside_joint_eigenspace(self):
         layout = chain_layout(1)
         mask = np.array([True, True, False, False])
-        p = Projector.from_mask(layout, mask)
+        p = Projector(layout, mask)
         psi = basis_state(layout, [0, 1])
         assert structure_residual(psi, [p]) == 0.0
 
     def test_fully_rejected(self):
         layout = chain_layout(1)
-        p = Projector.from_mask(layout, np.array([True, False, False, False]))
+        p = Projector(layout, np.array([True, False, False, False]))
         psi = basis_state(layout, [1, 1])
         assert structure_residual(psi, [p]) == 1.0
 
@@ -42,21 +41,40 @@ class TestStructureResidual:
         a1, a2 = 0.6, 0.8j
         model = ChainModel(2, a1, a2)
         psi = full_passage(model)
-        sectors = pointer_sectors(pointer_operator(2), model.layout)
+        sectors = joint_sectors([pointer_operator(2)], model.layout)
         p_plus = sectors.projectors[0]
         assert abs(structure_residual(psi, [p_plus]) - abs(a2)) < 1e-12
 
-    def test_non_idempotent_rejected(self):
+
+class TestSectorDecomposition:
+    def test_labels_partition_the_basis(self):
         layout = chain_layout(1)
-        p = Projector.from_matrix(layout, 0.5 * np.eye(4))
-        with pytest.raises(SectorError, match="idempotent"):
-            structure_residual(basis_state(layout, [0, 0]), [p])
+        sec = SectorDecomposition(layout, [1, 0, 1, 1], ("P0", "P1"), (0.5, -0.5))
+        assert [p.name for p in sec.projectors] == ["P0", "P1"]
+        assert [p.rank for p in sec.projectors] == [1, 3]
+        assert sec.projectors is sec.projectors
+        np.testing.assert_array_equal(
+            sum(p.mask.astype(int) for p in sec.projectors), np.ones(layout.dim))
+
+    @pytest.mark.parametrize("labels, names, eigenvalues, match", [
+        ([0, 0, 1], ("a", "b"), None, "labels length"),
+        ([[0, 0], [1, 1]], ("a", "b"), None, "labels length"),
+        ([0.0, 0.0, 1.0, 1.0], ("a", "b"), None, "integers"),
+        ([True, False, True, False], ("a", "b"), None, "integers"),
+        ([0, 1, 2, 1], ("a", "b"), None, r"0\.\.1"),
+        ([0, -1, 0, 1], ("a", "b"), None, r"0\.\.1"),
+        ([0, 0, 0, 0], (), None, r"0\.\.-1"),
+        ([0, 1, 0, 1], ("a", "b"), (1.0,), "one eigenvalue per sector"),
+    ])
+    def test_constructor_refuses(self, labels, names, eigenvalues, match):
+        with pytest.raises(SectorError, match=match):
+            SectorDecomposition(chain_layout(1), labels, names, eigenvalues)
 
 
 class TestPointerSectors:
     def test_mu_z_n1_two_rank2_sectors(self):
         layout = chain_layout(1)
-        sec = pointer_sectors(pointer_operator(1), layout)
+        sec = joint_sectors([pointer_operator(1)], layout)
         assert sec.eigenvalues == (1.0, -1.0)
         assert [p.rank for p in sec.projectors] == [2, 2]
         # oracle: dense eigendecomposition
@@ -66,13 +84,13 @@ class TestPointerSectors:
 
     def test_identity_single_sector(self):
         layout = chain_layout(1)
-        sec = pointer_sectors(PauliSum.identity(), layout)
+        sec = joint_sectors([PauliSum.identity()], layout)
         assert len(sec.projectors) == 1
         assert sec.projectors[0].rank == layout.dim
 
     def test_mu_z_n2_three_sectors(self):
         layout = chain_layout(2)
-        sec = pointer_sectors(pointer_operator(2), layout)
+        sec = joint_sectors([pointer_operator(2)], layout)
         assert sec.eigenvalues == (1.0, 0.0, -1.0)
         oracle = eigo_projectors(dense_of(pointer_operator(2), layout))
         assert len(oracle) == 3
@@ -80,26 +98,24 @@ class TestPointerSectors:
             assert abs(ov - v) < 1e-12
             np.testing.assert_allclose(p.to_matrix(), om, atol=1e-12)
 
-    def test_dense_path_for_non_diagonal_pointer(self):
+    def test_non_diagonal_pointer_refused(self):
         layout = HilbertLayout.qubits(["q"])
         x = PauliSum.from_string(PauliString.single("q", "X"))
-        sec = pointer_sectors(x, layout)
-        assert sec.eigenvalues == (1.0, -1.0)
-        for (ov, om), p in zip(eigo_projectors(dense_of(x, layout)), sec.projectors):
-            np.testing.assert_allclose(p.to_matrix(), om, atol=1e-12)
+        with pytest.raises(SectorError, match="Z-diagonal"):
+            joint_sectors([x], layout)
 
-    def test_completeness_residual(self):
-        for n in (1, 2, 3):
-            layout = chain_layout(n)
-            sec = pointer_sectors(pointer_operator(n), layout)
-            assert sec.completeness_residual() <= 1e-12
-            sec.validate()
+    def test_non_hermitian_pointer_refused(self):
+        layout = chain_layout(1)
+        z0 = PauliSum.from_string(PauliString.single("S0", "Z"))
+        iz = PauliSum.from_string(PauliString.single("A1", "Z"), 1j)
+        with pytest.raises(OperatorError, match="not Hermitian"):
+            joint_sectors([z0, iz], layout)
 
 
 class TestSectorDecohere:
     def test_block_diagonal_fixed_point(self):
         layout = chain_layout(1)
-        sec = pointer_sectors(pointer_operator(1), layout)
+        sec = joint_sectors([pointer_operator(1)], layout)
         rho = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
         out = sector_decohere(DensityMatrix(layout, rho), sec)
         np.testing.assert_allclose(out.matrix, rho)
@@ -109,7 +125,7 @@ class TestSectorDecohere:
         a1, a2 = random_amplitude_pair(RNG)
         model = ChainModel(2, a1, a2)
         psi = full_passage(model)
-        sec = pointer_sectors(pointer_operator(2), model.layout)
+        sec = joint_sectors([pointer_operator(2)], model.layout)
         out = sector_decohere(psi.to_density(), sec)
         mix = mixture_of(final_branches(model))
         np.testing.assert_allclose(out.matrix, mix.matrix, atol=1e-12)
@@ -119,7 +135,7 @@ class TestSectorDecohere:
 
     def test_purity_never_increases(self):
         layout = chain_layout(1)
-        sec = pointer_sectors(pointer_operator(1), layout)
+        sec = joint_sectors([pointer_operator(1)], layout)
         for _ in range(100):
             v = random_state(RNG, 4)
             w = random_state(RNG, 4)
@@ -131,7 +147,7 @@ class TestSectorDecohere:
 
     def test_idempotent(self):
         layout = chain_layout(2)
-        sec = pointer_sectors(pointer_operator(2), layout)
+        sec = joint_sectors([pointer_operator(2)], layout)
         v = random_state(RNG, 8)
         rho = DensityMatrix(layout, np.outer(v, v.conj()))
         once = sector_decohere(rho, sec)
@@ -140,10 +156,21 @@ class TestSectorDecohere:
 
     def test_trace_preserved(self):
         layout = chain_layout(2)
-        sec = pointer_sectors(pointer_operator(2), layout)
+        sec = joint_sectors([pointer_operator(2)], layout)
         v = random_state(RNG, 8)
         out = sector_decohere(DensityMatrix(layout, np.outer(v, v.conj())), sec)
         assert abs(np.trace(out.matrix) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_equals_projector_sum_exactly(self, n):
+        layout = chain_layout(n)
+        z0 = PauliSum.from_string(PauliString.single("S0", "Z"))
+        sec = joint_sectors([z0, pointer_operator(n)], layout)
+        v, w = random_state(RNG, layout.dim), random_state(RNG, layout.dim)
+        rho = DensityMatrix(layout, 0.6 * np.outer(v, v.conj())
+                            + 0.4 * np.outer(w, w.conj()))
+        dense = sum(p.to_matrix() @ rho.matrix @ p.to_matrix() for p in sec.projectors)
+        np.testing.assert_array_equal(sector_decohere(rho, sec).matrix, dense)
 
 
 class TestRestrictedAlgebra:
@@ -151,7 +178,7 @@ class TestRestrictedAlgebra:
         # P = |00><00|: X_a - X_a Z_b = 2 X_a |1><1|_b annihilates |00> and
         # its image, so it commutes with P although neither term does
         layout = HilbertLayout.qubits(["a", "b"])
-        p = Projector.from_mask(layout, [True, False, False, False])
+        p = Projector(layout, [True, False, False, False])
         xa = PauliString.single("a", "X")
         xa_zb = PauliString.from_map({"a": "X", "b": "Z"})
         assert not p.commutes_with(xa) and not p.commutes_with(xa_zb)
@@ -283,11 +310,11 @@ class TestPresets:
         pool = chain_observable_preset("pointer_only", 3)
         assert [n for n, _ in pool.generators] == ["mu_z"]
 
+    def test_sector_preserving_builds_no_dense_projector(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"dense projector {self.name} built")
 
-def test_from_span_projector():
-    layout = chain_layout(1)
-    v = random_state(RNG, 4)
-    p = Projector.from_span([StateVector(layout, v)])
-    assert p.idempotency_residual() < 1e-12
-    assert p.rank == 1
-    np.testing.assert_allclose(p.apply_vec(v), v, atol=1e-12)
+        monkeypatch.setattr(Projector, "to_matrix", refuse)
+        pool = chain_observable_preset("sector_preserving", 5)
+        assert len(pool) == 2 ** 6
+
