@@ -100,8 +100,8 @@ class PauliString:
         return "I"
 
     def bare(self) -> "PauliString":
-        """Same letters with phase +1."""
-        return PauliString(self.letters, 0)
+        """Same letters with phase +1 (self when the phase already is)."""
+        return self if self.ipower == 0 else PauliString(self.letters, 0)
 
     def dagger(self) -> "PauliString":
         return PauliString(self.letters, (-self.ipower) % 4)
@@ -239,20 +239,34 @@ def _check_qubit_support(op_support: Sequence[str], layout: HilbertLayout):
             raise OperatorError(f"qubit operator on non-qubit subsystem {label!r}")
 
 
+def _flips(op: PauliString) -> tuple[str, ...]:
+    """The labels op flips (its X and Y letters), in letter order: its basis
+    permutation depends on these alone, not on its Z letters or phase."""
+    return tuple(label for label, letter in op.letters if letter != "Z")
+
+
+def _flip_permutation(flips: Sequence[str], layout: HilbertLayout) -> np.ndarray:
+    """pi with pi[i] the basis index that flipping the qubits `flips` moves
+    index i to: each flip moves it by stride * sign[i] of the layout's flip
+    table.  Callers check that every label is a qubit of the layout."""
+    pi = np.arange(layout.dim)
+    for label in flips:
+        stride, sign = layout._qubit_flip(label)
+        pi = pi + stride * sign
+    return pi
+
+
 def _string_action(op: PauliString, layout: HilbertLayout):
     """pi, ph with op|e_i> = ph[i] |e_pi[i]> on the layout basis, read from
-    the layout's qubit flip tables: X/Y move index i by stride * sign[i],
-    Z/Y multiply the phase by sign[i] (times i for Y)."""
+    the layout's qubit flip tables: pi is the flip permutation of the X/Y
+    letters, and Z/Y multiply the phase by sign[i] (times i for Y)."""
     _check_qubit_support(op.support, layout)
-    pi = np.arange(layout.dim)
     ph = np.full(layout.dim, _PHASES[op.ipower], dtype=complex)
     for label, letter in op.letters:
-        stride, sign = layout._qubit_flip(label)
         if letter != "X":
+            sign = layout._qubit_flip(label)[1]
             ph = ph * (1.0j * sign if letter == "Y" else sign)
-        if letter != "Z":
-            pi = pi + stride * sign
-    return pi, ph
+    return _flip_permutation(_flips(op), layout), ph
 
 
 def _apply_rows(op: PauliString, layout: HilbertLayout, amps: np.ndarray) -> np.ndarray:

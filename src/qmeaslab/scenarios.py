@@ -290,7 +290,24 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 f"observable_preset: {preset} enumerates 4^(n_atoms + 1) Pauli strings "
                 f"and requires n_atoms + 1 <= {MAX_ENUMERATED_LABELS}, got n_atoms = {n}")
     if scenario == "ch-heisenberg":
-        _real(params["j_coupling"], "j_coupling")
+        j = abs(_real(params["j_coupling"], "j_coupling"))
+        # the single flip's residual is exactly 2|J|: the one bond term
+        # J (XX + YY) it breaks maps |du...> to 2J |ud...>
+        if 0.0 < 2.0 * j <= tol:
+            raise ConfigError(
+                f"j_coupling: requires 2|J| > tolerance {tol} (or J = 0) so that the "
+                f"single flip is not an eigenstate within tolerance, got 2|J| = {2.0 * j!r}")
+        # the ground eigenvalue sums n_atoms - 1 terms J in order, and is
+        # compared with J (n_atoms - 1): n_atoms - 3 rounded additions (0 + J
+        # and J + J are exact) and one rounded product, each off by at most
+        # half an ulp of a magnitude below |J| (n_atoms - 1)(1 + n_atoms eps)
+        scale = j * (n - 1) * (1.0 + n * np.finfo(float).eps)
+        floor = (n - 2) / 2 * math.ulp(scale)
+        if tol < floor:
+            raise ConfigError(
+                f"tolerance: ch-heisenberg compares a sum of n_atoms - 1 couplings with "
+                f"J (n_atoms - 1) and requires tolerance >= (n_atoms - 2)/2 ulp(|J| "
+                f"(n_atoms - 1)(1 + n_atoms eps)) = {floor!r}, got {tol!r}")
     if scenario == "ch-cascade":
         chains = params["chains"]
         if not isinstance(chains, list) or len(chains) < 2:

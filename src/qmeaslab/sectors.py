@@ -2,7 +2,11 @@
 pure/mixed discrimination engine.
 
 A sector decomposition is a partition of the computational basis: one
-sector label per basis state, and one mask projector per sector.
+sector label per basis state, and one mask projector per sector.  A Pauli
+string preserves every sector iff its basis permutation keeps the labels,
+and that permutation depends only on which qubits it flips, so the
+restricted algebra runs one label test per flip pattern, not one mask test
+per string and projector.
 Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
@@ -27,7 +31,8 @@ from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
                     apply_sum, expectation, format_string, format_sum,
                     hermitian_part, string_matrix, sum_matrix, sup_norm_estimate,
-                    _diagonal_values, _is_z_diagonal, _string_action)
+                    _check_qubit_support, _diagonal_values, _flip_permutation,
+                    _flips, _is_z_diagonal)
 
 DEGENERACY_TOL = 1e-9
 
@@ -36,6 +41,13 @@ CHAIN_PRESETS = ("all_strings", "sector_preserving", "pointer_only", "with_B")
 
 class SectorError(ValueError):
     """Invalid sector decomposition or projector."""
+
+
+def _preserves(values: np.ndarray, flips: Sequence[str], layout: HilbertLayout) -> bool:
+    """Whether a string flipping the qubits `flips` maps every basis state
+    to one with the same value: for a mask, whether the string commutes
+    with its projector; for sector labels, with every sector projector."""
+    return bool(np.array_equal(values[_flip_permutation(flips, layout)], values))
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,8 @@ class Projector:
         """Exact permutation test for single strings and term by term for
         sums; dense commutator (under the cap) otherwise."""
         if isinstance(op, PauliString):
-            pi, _ = _string_action(op, self.layout)
-            return bool(np.array_equal(self.mask[pi], self.mask))
+            _check_qubit_support(op.support, self.layout)
+            return _preserves(self.mask, _flips(op), self.layout)
         if isinstance(op, PauliSum):
             termwise = all(self.commutes_with(s, tol) for _, s in op.terms)
             # termwise preservation is sufficient, and exact for one term
@@ -110,7 +122,8 @@ class SectorDecomposition:
 
     @cached_property
     def projectors(self) -> tuple[Projector, ...]:
-        # cached: restricted_algebra reads it once per candidate
+        # cached: restricted_algebra reads it for every candidate that is not
+        # a Pauli sum preserving the labels term by term
         return tuple(Projector(self.layout, self.labels == k, name)
                      for k, name in enumerate(self.names))
 
@@ -432,10 +445,40 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,
                        tol: float = DEFAULT_TOL) -> ObservableSet:
     """Sub-family of candidates commuting with every sector projector (the
-    sector-preserving observables)."""
+    sector-preserving observables).
+
+    A Pauli string preserves every sector iff its basis permutation keeps
+    the labels, and that permutation depends only on its flip pattern (X/Y
+    labels), so each pattern is tested once per call.  A Pauli sum is kept
+    if every term passes, which decides it exactly for one term; a sum that
+    fails term by term, and any dense or factored candidate, is tested
+    against each projector by `Projector.commutes_with`."""
+    layout, labels = sectors.layout, sectors.labels
+    checked: set[str] = set()
+    verdicts: dict[tuple[str, ...], bool] = {}
+
+    def termwise(op: PauliSum) -> bool:
+        for _, s in op.terms:
+            for label, _ in s.letters:
+                if label not in checked:
+                    _check_qubit_support((label,), layout)
+                    checked.add(label)
+        for _, s in op.terms:
+            flips = _flips(s)
+            if flips not in verdicts:
+                verdicts[flips] = _preserves(labels, flips, layout)
+            if not verdicts[flips]:
+                return False
+        return True
+
     kept = []
     for name, op in candidate_pool.generators:
-        if all(p.commutes_with(op, tol) for p in sectors.projectors):
+        pauli = isinstance(op, PauliSum)
+        keep = pauli and termwise(op)
+        # termwise preservation is sufficient, and exact for one term
+        if not keep and (not pauli or len(op.terms) > 1):
+            keep = all(p.commutes_with(op, tol) for p in sectors.projectors)
+        if keep:
             kept.append((name, op))
     return ObservableSet(name=f"{candidate_pool.name}/sector-preserving",
                          generators=tuple(kept),

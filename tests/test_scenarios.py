@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -519,6 +520,55 @@ def test_one_branch_radiation_state_is_refused(a1, a2):
 def test_floor_tolerance_runs(text):
     report = run(parse_config(text + "tolerance: 1.0e-14\n"))
     assert not report.failed_required()
+
+
+def _heisenberg(n, j, tol):
+    # YAML 1.1 reads a float only with a dot in its mantissa
+    j = repr(float(j)) if "." in repr(float(j)) else repr(float(j)).replace("e", ".0e")
+    return f"scenario: ch-heisenberg\nn_atoms: {n}\nj_coupling: {j}\ntolerance: {tol!r}\n"
+
+
+@pytest.mark.parametrize("text", [
+    _heisenberg(n=8, j=1.0e-300, tol=1e-12),
+    _heisenberg(n=8, j=-1.0e-300, tol=1e-12),
+    _heisenberg(n=3, j=5.0e-13, tol=1e-12),  # 2|J| == tolerance
+    "scenario: ch-heisenberg\nsweep: {parameter: j_coupling, start: 0, stop: 4.0e-13, "
+    "steps: 2}\n",
+])
+def test_vanishing_coupling_is_refused(text):
+    # the single flip's residual is exactly 2|J|; at or below the tolerance
+    # the required single_flip_not_eigenstate fails
+    with pytest.raises(ConfigError, match=r"j_coupling: requires 2\|J\| > tolerance"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("j", [math.nextafter(5.0e-13, 1.0), -math.nextafter(5.0e-13, 1.0),
+                               0.0])
+def test_coupling_just_above_the_tolerance_runs(j):
+    report = run(parse_config(_heisenberg(n=8, j=j, tol=1e-12)))
+    assert not report.failed_required()
+
+
+def _eigenvalue_floor(n, j):
+    """(N - 2)/2 ulp(|J| (N - 1)(1 + N eps)), as docs/config-grammar.md states it."""
+    return (n - 2) / 2 * math.ulp(abs(j) * (n - 1) * (1.0 + n * np.finfo(float).eps))
+
+
+def test_tolerance_below_the_eigenvalue_resolution_is_refused():
+    # the ground eigenvalue 7 J is 1727.0 +- one ulp (2.3e-13) at J = 246.7
+    with pytest.raises(ConfigError, match="tolerance: ch-heisenberg"):
+        parse_config(_heisenberg(n=8, j=246.7, tol=1.0e-14))
+
+
+@pytest.mark.parametrize("j", [1.0e-3, 0.37, 3.3, 246.7, -777.7, 1.0e4])
+def test_heisenberg_runs_at_the_eigenvalue_floor(j):
+    for n in range(2, 15):
+        tol = max(1.0e-14, _eigenvalue_floor(n, j))
+        report = run(parse_config(_heisenberg(n=n, j=j, tol=tol)))
+        assert not report.failed_required(), (n, j)
+        if tol > 1.0e-14:
+            with pytest.raises(ConfigError, match="tolerance: ch-heisenberg"):
+                parse_config(_heisenberg(n=n, j=j, tol=math.nextafter(tol, 0.0)))
 
 
 def test_readme_minimal_config_runs():

@@ -5,14 +5,17 @@ from qmeaslab.chain import (ChainModel, final_branches, full_passage,
                             it_operator, pointer_operator)
 from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, basis_state,
                               mixture_of)
+from qmeaslab.hilbert import MODE, LayoutError, Subsystem
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
                             expectation, expectation_mixed, string_matrix)
 from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               SectorError, chain_observable_preset,
                               discriminate, joint_sectors, restricted_algebra,
                               sector_decohere, structure_residual)
+from qmeaslab.sectors import KronObservable
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
+from oracles import X, Z, dense_commutator
 
 RNG = np.random.default_rng(2718)
 SQ = np.sqrt(0.5)
@@ -211,6 +214,99 @@ class TestRestrictedAlgebra:
             np.linalg.norm(p.to_matrix() @ b - b @ p.to_matrix()) > 1e-9
             for p in sec.projectors)
         assert violated
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_keeps_exactly_the_mask_preserving_strings(self, n):
+        # one label test per flip pattern against one permutation test per
+        # (string, projector) pair, and against the dense commutator
+        sec = self._sectors(n)
+        pool = chain_observable_preset("all_strings", n)
+        want = [name for name, op in pool.generators
+                if all(p.commutes_with(op.terms[0][1]) for p in sec.projectors)]
+        kept = restricted_algebra(sec, pool)
+        assert [name for name, _ in kept.generators] == want
+        assert len(want) == 2 ** (n + 1)
+        if n <= 2:
+            masks = _dense_masks(sec)
+            assert want == [name for name, op in pool.generators
+                            if _dense_commutes(masks, dense_of(op, sec.layout))]
+
+    def test_mixed_pool_takes_the_projector_path(self):
+        layout = HilbertLayout.qubits(["a", "b"])
+        sec = SectorDecomposition(layout, [0, 1, 1, 1], ("P00", "rest"))
+        xa = PauliString.single("a", "X")
+        xa_zb = PauliString.from_map({"a": "X", "b": "Z"})
+        xb = PauliString.single("b", "X")
+        za_zb = PauliString.from_map({"a": "Z", "b": "Z"})
+        herm = random_state(np.random.default_rng(7), 16).reshape(4, 4)
+        pool = ObservableSet("mixed", (
+            ("X_a - X_a Z_b", PauliSum.from_terms([(1.0, xa), (-1.0, xa_zb)])),
+            ("X_a + X_b", PauliSum.from_terms([(1.0, xa), (1.0, xb)])),
+            ("Z_a + Z_a Z_b", PauliSum.from_terms([(1.0, PauliString.single("a", "Z")),
+                                                   (1.0, za_zb)])),
+            ("zero", PauliSum.zero()),
+            ("dense diagonal", np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex)),
+            ("dense random", herm + herm.conj().T),
+            ("kron Z (x) diag", KronObservable(Z, [1.0, -2.0])),
+            ("kron X (x) |1><1|", KronObservable(X, [0.0, 1.0])),
+            ("kron X (x) |0><0|", KronObservable(X, [1.0, 0.0])),
+        ))
+        kept = [name for name, _ in restricted_algebra(sec, pool).generators]
+        masks = _dense_masks(sec)
+        assert kept == [name for name, op in pool.generators
+                        if _dense_commutes(masks, _dense(op, layout))]
+        assert kept == ["X_a - X_a Z_b", "Z_a + Z_a Z_b", "zero", "dense diagonal",
+                        "kron Z (x) diag", "kron X (x) |1><1|"]
+        assert restricted_algebra(sec, pool).closure_depth == pool.closure_depth
+
+    def test_qubit_before_a_mode_flips_by_its_stride(self):
+        # the qubit's flip stride is the mode's dim 3, not a power of two;
+        # sector 1 is the qubit's |d> with the mode excited
+        layout = HilbertLayout((Subsystem("q"), Subsystem("m", 3, MODE)))
+        sec = SectorDecomposition(layout, [0, 0, 0, 0, 1, 1], ("rest", "d, excited"))
+        xq, zq = PauliString.single("q", "X"), PauliString.single("q", "Z")
+        connector = np.zeros((6, 6), dtype=complex)
+        connector[0, 1] = connector[1, 0] = 1.0  # |u,0><u,1| + h.c.
+        pool = ObservableSet("mode", (
+            ("I", PauliString.identity()), ("X_q", xq), ("Y_q", PauliString.single("q", "Y")),
+            ("Z_q", zq), ("X_q + Z_q", PauliSum.from_terms([(1.0, xq), (1.0, zq)])),
+            ("kron X (x) |0><0|", KronObservable(X, [1.0, 0.0, 0.0])),
+            ("kron X (x) n", KronObservable(X, [0.0, 1.0, 2.0])),
+            ("dense connector", connector),
+        ))
+        kept = [name for name, _ in restricted_algebra(sec, pool).generators]
+        masks = _dense_masks(sec)
+        assert kept == [name for name, op in pool.generators
+                        if _dense_commutes(masks, _dense(op, layout))]
+        assert kept == ["I", "Z_q", "kron X (x) |0><0|", "dense connector"]
+
+    def test_support_is_checked_on_every_letter(self):
+        # a Z letter flips nothing, yet its label must be a qubit of the layout
+        layout = HilbertLayout((Subsystem("q"), Subsystem("m", 3, MODE)))
+        sec = SectorDecomposition(layout, [0, 0, 0, 0, 1, 1], ("rest", "d, excited"))
+        zq = ("Z_q", PauliString.single("q", "Z"))
+        with pytest.raises(LayoutError, match="unknown label 'x'"):
+            restricted_algebra(sec, ObservableSet("pool", (
+                zq, ("Z_x", PauliString.single("x", "Z")))))
+        with pytest.raises(OperatorError, match="qubit operator on non-qubit subsystem 'm'"):
+            restricted_algebra(sec, ObservableSet("pool", (
+                zq, ("Z_q Z_m", PauliString.from_map({"q": "Z", "m": "Z"})))))
+
+
+def _dense_masks(sec):
+    return [np.diag((sec.labels == k).astype(complex)) for k in range(len(sec.names))]
+
+
+def _dense(op, layout):
+    if isinstance(op, KronObservable):
+        return np.kron(op.system, np.diag(op.field))
+    if isinstance(op, PauliSum):
+        return dense_of(op, layout)
+    return np.asarray(op)
+
+
+def _dense_commutes(masks, mat, tol=1e-12):
+    return all(np.linalg.norm(dense_commutator(m, mat)) <= tol for m in masks)
 
 
 class TestDiscriminate:
