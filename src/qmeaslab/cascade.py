@@ -11,11 +11,11 @@ superposition from the branch mixture.
 The stage kernel has a leading scan axis: it records a block of cascades,
 one per row of a `(points, dim)` amplitude array, in one call per stage;
 a row whose stage leaves a single branch is masked to record nothing at
-the later stages.  `run_cascade` is its one-row case.
-`scan_terminal_deviation` runs a whole a2 scan through it in blocks of at
-most `SCAN_BLOCK_AMPLITUDES` amplitudes per array, so m stage calls per
-block replace one cascade run per point (at dim 2^14 a block is one
-point).
+the later stages.  `run_cascade` is its one-row case, and every block
+starts from `chain._ready_rows`.  `scan_terminal_deviation` runs a whole
+a2 scan through it in blocks of at most `SCAN_BLOCK_AMPLITUDES` amplitudes
+per array, so m stage calls per block replace one cascade run per point
+(at dim 2^14 a block is one point).
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import SYSTEM_LABEL, it_operator, pointer_operator
+from .chain import SYSTEM_LABEL, _ready_rows, it_operator, pointer_operator
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, _check_branch_rows,
-                      _check_unit_rows, _gauge_rows, _row_norms, check_dense_dim)
+                      _check_unit_rows, _check_weights, _gauge_rows, _row_norms,
+                      check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
                     _apply_sum_rows, apply, expectation)
 
@@ -52,9 +53,7 @@ class CascadeModel:
         object.__setattr__(self, "chains", tuple(int(n) for n in self.chains))
         if not self.chains or any(n < 1 for n in self.chains):
             raise ValueError(f"chain sizes must be >= 1, got {self.chains}")
-        weight = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(weight - 1.0) > 1e-9:
-            raise ValueError(f"amplitudes must satisfy |a1|^2+|a2|^2=1, got {weight}")
+        _check_weights(self.a1, self.a2)
 
     @property
     def m(self) -> int:
@@ -382,20 +381,8 @@ class CascadeRun:
         )
 
 
-def _initial_rows(model: CascadeModel, a2s) -> np.ndarray:
-    """Rows a1|u>|u...u> + a2|d>|u...u>, one per entry of a2s, each checked
-    normalized."""
-    layout = model.layout
-    amps = np.zeros((len(a2s), layout.dim), dtype=complex)
-    zeros = [0] * len(model.observer_labels)
-    amps[:, layout.index_of([0] + zeros)] = model.a1
-    amps[:, layout.index_of([1] + zeros)] = a2s
-    _check_unit_rows(amps, DEFAULT_TOL)
-    return amps
-
-
 def initial_cascade_state(model: CascadeModel) -> StateVector:
-    return StateVector(model.layout, _initial_rows(model, [model.a2])[0])
+    return StateVector(model.layout, _ready_rows(model.layout, model.a1, [model.a2])[0])
 
 
 def run_cascade(model: CascadeModel, stages: int | None = None,
@@ -430,8 +417,8 @@ def scan_terminal_deviation(model: CascadeModel, a2s: Sequence[complex],
     out = np.zeros(len(a2s))
     size = max(1, SCAN_BLOCK_AMPLITUDES // model.layout.dim)
     for start in range(0, len(a2s), size):
-        for _, rec in _run_rows(model, _initial_rows(model, a2s[start:start + size]),
-                                model.m, tol):
+        rows = _ready_rows(model.layout, model.a1, a2s[start:start + size])
+        for _, rec in _run_rows(model, rows, model.m, tol):
             pass  # the deviation reads the last stage only
         dev = _terminal_deviation(rec.state, rec.amps, rec.units)
         out[start:start + size] = np.where(np.all(rec.kept, axis=1), dev, 0.0)

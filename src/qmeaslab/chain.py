@@ -8,6 +8,8 @@ crossing applies the conditional pulse
     |u0><u0| (x) I  +  |d0><d0| (x) exp(-i theta sigma_x),
 
 a complete flip with per-atom phase -i at the calibrated theta = pi/2.
+The measured superposition on ready all-up atoms is built here once, over
+rows (`_ready_rows`), for chains and cascades alike.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout,
-                      StateVector, StateError, basis_state, canonical_split)
+                      StateVector, StateError, _check_unit_rows, _check_weights,
+                      _pointer_branches)
 from .pauli import (OperatorError, PauliString, PauliSum, apply_sum,
                     commutator, expectation, _check_qubit_support)
 
@@ -50,9 +53,7 @@ class ChainModel:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError(f"chain model requires n_atoms >= 1, got {self.n_atoms}")
-        weight = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(weight - 1.0) > 1e-9:
-            raise ValueError(f"amplitudes must satisfy |a1|^2+|a2|^2=1, got {weight}")
+        _check_weights(self.a1, self.a2)
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -64,14 +65,20 @@ class ChainModel:
         return HilbertLayout.qubits((SYSTEM_LABEL,) + self.atoms)
 
 
+def _ready_rows(layout: HilbertLayout, a1: complex, a2s) -> np.ndarray:
+    """Rows a1|u>|u...u> + a2|d>|u...u>, one per entry of a2s, each checked
+    normalized: the measured qubit is first in the layout, and every qubit
+    after it is a ready all-up atom."""
+    amps = np.zeros((len(a2s), layout.dim), dtype=complex)
+    amps[:, 0] = a1
+    amps[:, layout.dim // 2] = a2s
+    _check_unit_rows(amps, DEFAULT_TOL)
+    return amps
+
+
 def initial_state(model: ChainModel) -> StateVector:
     """(a1|u0> + a2|d0>) tensor |u...u>."""
-    layout = model.layout
-    amps = np.zeros(layout.dim, dtype=complex)
-    zeros = [0] * model.n_atoms
-    amps[layout.index_of([0] + zeros)] = model.a1
-    amps[layout.index_of([1] + zeros)] = model.a2
-    return StateVector(layout, amps).check_normalized()
+    return StateVector(model.layout, _ready_rows(model.layout, model.a1, [model.a2])[0])
 
 
 def _complete_flip(theta: float) -> bool:
@@ -145,17 +152,10 @@ def final_branches(model: ChainModel, tol: float = DEFAULT_TOL) -> BranchDecompo
     if not _complete_flip(model.theta):
         raise StateError("pointer branches require the complete flip theta = pi/2")
     layout = model.layout
-    n = model.n_atoms
-    up = basis_state(layout, [0] + [0] * n)
-    amp2 = model.a2 * (-1j) ** n
-    down = basis_state(layout, [1] + [1] * n)
-    branches = []
-    if abs(model.a1) > tol:
-        branches.append((model.a1, up))
-    if abs(amp2) > tol:
-        a2c, down_c = canonical_split(layout, amp2 * down.amplitudes, tol)
-        branches.append((a2c, down_c))
-    return BranchDecomposition(layout, tuple(branches)).validate(tol)
+    up, down = np.zeros((2, layout.dim), dtype=complex)
+    up[0] = down[-1] = 1.0  # |u0>|u...u> and |d0>|d...d>
+    return _pointer_branches(layout, model.a1, up, model.a2 * (-1j) ** model.n_atoms,
+                             down, tol)
 
 
 def pointer_operator(atoms: int | Sequence[str]) -> PauliSum:

@@ -7,7 +7,9 @@ place that maps flat indices to subsystem digits; every qubit kernel reads
 a qubit's stride and per-index |u>/|d> sign from the layout's flip table.
 
 The canonical branch gauge lives here once, over the rows of an amplitude
-array (`_gauge_rows`); `canonical_split` is its one-row case.
+array (`_gauge_rows`); `canonical_split` is its one-row case.  So do the
+models' unit-weight rule and their measured pointer pair.  Dataclasses
+holding arrays compare and hash by identity (`eq=False`).
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def check_dense_dim(layout: HilbertLayout, what: str) -> None:
             f"dense {what} of dim {layout.dim} exceeds cap {DEFAULT_DENSE_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Complex amplitude array over a layout (row-major basis order)."""
 
@@ -185,7 +187,7 @@ class StateVector:
                                                    self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace matrix over a layout."""
 
@@ -337,6 +339,26 @@ def canonical_split(layout: HilbertLayout, vector: np.ndarray,
     return complex(amps[0]), StateVector(layout, units[0])
 
 
+def _check_weights(a1: complex, a2: complex) -> None:
+    """A model's measured superposition a1|u> + a2|d> has unit weight, to 1e-9."""
+    weight = abs(a1) ** 2 + abs(a2) ** 2
+    if abs(weight - 1.0) > 1e-9:
+        raise ValueError(f"amplitudes must satisfy |a1|^2+|a2|^2=1, got {weight}")
+
+
+def _pointer_branches(layout: HilbertLayout, a1: complex, up: np.ndarray, a2: complex,
+                      down: np.ndarray, tol: float) -> BranchDecomposition:
+    """The measured pointer pair a1|up> + a2|down>, with `up` a unit vector:
+    a branch is kept where its amplitude exceeds tol, the second one
+    canonically gauged, and the pair validated."""
+    branches = []
+    if abs(a1) > tol:
+        branches.append((a1, StateVector(layout, up)))
+    if abs(a2) > tol:
+        branches.append(canonical_split(layout, a2 * down, tol))
+    return BranchDecomposition(layout, tuple(branches)).validate(tol)
+
+
 def build_premeasurement(a1: complex, a2: complex,
                          pointer_pairs: Sequence[tuple[StateVector, StateVector]],
                          system_label: str = "S",
@@ -346,7 +368,8 @@ def build_premeasurement(a1: complex, a2: complex,
     The measured system is a fresh qubit with basis states s1=|u>, s2=|d>;
     each pointer pair must be an orthogonal pair of unit states on its own
     subsystem layout.  Returns the branch decomposition; the superposition
-    itself is ``.state()``.
+    itself is ``.state()``.  Unlike `_pointer_branches`, the second branch
+    is not gauged: it is the given pointer states' product as it stands.
     """
     a1, a2 = complex(a1), complex(a2)
     if abs(abs(a1) ** 2 + abs(a2) ** 2 - 1.0) > tol:

@@ -296,15 +296,21 @@ def apply_sum(op: PauliSum, state: StateVector) -> np.ndarray:
     return _apply_sum_rows(op, state.layout, state.amplitudes)
 
 
+def _real_part(val: complex, tol: float, what: str) -> float:
+    """The real part of an expectation `what` of a Hermitian operator; an
+    imaginary part above tol is an OperatorError."""
+    if abs(val.imag) > tol:
+        raise OperatorError(f"{what} has imaginary part {val.imag}")
+    return float(val.real)
+
+
 def expectation(op: PauliSum, state: StateVector, tol: float = DEFAULT_TOL) -> float:
     """<state|op|state> for Hermitian op; the imaginary part is checked
     against tol and discarded."""
     if not op.is_hermitian(tol):
         raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
-    val = complex(np.vdot(state.amplitudes, apply_sum(op, state)))
-    if abs(val.imag) > tol:
-        raise OperatorError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
+    return _real_part(complex(np.vdot(state.amplitudes, apply_sum(op, state))), tol,
+                      "expectation")
 
 
 def _is_z_diagonal(op: PauliSum) -> bool:
@@ -329,9 +335,7 @@ def expectation_mixed(op: PauliSum, rho: DensityMatrix, tol: float = DEFAULT_TOL
     for c, s in op.terms:
         pi, ph = _string_action(s, rho.layout)
         total += c * np.sum(ph * rho.matrix[idx, pi])
-    if abs(total.imag) > tol:
-        raise OperatorError(f"trace expectation has imaginary part {total.imag}")
-    return float(total.real)
+    return _real_part(total, tol, "trace expectation")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout, MODE,
-                      StateVector, Subsystem, canonical_split)
+                      Subsystem, _check_weights, _pointer_branches)
 from .pauli import PAULI_MATRICES
 from .sectors import (DiscriminationVerdict, KronObservable, ObservableSet,
                       discriminate)
@@ -64,9 +64,7 @@ class RadiationModel:
             raise ValueError(f"model needs modes >= 1, got {self.modes}")
         if self.cutoff < 2:
             raise ValueError(f"mode cutoff must be >= 2, got {self.cutoff}")
-        weight = abs(self.a1) ** 2 + abs(self.a2) ** 2
-        if abs(weight - 1.0) > 1e-9:
-            raise ValueError(f"amplitudes must satisfy |a1|^2+|a2|^2=1, got {weight}")
+        _check_weights(self.a1, self.a2)
         if not self.photon_amplitudes:
             raise ValueError("at least one photon pattern is required")
         total_c = 0.0
@@ -135,12 +133,7 @@ def build_final_state(model: RadiationModel,
     amps2 = np.zeros(layout.dim, dtype=complex)
     for occ, c in model.branch_occupations():
         amps2[layout.index_of((1, 1) + occ)] = c
-    branches = []
-    if abs(model.a1) > tol:
-        branches.append((complex(model.a1), StateVector(layout, amps1)))
-    if abs(model.a2) > tol:
-        branches.append(canonical_split(layout, model.a2 * amps2, tol))
-    return BranchDecomposition(layout, tuple(branches)).validate(tol)
+    return _pointer_branches(layout, model.a1, amps1, model.a2, amps2, tol)
 
 
 def number_op(model: RadiationModel, mode: int) -> np.ndarray:

@@ -12,8 +12,9 @@ import csv
 import io
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
 import numpy as np
@@ -37,6 +38,9 @@ _MAX_QUBITS = DEFAULT_DIM_CAP.bit_length() - 1
 # array (and evaluates it through complex arrays of the same shape), so a
 # wide field is refused at config time above this many entries
 _MAX_GLAUBER_FAMILY_ENTRIES = 2 ** 24
+
+# the largest float whose square is finite
+_SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 
 class ConfigError(ValueError):
@@ -297,6 +301,11 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 f"j_coupling: requires 2|J| > tolerance {tol} (or J = 0) so that the "
                 f"single flip is not an eigenstate within tolerance, got 2|J| = {2.0 * j!r}")
+        # the residual's norm squares 2J, which overflows above this bound
+        if 2.0 * j > _SQRT_FLOAT_MAX:
+            raise ConfigError(
+                f"j_coupling: requires 2|J| <= sqrt(float max) = {_SQRT_FLOAT_MAX!r} so that "
+                f"the single flip's residual norm is finite, got 2|J| = {2.0 * j!r}")
         # the ground eigenvalue sums n_atoms - 1 terms J in order, and is
         # compared with J (n_atoms - 1): n_atoms - 3 rounded additions (0 + J
         # and J + J are exact) and one rounded product, each off by at most
@@ -331,11 +340,15 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
         depth = _int_at_least(params["depth"], 0, "depth")
         bound = _int_at_least(params["bound"], 1, "bound")
         try:
-            rad.cascade_growth(n_emit, depth, bound)
+            count = rad.cascade_growth(n_emit, depth, bound)
         except OverflowError:
             raise ConfigError(
                 f"bound: requires n_emit^depth = {n_emit}^{depth} <= bound, "
                 f"got bound = {bound}") from None
+        if count > sys.float_info.max:
+            raise ConfigError(
+                f"depth/bound: the report's float final_count requires n_emit^depth <= "
+                f"float max {sys.float_info.max!r}, got {n_emit}^{depth}")
     for key in ("a1", "a2"):
         if key in params:
             _amp(params[key], key)
@@ -428,6 +441,12 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # reports
 
+def _shallow_dict(report) -> dict[str, Any]:
+    """Every field of a report dataclass by name, values as they are (no
+    deep copy, unlike dataclasses.asdict)."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
 @dataclass(frozen=True)
 class InvariantResult:
     name: str
@@ -437,9 +456,7 @@ class InvariantResult:
     required: bool = True
 
     def as_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "residual": self.residual,
-                "threshold": self.threshold, "passed": self.passed,
-                "required": self.required}
+        return _shallow_dict(self)
 
 
 @dataclass(frozen=True)
@@ -460,19 +477,8 @@ class RunReport:
         return any(r.required and not r.passed for r in self.invariants)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "scenario": self.scenario,
-            "parameters": self.parameters,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "expectations": self.expectations,
-            "invariants": [r.as_dict() for r in self.invariants],
-            "verdicts": list(self.verdicts),
-            "extras": self.extras,
-            "sweep": self.sweep,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**_shallow_dict(self), "invariants": [r.as_dict() for r in self.invariants],
+                "verdicts": list(self.verdicts)}
 
 
 def emit(report: RunReport, fmt: str | None = None) -> bytes:

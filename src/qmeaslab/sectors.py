@@ -2,15 +2,15 @@
 pure/mixed discrimination engine.
 
 A sector decomposition is a partition of the computational basis: one
-sector label per basis state, and one mask projector per sector.  A Pauli
-string preserves every sector iff its basis permutation keeps the labels,
-and that permutation depends only on which qubits it flips, so the
-restricted algebra runs one label test per flip pattern, not one mask test
-per string and projector.
+sector label per basis state, and one mask projector per sector.  Whether
+an operator keeps every sector is one rule, `_keeps_sectors`, run on a mask
+by `Projector.commutes_with` and on the labels by `restricted_algebra`,
+which shares its memo across the pool: one label test per flip pattern.
 Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
-with the branch mixture kept as its branch vectors chi_i.
+with the branch mixture kept as its branch vectors chi_i.  Both sides are
+one weighted mean, `_mean`, with weight 1 or |a_i|^2.
 
 Observables come as Pauli sums, dense arrays, or factored
 `KronObservable`s S (x) diag(f).  A closed family's factored members are
@@ -32,7 +32,7 @@ from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
                     apply_sum, expectation, format_string, format_sum,
                     hermitian_part, string_matrix, sum_matrix, sup_norm_estimate,
                     _check_qubit_support, _diagonal_values, _flip_permutation,
-                    _flips, _is_z_diagonal)
+                    _flips, _is_z_diagonal, _real_part)
 
 DEGENERACY_TOL = 1e-9
 
@@ -43,14 +43,7 @@ class SectorError(ValueError):
     """Invalid sector decomposition or projector."""
 
 
-def _preserves(values: np.ndarray, flips: Sequence[str], layout: HilbertLayout) -> bool:
-    """Whether a string flipping the qubits `flips` maps every basis state
-    to one with the same value: for a mask, whether the string commutes
-    with its projector; for sector labels, with every sector projector."""
-    return bool(np.array_equal(values[_flip_permutation(flips, layout)], values))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector onto the basis states of a mask.  Exact at any
     dimension; its dense realization obeys the dense cap."""
@@ -78,22 +71,12 @@ class Projector:
         return np.diag(self.mask.astype(complex))
 
     def commutes_with(self, op, tol: float = DEFAULT_TOL) -> bool:
-        """Exact permutation test for single strings and term by term for
-        sums; dense commutator (under the cap) otherwise."""
-        if isinstance(op, PauliString):
-            _check_qubit_support(op.support, self.layout)
-            return _preserves(self.mask, _flips(op), self.layout)
-        if isinstance(op, PauliSum):
-            termwise = all(self.commutes_with(s, tol) for _, s in op.terms)
-            # termwise preservation is sufficient, and exact for one term
-            if termwise or len(op.terms) == 1:
-                return termwise
-        p = self.to_matrix()
-        q = as_matrix(op, self.layout)
-        return float(np.linalg.norm(p @ q - q @ p)) <= tol
+        """Exact permutation test for strings and term by term for sums;
+        dense commutator (under the cap) otherwise: see `_keeps_sectors`."""
+        return _keeps_sectors(self.mask, (self,), op, self.layout, tol, {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorDecomposition:
     """A partition of the basis: `labels[i]` is the sector of basis state i,
     `names[k]` names sector k, and `eigenvalues[k]` is the pointer
@@ -122,10 +105,44 @@ class SectorDecomposition:
 
     @cached_property
     def projectors(self) -> tuple[Projector, ...]:
-        # cached: restricted_algebra reads it for every candidate that is not
-        # a Pauli sum preserving the labels term by term
+        # cached: every restricted_algebra call over these sectors hands them
+        # to _keeps_sectors, whose dense fallback multiplies by them
         return tuple(Projector(self.layout, self.labels == k, name)
                      for k, name in enumerate(self.names))
+
+
+def _keeps_sectors(values: np.ndarray, projectors: Sequence[Projector], op,
+                   layout: HilbertLayout, tol: float, memo: dict) -> bool:
+    """Whether op commutes with each of `projectors`, the sectors on which
+    `values` (a mask, or the sector labels) is constant.  A Pauli string
+    does iff its basis permutation, set by its flip pattern alone, keeps
+    `values`; a sum does if every term does, which is exact for one term.
+    Other sums and any dense or factored op take the dense commutator.
+    `memo` is one caller's: flip pattern -> verdict, and each label checked
+    as a qubit of the layout -> True."""
+    # sums tested first: a restricted_algebra pool holds thousands of them
+    terms = (op.terms if isinstance(op, PauliSum)
+             else ((1.0, op),) if isinstance(op, PauliString) else None)
+    if terms is not None:
+        for _, s in terms:
+            for label, _ in s.letters:
+                if label not in memo:
+                    _check_qubit_support((label,), layout)
+                    memo[label] = True
+        keeps = True
+        for _, s in terms:
+            flips = _flips(s)
+            keeps = memo.get(flips)
+            if keeps is None:
+                keeps = memo[flips] = bool(np.array_equal(
+                    values[_flip_permutation(flips, layout)], values))
+            if not keeps:
+                break
+        if keeps or len(terms) == 1:
+            return keeps
+    q = as_matrix(op, layout)
+    return all(float(np.linalg.norm(p @ q - q @ p)) <= tol
+               for p in (proj.to_matrix() for proj in projectors))
 
 
 def _grouped_sectors(layout: HilbertLayout, values: np.ndarray) -> SectorDecomposition:
@@ -175,7 +192,7 @@ def sector_decohere(rho: DensityMatrix, sectors: SectorDecomposition) -> Density
 # ---------------------------------------------------------------------------
 # observable families
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KronObservable:
     """S (x) diag(f): a square matrix S on the leading factor of the layout
     tensored with a real diagonal f on the trailing factor, so the layout
@@ -212,11 +229,15 @@ def _kron_gram(vec: np.ndarray, s: int, f: int) -> np.ndarray:
     return (v.conj()[:, None, :] * v[None, :, :]).reshape(s * s, f)
 
 
-def _branch_gram(branches: BranchDecomposition, s: int, f: int) -> np.ndarray:
-    """sum_i |a_i|^2 (Gram array of chi_i): the branch mixture as every
-    factored observable sees it."""
-    return sum(abs(a) ** 2 * _kron_gram(chi.amplitudes, s, f)
-               for a, chi in branches.branches)
+def _mixture(branches: BranchDecomposition) -> list[tuple[float, StateVector]]:
+    """(|a_i|^2, chi_i): the branch mixture as (weight, vector) pairs."""
+    return [(abs(a) ** 2, chi) for a, chi in branches.branches]
+
+
+def _branch_gram(weighted, s: int, f: int) -> np.ndarray:
+    """sum_k w_k (Gram array of v_k) over (weight, vector) pairs: the
+    weighted vectors as every factored observable sees them."""
+    return sum(w * _kron_gram(v.amplitudes, s, f) for w, v in weighted)
 
 
 def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -231,8 +252,9 @@ def _kron_deviations(system: np.ndarray, field: np.ndarray, pure: StateVector,
     """|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| of every stacked observable,
     from the real parts of both expectations."""
     s, f = system.shape[-1], field.shape[-1]
+    mixed = _branch_gram(_mixture(branches), s, f)
     return np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f)).real
-                  - _kron_values(system, field, _branch_gram(branches, s, f)).real)
+                  - _kron_values(system, field, mixed).real)
 
 
 def _kron_norms(system: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -291,33 +313,26 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(arr - arr.conj().T) <= tol)
 
 
+def _mean(op, weighted) -> complex:
+    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs: one kernel
+    application per vector, or one weighted Gram array for a factored op."""
+    if isinstance(op, KronObservable):
+        gram = _branch_gram(weighted, len(op.system), len(op.field))
+        return complex(_kron_values(op.system, op.field, gram)[0])
+    total = 0.0 + 0.0j
+    for w, v in weighted:
+        if isinstance(op, PauliSum):
+            image = apply_sum(op, v)
+        else:
+            image = np.asarray(op, dtype=complex) @ v.amplitudes
+        total += w * np.vdot(v.amplitudes, image)
+    return complex(total)
+
+
 def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
     if isinstance(op, PauliSum):
         return expectation(op, state, tol)
-    if isinstance(op, KronObservable):
-        gram = _kron_gram(state.amplitudes, len(op.system), len(op.field))
-        val = complex(_kron_values(op.system, op.field, gram)[0])
-    else:
-        arr = np.asarray(op, dtype=complex)
-        val = complex(np.vdot(state.amplitudes, arr @ state.amplitudes))
-    if abs(val.imag) > tol:
-        raise OperatorError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
-
-
-def _branch_mean(op, branches: BranchDecomposition) -> complex:
-    """sum_i |a_i|^2 <chi_i|op|chi_i>: one kernel application per branch."""
-    if isinstance(op, KronObservable):
-        gram = _branch_gram(branches, len(op.system), len(op.field))
-        return complex(_kron_values(op.system, op.field, gram)[0])
-    total = 0.0 + 0.0j
-    for a, chi in branches.branches:
-        if isinstance(op, PauliSum):
-            image = apply_sum(op, chi)
-        else:
-            image = np.asarray(op, dtype=complex) @ chi.amplitudes
-        total += abs(a) ** 2 * np.vdot(chi.amplitudes, image)
-    return complex(total)
+    return _real_part(_mean(op, [(1.0, state)]), tol, "expectation")
 
 
 def op_expectation_mixed(op, branches: BranchDecomposition,
@@ -328,10 +343,7 @@ def op_expectation_mixed(op, branches: BranchDecomposition,
     branches.validate(tol)
     if isinstance(op, PauliSum) and not op.is_hermitian(tol):
         raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
-    val = _branch_mean(op, branches)
-    if abs(val.imag) > tol:
-        raise OperatorError(f"mixture expectation has imaginary part {val.imag}")
-    return float(val.real)
+    return _real_part(_mean(op, _mixture(branches)), tol, "mixture expectation")
 
 
 def op_sup_norm(op, layout: HilbertLayout) -> float:
@@ -422,6 +434,7 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     allowed.validate(tol)
     family = _closed_family(allowed, pure.layout)
     names = [name for name, _ in allowed.generators]
+    mixture = _mixture(branches)
     devs = np.zeros(len(names) + family.i.size)
     if family.at.size:
         norms = _kron_norms(family.system, family.field)
@@ -432,7 +445,7 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
         norm = op_sup_norm(op, pure.layout)
         if norm > tol:
             devs[k] = abs(op_expectation(op, pure, tol=np.inf)
-                          - _branch_mean(op, branches).real) / norm
+                          - _mean(op, mixture).real) / norm
     k = int(np.argmax(devs))
     best = float(devs[k])
     if best <= tol:
@@ -445,44 +458,15 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,
                        tol: float = DEFAULT_TOL) -> ObservableSet:
     """Sub-family of candidates commuting with every sector projector (the
-    sector-preserving observables).
-
-    A Pauli string preserves every sector iff its basis permutation keeps
-    the labels, and that permutation depends only on its flip pattern (X/Y
-    labels), so each pattern is tested once per call.  A Pauli sum is kept
-    if every term passes, which decides it exactly for one term; a sum that
-    fails term by term, and any dense or factored candidate, is tested
-    against each projector by `Projector.commutes_with`."""
-    layout, labels = sectors.layout, sectors.labels
-    checked: set[str] = set()
-    verdicts: dict[tuple[str, ...], bool] = {}
-
-    def termwise(op: PauliSum) -> bool:
-        for _, s in op.terms:
-            for label, _ in s.letters:
-                if label not in checked:
-                    _check_qubit_support((label,), layout)
-                    checked.add(label)
-        for _, s in op.terms:
-            flips = _flips(s)
-            if flips not in verdicts:
-                verdicts[flips] = _preserves(labels, flips, layout)
-            if not verdicts[flips]:
-                return False
-        return True
-
-    kept = []
-    for name, op in candidate_pool.generators:
-        pauli = isinstance(op, PauliSum)
-        keep = pauli and termwise(op)
-        # termwise preservation is sufficient, and exact for one term
-        if not keep and (not pauli or len(op.terms) > 1):
-            keep = all(p.commutes_with(op, tol) for p in sectors.projectors)
-        if keep:
-            kept.append((name, op))
+    sector-preserving observables): `_keeps_sectors` on the sector labels,
+    with one memo for the whole pool, so each flip pattern is tested and
+    each label checked once per call."""
+    labels, projectors, layout = sectors.labels, sectors.projectors, sectors.layout
+    memo: dict = {}
+    kept = [(name, op) for name, op in candidate_pool.generators
+            if _keeps_sectors(labels, projectors, op, layout, tol, memo)]
     return ObservableSet(name=f"{candidate_pool.name}/sector-preserving",
-                         generators=tuple(kept),
-                         closure_depth=candidate_pool.closure_depth)
+                         generators=tuple(kept), closure_depth=candidate_pool.closure_depth)
 
 
 # ---------------------------------------------------------------------------

@@ -241,3 +241,35 @@ def test_basis_state_norm():
     s = basis_state(layout, [1, 0])
     assert s.norm() == 1.0
     assert s.amplitudes[2] == 1.0
+
+
+
+def _array_holders():
+    from qmeaslab.cascade import BranchConnector
+    from qmeaslab.sectors import KronObservable, Projector, SectorDecomposition
+
+    layout = HilbertLayout.qubits(["a", "b"])
+    up, down = basis_state(layout, [0, 0]), basis_state(layout, [1, 1])
+    sq = float(np.sqrt(0.5))
+    return {
+        "StateVector": lambda: StateVector(layout, up.amplitudes),
+        "DensityMatrix": lambda: up.to_density(),
+        "Projector": lambda: Projector(layout, [True, False, False, False]),
+        "SectorDecomposition": lambda: SectorDecomposition(layout, [0, 1, 1, 1], ("a", "b")),
+        "KronObservable": lambda: KronObservable(np.eye(2), [1.0, -1.0]),
+        # these two hold the very same states each time, so they compare equal
+        "BranchDecomposition": lambda: BranchDecomposition(layout, ((sq, up), (sq, down))),
+        "BranchConnector": lambda: BranchConnector(up, down),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_array_holders()))
+def test_array_holders_compare_and_hash(kind):
+    # a field-wise == over arrays is ambiguous: the array holders compare and
+    # hash by identity, and the dataclasses holding them through it
+    make = _array_holders()[kind]
+    a, b = make(), make()
+    same = kind in ("BranchDecomposition", "BranchConnector")
+    assert a == a and hash(a) == hash(a)
+    assert (a == b) is same
+    assert len({a, a, b}) == (1 if same else 2) and a in {a}

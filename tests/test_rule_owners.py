@@ -1,7 +1,9 @@
 """Each rule the paper's argument turns on has one definition, and every
 site that needs it calls that one: the complete-flip test (chain), the
-branch-decomposition checks (hilbert) and the pointer-eigenvalue grouping
-(sectors)."""
+branch-decomposition checks (hilbert), the pointer-eigenvalue grouping
+(sectors), sector preservation (sectors), the real part of an expectation
+(pauli), the measured superposition on a ready chain (chain), and the
+models' measured pointer pair and unit-weight rule (hilbert)."""
 
 import math
 
@@ -9,11 +11,17 @@ import numpy as np
 import pytest
 
 from qmeaslab import chain, scenarios
-from qmeaslab.cascade import _record_rows
-from qmeaslab.chain import ChainModel, closed_form_final, final_branches, pointer_operator
+from qmeaslab.cascade import CascadeModel, _record_rows, initial_cascade_state
+from qmeaslab.chain import (ChainModel, closed_form_final, final_branches, initial_state,
+                            pointer_operator)
 from qmeaslab.hilbert import (BranchDecomposition, HilbertLayout, StateError,
                               StateVector, _check_branch_rows, basis_state)
-from qmeaslab.sectors import joint_sectors
+from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
+                            expectation_mixed)
+from qmeaslab.radiation import RadiationModel, build_final_state
+from qmeaslab.sectors import (KronObservable, ObservableSet, SectorDecomposition,
+                              joint_sectors, op_expectation, op_expectation_mixed,
+                              restricted_algebra)
 
 SQ = math.sqrt(0.5)
 # ch-basic at 2 atoms, 1e-12 degrees from the complete flip: inside the old
@@ -139,3 +147,99 @@ def test_pointer_eigenvalue_grouping(n):
     # descending eigenvalues (n - 2k)/n with binomial multiplicities
     assert sec.eigenvalues == pytest.approx([(n - 2 * k) / n for k in range(n + 1)])
     assert [p.rank for p in sec.projectors] == [2 * math.comb(n, k) for k in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# sector preservation
+
+def test_projectors_and_restricted_algebra_agree_on_two_sectors():
+    # P00 = |00><00| and its complement: X_a - X_a Z_b = 2 X_a |d><d|_b keeps
+    # both sectors although neither of its terms does
+    layout = HilbertLayout.qubits(["a", "b"])
+    sec = SectorDecomposition(layout, [0, 1, 1, 1], ("P00", "rest"))
+    xa, xb = PauliString.single("a", "X"), PauliString.single("b", "X")
+    xa_zb = PauliString.from_map({"a": "X", "b": "Z"})
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    pool = ObservableSet("pool", (
+        ("X_a - X_a Z_b", PauliSum.from_terms([(1.0, xa), (-1.0, xa_zb)])),
+        ("X_a + X_b", PauliSum.from_terms([(1.0, xa), (1.0, xb)])),
+        ("X_a", xa), ("Z_a Z_b", PauliString.from_map({"a": "Z", "b": "Z"})),
+        ("dense diag", np.diag([1.0, 2.0, 2.0, 5.0]).astype(complex)),
+        ("dense flip", np.kron(flip, np.eye(2))),
+        ("kron X (x) |d><d|", KronObservable(flip, [0.0, 1.0])),
+        ("kron X (x) |u><u|", KronObservable(flip, [1.0, 0.0])),
+    ))
+    kept = [name for name, _ in restricted_algebra(sec, pool).generators]
+    by_projector = [name for name, op in pool.generators
+                    if all(p.commutes_with(op) for p in sec.projectors)]
+    assert kept == by_projector == ["X_a - X_a Z_b", "Z_a Z_b", "dense diag",
+                                    "kron X (x) |d><d|"]
+
+
+# ---------------------------------------------------------------------------
+# the measured superposition on a ready chain
+
+@pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 1, 1, 1)])
+def test_chain_and_cascade_start_from_the_same_rows(sizes):
+    a1, a2 = 0.6 * np.exp(0.3j), 0.8 * np.exp(-2.1j)
+    single = initial_state(ChainModel(sum(sizes), a1, a2)).amplitudes
+    cascade = initial_cascade_state(CascadeModel(sizes, a1, a2)).amplitudes
+    assert single.tobytes() == cascade.tobytes()
+    assert np.flatnonzero(single).tolist() == [0, single.size // 2]
+
+
+# ---------------------------------------------------------------------------
+# the measured pointer pair and the unit-weight rule
+
+@pytest.mark.parametrize("a1, a2, kept", [
+    (1.0, 1.0e-12, [0]),  # |a2| == tol: dropped
+    (1.0, math.nextafter(1.0e-12, 1.0), [0, 1]),
+    (1.0e-12, 1.0, [1]),
+])
+def test_chain_and_field_pointer_pairs_keep_and_gauge_alike(a1, a2, kept):
+    tol = 1.0e-12
+    pairs = (final_branches(ChainModel(3, a1, a2), tol),
+             build_final_state(RadiationModel(a1, a2, photon_amplitudes=(((1,), 1.0),)), tol))
+    for pair in pairs:
+        assert len(pair.branches) == len(kept)
+        for k, (amp, unit) in zip(kept, pair.branches):
+            assert abs(amp) == (a1, a2)[k]
+            assert unit.amplitudes[np.flatnonzero(unit.amplitudes)].tolist() == [1.0]
+
+
+def test_models_share_the_weight_message():
+    messages = []
+    for make in (lambda: ChainModel(2, 0.6, 0.6), lambda: CascadeModel((1, 1), 0.6, 0.6),
+                 lambda: RadiationModel(0.6, 0.6)):
+        with pytest.raises(ValueError) as err:
+            make()
+        messages.append(str(err.value))
+    assert messages == ["amplitudes must satisfy |a1|^2+|a2|^2=1, got 0.72"] * 3
+
+
+# ---------------------------------------------------------------------------
+# the real part of an expectation
+
+def test_imaginary_part_messages():
+    # each coefficient passes the Hermitian check at tolerance 0.1, and the
+    # two terms add imaginary parts 0.09 + 0.09 on |uu>
+    tol = 0.1
+    layout = HilbertLayout.qubits(["a", "b"])
+    uu = basis_state(layout, [0, 0])
+    op = PauliSum.from_terms([(1 + 0.09j, PauliString.single(l, "Z")) for l in "ab"])
+    dense = np.diag([1 + 0.18j, 0, 0, 0])
+    kron = KronObservable(np.diag([1 + 0.18j, 0]), [1.0, 0.0])
+    pure = BranchDecomposition(layout, ((1.0, uu),))
+    calls = {
+        "expectation": [lambda: expectation(op, uu, tol), lambda: op_expectation(op, uu, tol),
+                        lambda: op_expectation(dense, uu, tol),
+                        lambda: op_expectation(kron, uu, tol)],
+        "trace expectation": [lambda: expectation_mixed(op, uu.to_density(), tol)],
+        "mixture expectation": [lambda: op_expectation_mixed(q, pure, tol)
+                                for q in (op, dense, kron)],
+    }
+    for prefix, sites in calls.items():
+        for call in sites:
+            with pytest.raises(OperatorError) as err:
+                call()
+            assert str(err.value) == f"{prefix} has imaginary part 0.18"

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from qmeaslab import cascade
 from qmeaslab.cascade import CascadeModel, run_cascade, unmeasured_it_exists
 from qmeaslab.cli import main
 from qmeaslab.hilbert import mixture_of
-from qmeaslab.scenarios import (ConfigError, SCENARIOS, build_config, emit,
-                                parse_config, run)
+from qmeaslab.scenarios import (ConfigError, SCENARIOS, RunReport, build_config,
+                                emit, parse_config, run)
 
 SQ = float(np.sqrt(0.5))
 
@@ -345,6 +347,21 @@ class TestEmission:
         b2 = json.dumps(d2, indent=2, sort_keys=True).encode()
         assert b1 == b2
 
+    def test_report_dict_lists_every_field(self):
+        report = run(parse_config("scenario: ch-heisenberg\n"))
+        fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+        @dataclasses.dataclass(frozen=True)
+        class Extended(RunReport):
+            note: str = ""
+
+        data = Extended(**fields, note="kept").as_dict()
+        assert set(data) == set(fields) | {"note"} and data["note"] == "kept"
+        assert data["invariants"] == [
+            {"name": r.name, "residual": r.residual, "threshold": r.threshold,
+             "passed": r.passed, "required": r.required} for r in report.invariants]
+        assert data["verdicts"] == list(report.verdicts)
+
     def test_csv_sweep_stable_columns(self):
         cfg = parse_config(
             "scenario: ch-basic\nformat: csv\n"
@@ -569,6 +586,58 @@ def test_heisenberg_runs_at_the_eigenvalue_floor(j):
         if tol > 1.0e-14:
             with pytest.raises(ConfigError, match="tolerance: ch-heisenberg"):
                 parse_config(_heisenberg(n=n, j=j, tol=math.nextafter(tol, 0.0)))
+
+
+# 2|J| at sqrt(float max): the largest coupling whose residual norm is finite
+_J_OVERFLOW_BOUND = math.sqrt(sys.float_info.max) / 2
+
+
+@pytest.mark.parametrize("text", [
+    _heisenberg(n=8, j=1.0e200, tol=1.0e190),
+    _heisenberg(n=8, j=7.0e153, tol=1.0e140),
+    _heisenberg(n=8, j=-math.nextafter(_J_OVERFLOW_BOUND, math.inf), tol=1.0e140),
+    "scenario: ch-heisenberg\nj_coupling: 1.0e+153\ntolerance: 1.0e+140\n"
+    "sweep: {parameter: j_coupling, start: 1.0e+153, stop: 1.0e+154, steps: 2}\n",
+])
+def test_coupling_whose_residual_overflows_is_refused(text):
+    with pytest.raises(ConfigError, match=r"j_coupling: requires 2\|J\| <= sqrt\(float max\)"):
+        parse_config(text)
+
+
+def test_overflowing_coupling_exits_as_a_config_error(capsys):
+    assert main(["--scenario", "ch-heisenberg", "--set", "j_coupling=1.0e+200",
+                 "--set", "tolerance=1.0e+190"]) == 2
+    assert "j_coupling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 8, 14])
+@pytest.mark.parametrize("j", [_J_OVERFLOW_BOUND, -_J_OVERFLOW_BOUND])
+def test_coupling_at_the_overflow_bound_runs(n, j):
+    tol = 1.0e140
+    assert tol > _eigenvalue_floor(n, j)
+    report = run(parse_config(_heisenberg(n=n, j=j, tol=tol)))
+    assert not report.failed_required()
+    assert report.expectations["single_flip_residual"] == 2 * abs(j)
+    assert all(math.isfinite(v) for v in json.loads(emit(report))["expectations"].values())
+
+
+def _growth(depth):
+    return f"scenario: growth\nn_emit: 10\ndepth: {depth}\nbound: {10 ** 401}\n"
+
+
+def test_growth_count_past_float_range_is_refused():
+    with pytest.raises(ConfigError, match="depth/bound: .* float max"):
+        parse_config(_growth(400))
+    with pytest.raises(ConfigError, match="depth/bound"):
+        parse_config(_growth(309))
+
+
+@pytest.mark.parametrize("depth", [300, 308])
+def test_growth_count_within_float_range_runs(depth):
+    report = run(parse_config(_growth(depth)))
+    assert not report.failed_required()
+    assert report.expectations["final_count"] == float(10 ** depth)
+    assert json.loads(emit(report))["extras"]["counts_by_generation"][-1] == 10 ** depth
 
 
 def test_readme_minimal_config_runs():
