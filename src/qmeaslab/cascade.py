@@ -6,7 +6,8 @@ records Z_S0 (chain 1's pointer passage), stage 2 records the interference
 term B of (S0, chain 1), and stage k >= 3 records the joint IT operator of
 stage k-1.  The terminal joint IT operator, with no chain left to record
 it, is the unmeasurable witness; its expectation separates the final
-superposition from the branch mixture.
+superposition from the branch mixture, and being nonzero and rank 2 it is
+the identity on no qubit, so its support is the whole layout.
 
 The stage kernel has a leading scan axis: it records a block of cascades,
 one per row of a `(points, dim)` amplitude array, in one call per stage;
@@ -27,15 +28,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .chain import SYSTEM_LABEL, _ready_rows, it_operator, pointer_operator
+from .chain import SYSTEM_LABEL, _ready_rows, _Z_SYSTEM, it_operator, pointer_operator
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, _check_branch_rows,
                       _check_unit_rows, _check_weights, _gauge_rows, _row_norms,
                       check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
-                    _apply_sum_rows, apply, expectation)
-
-_Z_SYSTEM = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
+                    _apply_sum_rows, expectation)
 
 # amplitudes per array in one block of a batched scan: bounds its memory
 SCAN_BLOCK_AMPLITUDES = 2 ** 12
@@ -117,29 +116,18 @@ class BranchConnector:
         return k + k.conj().T
 
     def support(self, tol: float = DEFAULT_TOL) -> tuple[str, ...]:
-        """Qubit labels the operator acts on nontrivially.
+        """Qubit labels the operator acts on nontrivially: every label when
+        ||T||_F^2 = 2 (Re s^2 + n1 n2) exceeds tol (s = <chi1|chi2>,
+        n_i = <chi_i|chi_i>), none otherwise.
 
-        A label is trivial iff the commutators with X and Z there vanish.
-        For a Hermitian involution A, ||[T, A]||_F^2 = 2 tr(T^2) - 2 tr(TATA)
-        = 4 (Re s^2 + n1 n2 - Re u^2 - v w) with s = <chi1|chi2>,
-        n_i = <chi_i|chi_i>, u = <chi1|A|chi2>, v = <chi1|A|chi1> and
-        w = <chi2|A|chi2>: five inner products, no dense matrices.
+        A nonzero T is never I_q (x) T': its nonzero eigenvalues are one,
+        or two of opposite sign, while I_q (x) T' repeats each eigenvalue of
+        T'.  So its exact support is the whole layout.
         """
         c1, c2 = self.chi1.amplitudes, self.chi2.amplitudes
         s = np.vdot(c1, c2)
-        t_sq = np.real(s * s) + np.vdot(c1, c1).real * np.vdot(c2, c2).real
-        labels = []
-        for sub in self.layout.subsystems:
-            for letter in ("X", "Z"):
-                op = PauliString.single(sub.label, letter)
-                a1 = apply(op, self.chi1).amplitudes
-                a2 = apply(op, self.chi2).amplitudes
-                u = np.vdot(c1, a2)
-                v, w = np.vdot(c1, a1).real, np.vdot(c2, a2).real
-                if 4.0 * (t_sq - np.real(u * u) - v * w) > tol:
-                    labels.append(sub.label)
-                    break
-        return tuple(labels)
+        t_sq = 2.0 * (np.real(s * s) + np.vdot(c1, c1).real * np.vdot(c2, c2).real)
+        return self.layout.labels if t_sq > tol else ()
 
 
 def joint_it_operator(branches: BranchDecomposition) -> BranchConnector:
@@ -441,8 +429,7 @@ def information_tradeoff(model: CascadeModel, tol: float = DEFAULT_TOL) -> Trade
     return run_cascade(model, stages=min(model.m, 2), tol=tol).tradeoff(tol)
 
 
-def build_B2_flip_sum(chain1_atoms: Sequence[str], chain2_atoms: Sequence[str],
-                   system: str = SYSTEM_LABEL) -> PauliSum:
+def build_B2_flip_sum(chain1_atoms: Sequence[str], chain2_atoms: Sequence[str]) -> PauliSum:
     """The explicit N+1 member sum for the stage-2 joint IT operator: the
     recording chain's Y product times flip sums over the first chain, with
     Z on the system weighting the even-size flip subsets."""
@@ -457,7 +444,7 @@ def build_B2_flip_sum(chain1_atoms: Sequence[str], chain2_atoms: Sequence[str],
             letters = dict(y_part)
             letters.update({l: "X" for l in subset})
             if n % 2 == 0:
-                letters[system] = "Z"
+                letters[SYSTEM_LABEL] = "Z"
             terms.append((1.0 + 0.0j, PauliString.from_map(letters)))
     return PauliSum.from_terms(terms)
 

@@ -9,7 +9,8 @@ crossing applies the conditional pulse
 
 a complete flip with per-atom phase -i at the calibrated theta = pi/2.
 The measured superposition on ready all-up atoms is built here once, over
-rows (`_ready_rows`), for chains and cascades alike.
+rows (`_ready_rows`), for chains and cascades alike, and so is the system's
+Z (`_Z_SYSTEM`).
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .pauli import (OperatorError, PauliString, PauliSum, apply_sum,
                     commutator, expectation, _check_qubit_support)
 
 SYSTEM_LABEL = "S0"
+_Z_SYSTEM = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
 
 
-def atom_labels(n_atoms: int, prefix: str = "A") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(1, n_atoms + 1))
+def atom_labels(n_atoms: int) -> tuple[str, ...]:
+    return tuple(f"A{i}" for i in range(1, n_atoms + 1))
 
 
 def _as_labels(atoms: int | Sequence[str]) -> tuple[str, ...]:
@@ -167,12 +169,12 @@ def pointer_operator(atoms: int | Sequence[str]) -> PauliSum:
     return PauliSum.from_terms((w, PauliString.single(l, "Z")) for l in labels)
 
 
-def it_operator(atoms: int | Sequence[str], system: str = SYSTEM_LABEL) -> PauliSum:
+def it_operator(atoms: int | Sequence[str]) -> PauliSum:
     """Joint interference-term operator X_system prod_i Y_i."""
     labels = _as_labels(atoms)
     if not labels:
         raise ValueError("interference operator needs at least one atom")
-    letters = {system: "X"}
+    letters = {SYSTEM_LABEL: "X"}
     letters.update({l: "Y" for l in labels})
     return PauliSum.from_string(PauliString.from_map(letters))
 
@@ -190,11 +192,10 @@ class StrictMeasurementReport:
 
 
 def strict_check(q: PauliSum, q_o: PauliSum, state: StateVector,
-                 system_labels: Sequence[str] = (SYSTEM_LABEL,),
                  tol: float = DEFAULT_TOL) -> StrictMeasurementReport:
-    """Strictness report for a system observable q against an apparatus
-    observable q_o; exact measurement means delta = 0."""
-    sys_set = set(system_labels)
+    """Strictness report for a system observable q on S0 against an
+    apparatus observable q_o; exact measurement means delta = 0."""
+    sys_set = {SYSTEM_LABEL}
     apparatus = set(state.layout.labels) - sys_set
     if not set(q.support) <= sys_set:
         raise OperatorError(f"q must be supported on {sorted(sys_set)}, got {q.support}")

@@ -361,11 +361,10 @@ def _pointer_branches(layout: HilbertLayout, a1: complex, up: np.ndarray, a2: co
 
 def build_premeasurement(a1: complex, a2: complex,
                          pointer_pairs: Sequence[tuple[StateVector, StateVector]],
-                         system_label: str = "S",
                          tol: float = DEFAULT_TOL) -> BranchDecomposition:
     """Entangled post-measurement state a1|s1>|D1>|O1> + a2|s2>|D2>|O2>.
 
-    The measured system is a fresh qubit with basis states s1=|u>, s2=|d>;
+    The measured system is a fresh qubit "S" with basis states s1=|u>, s2=|d>;
     each pointer pair must be an orthogonal pair of unit states on its own
     subsystem layout.  Returns the branch decomposition; the superposition
     itself is ``.state()``.  Unlike `_pointer_branches`, the second branch
@@ -374,7 +373,7 @@ def build_premeasurement(a1: complex, a2: complex,
     a1, a2 = complex(a1), complex(a2)
     if abs(abs(a1) ** 2 + abs(a2) ** 2 - 1.0) > tol:
         raise StateError("amplitudes must satisfy |a1|^2 + |a2|^2 = 1")
-    sys_layout = HilbertLayout.qubits([system_label])
+    sys_layout = HilbertLayout.qubits(["S"])
     for k, (p, q) in enumerate(pointer_pairs):
         if p.layout.labels != q.layout.labels:
             raise StateError(f"pointer pair {k} must share one layout")

@@ -157,8 +157,8 @@ class PauliSum:
         return cls(((coefficient, s),))
 
     @classmethod
-    def identity(cls, coefficient: complex = 1.0) -> "PauliSum":
-        return cls(((coefficient, PauliString.identity()),))
+    def identity(cls) -> "PauliSum":
+        return cls(((1.0, PauliString.identity()),))
 
     @classmethod
     def zero(cls) -> "PauliSum":
@@ -296,6 +296,12 @@ def apply_sum(op: PauliSum, state: StateVector) -> np.ndarray:
     return _apply_sum_rows(op, state.layout, state.amplitudes)
 
 
+def _check_hermitian(op: PauliSum, tol: float, noun: str = "operator") -> None:
+    """A Pauli sum is Hermitian iff every coefficient is real to tol."""
+    if not op.is_hermitian(tol):
+        raise OperatorError(f"{noun} is not Hermitian: {format_sum(op)}")
+
+
 def _real_part(val: complex, tol: float, what: str) -> float:
     """The real part of an expectation `what` of a Hermitian operator; an
     imaginary part above tol is an OperatorError."""
@@ -307,8 +313,7 @@ def _real_part(val: complex, tol: float, what: str) -> float:
 def expectation(op: PauliSum, state: StateVector, tol: float = DEFAULT_TOL) -> float:
     """<state|op|state> for Hermitian op; the imaginary part is checked
     against tol and discarded."""
-    if not op.is_hermitian(tol):
-        raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
+    _check_hermitian(op, tol)
     return _real_part(complex(np.vdot(state.amplitudes, apply_sum(op, state))), tol,
                       "expectation")
 
@@ -328,8 +333,7 @@ def _diagonal_values(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
 
 def expectation_mixed(op: PauliSum, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
     """Tr(rho op) for Hermitian op via the basis permutation of each string."""
-    if not op.is_hermitian(tol):
-        raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
+    _check_hermitian(op, tol)
     total = 0.0 + 0.0j
     idx = np.arange(rho.layout.dim)
     for c, s in op.terms:

@@ -7,6 +7,9 @@ The asymptotic state is  a1 |x1>|L>|vac>  +  a2 sum_j c_j |x2>|L'>|j gamma>,
 with every emission pattern orthogonal to the vacuum.  Observables built
 from photon-number functions have no vacuum matrix elements, so no allowed
 measurement separates that superposition from its branch mixture.
+`RadiationModel` owns that precondition and the other pattern and
+occupation rules; the rd-basic config check reports its refusals as they
+stand, so their messages name the config key path.
 
 Glauber observables stay factored: each generator and each pairwise
 product is a `KronObservable`, a 4x4 path x lattice matrix tensored with a
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -67,24 +71,32 @@ class RadiationModel:
         _check_weights(self.a1, self.a2)
         if not self.photon_amplitudes:
             raise ValueError("at least one photon pattern is required")
-        total_c = 0.0
         seen = set()
-        for pattern, c in self.photon_amplitudes:
+        for k, (pattern, _) in enumerate(self.photon_amplitudes):
+            path = f"photons[{k}].pattern"
+            self._check_occupations(pattern, path)
             if len(pattern) != self.modes:
-                raise ValueError(f"pattern {pattern} does not cover {self.modes} modes")
-            if any(not 0 <= n < self.cutoff for n in pattern):
-                raise ValueError(f"pattern {pattern} exceeds the cutoff {self.cutoff}")
+                raise ValueError(f"{path}: requires one occupation per mode "
+                                 f"(modes = {self.modes}), got {list(pattern)}")
             if sum(pattern) < 1:
-                raise ValueError("the vacuum pattern cannot appear among the c_j")
+                raise ValueError(f"{path}: the vacuum cannot be an emission pattern, "
+                                 f"got {list(pattern)}")
             if pattern in seen:
-                raise ValueError(f"duplicate pattern {pattern}")
+                raise ValueError(f"{path}: duplicate pattern {list(pattern)}")
             seen.add(pattern)
-            total_c += abs(c) ** 2
+        total_c = sum(abs(c) ** 2 for _, c in self.photon_amplitudes)
         if abs(total_c - 1.0) > 1e-9:
-            raise ValueError(f"photon amplitudes must satisfy sum|c_j|^2=1, got {total_c}")
-        if any(not 0 <= n < self.cutoff for n in self.background):
-            raise ValueError("background occupancies exceed the cutoff")
+            raise ValueError(
+                f"photons: amplitudes must satisfy sum |c_j|^2 = 1, got {total_c}")
+        self._check_occupations(self.background, "background")
         self.layout  # raises DimensionCapError if over the cap
+
+    def _check_occupations(self, occupations: tuple[int, ...], path: str):
+        """Every occupation is a photon number below the cutoff."""
+        for k, n in enumerate(occupations):
+            if not 0 <= n < self.cutoff:
+                bound = ">= 0" if n < 0 else f"below cutoff = {self.cutoff}"
+                raise ValueError(f"{path}[{k}]: requires an occupation {bound}, got {n}")
 
     @property
     def all_modes(self) -> int:
@@ -93,8 +105,9 @@ class RadiationModel:
     def mode_labels(self) -> tuple[str, ...]:
         return tuple(f"mode{i}" for i in range(1, self.all_modes + 1))
 
-    @property
+    @cached_property
     def layout(self) -> HilbertLayout:
+        # built once per model, so its flip tables are shared by every state
         subs = [Subsystem(PATH_LABEL), Subsystem(LATTICE_LABEL)]
         subs += [Subsystem(l, self.cutoff, MODE) for l in self.mode_labels()]
         return HilbertLayout(tuple(subs))

@@ -25,7 +25,7 @@ from . import chain as ch
 from . import radiation as rad
 from . import sectors as sec
 from .hilbert import DEFAULT_DIM_CAP, DEFAULT_TOL
-from .pauli import MAX_ENUMERATED_LABELS, PauliString, PauliSum
+from .pauli import MAX_ENUMERATED_LABELS, PauliSum
 
 SCHEMA_VERSION = "1"
 
@@ -209,14 +209,12 @@ def _tolerance(value) -> float:
     return tol
 
 
-def _occupations(value, path: str, cutoff: int) -> tuple[int, ...]:
-    """A list of photon occupation numbers, each an integer in [0, cutoff)."""
+def _occupations(value, path: str) -> tuple[int, ...]:
+    """A list of photon occupation numbers, each an integer >= 0."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: requires a list of occupation numbers, got {value!r}")
     for k, n in enumerate(value):
-        if _int_at_least(n, 0, f"{path}[{k}]") >= cutoff:
-            raise ConfigError(
-                f"{path}[{k}]: requires an occupation below cutoff = {cutoff}, got {n}")
+        _int_at_least(n, 0, f"{path}[{k}]")
     return tuple(value)
 
 
@@ -229,35 +227,23 @@ def _glauber_family_entries(modes: int, cutoff: int) -> int:
 
 
 def _check_rd_basic(params: dict[str, Any]):
-    """Photon patterns, background and field size of an rd-basic config.
-    The run's background check adds one mode to the model, so its layout
-    and its closed Glauber family bound those of the model itself."""
+    """Types and field size of an rd-basic config; the photon patterns,
+    amplitudes and occupations are the model's own preconditions (see
+    `_radiation_model`).  The run's background check adds one mode to the
+    model, so its layout and its closed Glauber family bound those of the
+    model itself."""
     modes = _int_at_least(params["modes"], 1, "modes")
     cutoff = _int_at_least(params["cutoff"], 2, "cutoff")
     _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
     if not isinstance(params["photons"], list) or not params["photons"]:
         raise ConfigError("photons: at least one {pattern, c} entry is required")
-    seen: set[tuple[int, ...]] = set()
-    weight = 0.0
     for k, entry in enumerate(params["photons"]):
         path = f"photons[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
             raise ConfigError(f"{path}: entries are mappings with keys pattern and c")
-        pattern = _occupations(entry["pattern"], f"{path}.pattern", cutoff)
-        if len(pattern) != modes:
-            raise ConfigError(f"{path}.pattern: requires one occupation per mode "
-                              f"(modes = {modes}), got {list(pattern)}")
-        if sum(pattern) < 1:
-            raise ConfigError(f"{path}.pattern: the vacuum cannot be an emission "
-                              f"pattern, got {list(pattern)}")
-        if pattern in seen:
-            raise ConfigError(f"{path}.pattern: duplicate pattern {list(pattern)}")
-        seen.add(pattern)
-        weight += _amp(entry["c"], f"{path}.c")[0] ** 2
-    if abs(weight - 1.0) > 1e-9:
-        raise ConfigError(
-            f"photons: amplitudes must satisfy sum |c_j|^2 = 1, got {weight}")
-    field_modes = len(_occupations(params["background"], "background", cutoff)) + modes
+        _occupations(entry["pattern"], f"{path}.pattern")
+        _amp(entry["c"], f"{path}.c")
+    field_modes = len(_occupations(params["background"], "background")) + modes
     dim = 4 * cutoff ** (field_modes + 1)
     if dim > DEFAULT_DIM_CAP:
         raise ConfigError(
@@ -377,6 +363,23 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
                 f"(1 - |2 Re(a1* a2)|)/2 > tolerance {tol}, got {w_min}")
+    if scenario == "rd-basic":
+        _radiation_model(params)
+
+
+def _radiation_model(params: dict[str, Any]) -> rad.RadiationModel:
+    """The model of an rd-basic config whose types are checked.  The model
+    owns the photon and occupation rules; its refusal is the ConfigError."""
+    a1 = _to_complex(_amp(params["a1"], "a1"))
+    a2 = _to_complex(_amp(params["a2"], "a2"))
+    photons = tuple((tuple(entry["pattern"]),
+                     _to_complex(_amp(entry["c"], "photons.c")))
+                    for entry in params["photons"])
+    try:
+        return rad.RadiationModel(a1, a2, params["modes"], params["cutoff"],
+                                  photons, tuple(params["background"]))
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def build_config(data: dict[str, Any]) -> ScenarioConfig:
@@ -538,12 +541,11 @@ def _run_ch_basic(params, tol, rng):
     fidelity = abs(psi.inner(closed))
     mu = ch.pointer_operator(atoms)
     b = ch.it_operator(atoms)
-    z0 = PauliSum.from_string(PauliString.single(ch.SYSTEM_LABEL, "Z"))
     audit = ch.it_commutator_audit(n)
     it_cross = float(np.real(np.conj(a1) * a2 + a1 * np.conj(a2)))
 
     expectations: dict[str, float | None] = {
-        "sigma0_z": sec.op_expectation(z0, psi, tol),
+        "sigma0_z": sec.op_expectation(ch._Z_SYSTEM, psi, tol),
         "mu_z": sec.op_expectation(mu, psi, tol),
         "b_pure": sec.op_expectation(b, psi, tol),
         "it_cross": it_cross,
@@ -574,7 +576,7 @@ def _run_ch_basic(params, tol, rng):
     if complete_flip:
         decomp = ch.final_branches(model, tol)
         b_mixed = sec.op_expectation_mixed(b, decomp, tol)
-        strict = ch.strict_check(z0, mu, psi, tol=tol)
+        strict = ch.strict_check(ch._Z_SYSTEM, mu, psi, tol=tol)
         b_pure = expectations["b_pure"]
         expected_b = ((-1.0) ** n) * it_cross
         expectations.update({
@@ -719,13 +721,7 @@ def _random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _run_rd_basic(params, tol, rng):
-    a1 = _to_complex(_amp(params["a1"], "a1"))
-    a2 = _to_complex(_amp(params["a2"], "a2"))
-    photons = tuple((tuple(entry["pattern"]),
-                     _to_complex(_amp(entry["c"], "photons.c")))
-                    for entry in params["photons"])
-    model = rad.RadiationModel(a1, a2, params["modes"], params["cutoff"],
-                               photons, tuple(params["background"]))
+    model = _radiation_model(params)
     decomp = rad.build_final_state(model, tol)
     pure = decomp.state()
     field_gens = rad.glauber_field_generators(model)

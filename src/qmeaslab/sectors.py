@@ -29,8 +29,8 @@ import numpy as np
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                    apply_sum, expectation, format_string, format_sum,
-                    hermitian_part, string_matrix, sum_matrix, sup_norm_estimate,
+                    apply_sum, expectation, format_string, hermitian_part,
+                    string_matrix, sum_matrix, sup_norm_estimate, _check_hermitian,
                     _check_qubit_support, _diagonal_values, _flip_permutation,
                     _flips, _is_z_diagonal, _real_part)
 
@@ -166,8 +166,7 @@ def joint_sectors(pointers: Sequence[PauliSum], layout: HilbertLayout) -> Sector
     for p in pointers:
         if not _is_z_diagonal(p):
             raise SectorError("joint sectors are implemented for Z-diagonal pointers")
-        if not p.is_hermitian():
-            raise OperatorError(f"pointer is not Hermitian: {format_sum(p)}")
+        _check_hermitian(p, DEFAULT_TOL, "pointer")
     return _grouped_sectors(layout, np.stack(
         [np.real(_diagonal_values(p, layout)) for p in pointers], axis=1))
 
@@ -341,8 +340,8 @@ def op_expectation_mixed(op, branches: BranchDecomposition,
     evaluated on the branch vectors (no density matrix); the branches are
     validated and the imaginary part is checked against tol."""
     branches.validate(tol)
-    if isinstance(op, PauliSum) and not op.is_hermitian(tol):
-        raise OperatorError(f"operator is not Hermitian: {format_sum(op)}")
+    if isinstance(op, PauliSum):
+        _check_hermitian(op, tol)
     return _real_part(_mean(op, _mixture(branches)), tol, "mixture expectation")
 
 
@@ -475,7 +474,7 @@ def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableS
 def chain_observable_preset(name: str, n_atoms: int,
                             tol: float = DEFAULT_TOL) -> ObservableSet:
     """Presets: all_strings, sector_preserving, pointer_only, with_B."""
-    from .chain import SYSTEM_LABEL, atom_labels, it_operator, pointer_operator
+    from .chain import SYSTEM_LABEL, _Z_SYSTEM, atom_labels, it_operator, pointer_operator
 
     atoms = atom_labels(n_atoms)
     labels = (SYSTEM_LABEL,) + atoms
@@ -491,8 +490,7 @@ def chain_observable_preset(name: str, n_atoms: int,
         if name == "all_strings":
             return pool
         layout = HilbertLayout.qubits(labels)
-        z0 = PauliSum.from_string(PauliString.single(SYSTEM_LABEL, "Z"))
-        sec = joint_sectors([z0, mu], layout)
+        sec = joint_sectors([_Z_SYSTEM, mu], layout)
         return restricted_algebra(sec, pool, tol)
     raise ValueError(f"unknown observable preset {name!r}; expected one of "
                      f"{', '.join(CHAIN_PRESETS)}")

@@ -13,6 +13,7 @@ from qmeaslab.hilbert import (HilbertLayout, StateError, StateVector,
                               basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
                             expectation_mixed)
+from qmeaslab.radiation import RadiationModel
 from qmeaslab.sectors import ObservableSet, discriminate
 
 from oracles import dense_of, random_amplitude_pair
@@ -267,10 +268,8 @@ class TestJointITOperator:
                    - np.trace(rho.matrix @ mat).real) < 1e-12
 
     def test_support_matches_dense_commutators(self):
-        # a label is kept iff ||[T, X]||^2 or ||[T, Z]||^2 there exceeds tol.
-        # A nonzero rank-2 T is never the identity on a qubit, so at the
-        # default tol the support is the whole layout; a tol between two
-        # labels' dense norms leaves a strict, nonempty subset
+        # a nonzero rank-2 T is never the identity on a qubit, so its support
+        # is the whole layout while ||T||_F^2 exceeds tol, and empty above it
         rng = np.random.default_rng(31)
         layout = HilbertLayout.qubits(["q0", "q1", "q2", "q3"])
         labels = tuple(layout.labels)
@@ -286,20 +285,27 @@ class TestJointITOperator:
         for c1, c2 in pairs:
             t = BranchConnector(StateVector(layout, c1), StateVector(layout, c2))
             mat = t.to_matrix()
-            norms = {}
             for label in labels:
                 ops = (dense_of(PauliString.single(label, a), layout) for a in "XZ")
-                norms[label] = max(np.linalg.norm(mat @ a - a @ mat) ** 2 for a in ops)
+                assert max(np.linalg.norm(mat @ a - a @ mat) ** 2 for a in ops) > 1e-12
             assert t.support() == labels
-            levels = sorted(norms.values())
-            for lo, hi in zip(levels, levels[1:]):
-                assert hi - lo > 1e-9 * hi
-                kept = t.support(0.5 * (lo + hi))
-                assert kept == tuple(lb for lb in labels if norms[lb] > 0.5 * (lo + hi))
-                assert 0 < len(kept) < len(labels)
+            frob = np.linalg.norm(mat) ** 2
+            assert t.support(0.999 * frob) == labels
+            assert t.support(1.001 * frob) == ()
         c = unit(16)
         zero = BranchConnector(StateVector(layout, c), StateVector(layout, 1j * c))
         assert zero.support() == ()
+        # for an orthonormal pair, max(||[T, X_q]||^2, ||[T, Z_q]||^2) >= 2 on
+        # every qubit, and every admissible tolerance is below 1: a per-qubit
+        # commutator test would keep every label the exact support keeps
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(16, 2)) + 1j * rng.normal(size=(16, 2)))
+            mat = BranchConnector(StateVector(layout, q[:, 0]),
+                                  StateVector(layout, q[:, 1])).to_matrix()
+            for label in labels:
+                ops = (dense_of(PauliString.single(label, a), layout) for a in "XZ")
+                assert max(np.linalg.norm(mat @ a - a @ mat) ** 2
+                           for a in ops) >= 2.0 - 1e-12
 
 
 class TestTerminalWitness:
@@ -467,8 +473,9 @@ def test_record_rows_keeps_single_branch_rows():
 
 
 @pytest.mark.parametrize("make", [lambda: ChainModel(3, 0.6, 0.8j),
-                                  lambda: CascadeModel((2, 1), 0.6, 0.8j)],
-                         ids=["chain", "cascade"])
+                                  lambda: CascadeModel((2, 1), 0.6, 0.8j),
+                                  lambda: RadiationModel(0.6, 0.8j)],
+                         ids=["chain", "cascade", "radiation"])
 def test_model_layout_built_once(make):
     model, twin = make(), make()
     assert model == twin and hash(model) == hash(twin)

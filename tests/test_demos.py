@@ -1,7 +1,8 @@
 """Every demo script runs to completion against the package in src/.
 
 Each demo is copied into a temporary directory first, because some write
-their output next to themselves (phase_sweep.py writes its CSV there).
+their output next to themselves (phase_sweep.py writes its CSV there).  A
+numeric RuntimeWarning is an error here, as in the rest of the suite.
 """
 
 import os
@@ -21,6 +22,7 @@ def test_demo_runs(demo, tmp_path):
     script = tmp_path / demo.name
     shutil.copy(demo, script)
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(script)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -2,8 +2,10 @@
 site that needs it calls that one: the complete-flip test (chain), the
 branch-decomposition checks (hilbert), the pointer-eigenvalue grouping
 (sectors), sector preservation (sectors), the real part of an expectation
-(pauli), the measured superposition on a ready chain (chain), and the
-models' measured pointer pair and unit-weight rule (hilbert)."""
+and the Hermitian check of a Pauli sum (pauli), the measured superposition
+on a ready chain (chain), the models' measured pointer pair and unit-weight
+rule (hilbert), and the photon and occupation rules of rd-basic
+(radiation)."""
 
 import math
 
@@ -243,3 +245,48 @@ def test_imaginary_part_messages():
             with pytest.raises(OperatorError) as err:
                 call()
             assert str(err.value) == f"{prefix} has imaginary part 0.18"
+
+
+# ---------------------------------------------------------------------------
+# the Hermitian check of a Pauli sum
+
+def test_hermitian_messages():
+    layout = HilbertLayout.qubits(["a", "b"])
+    uu = basis_state(layout, [0, 0])
+    op = PauliSum.from_terms([(1 + 0.5j, PauliString.single("a", "Z")),
+                              (1.0, PauliString.single("b", "Z"))])
+    pure = BranchDecomposition(layout, ((1.0, uu),))
+    calls = {
+        "operator": [lambda: expectation(op, uu),
+                     lambda: expectation_mixed(op, uu.to_density()),
+                     lambda: op_expectation_mixed(op, pure)],
+        "pointer": [lambda: joint_sectors([op], layout)],
+    }
+    for noun, sites in calls.items():
+        for call in sites:
+            with pytest.raises(OperatorError) as err:
+                call()
+            assert str(err.value) == f"{noun} is not Hermitian: (1.0+0.5j)*Za + Zb"
+
+
+# ---------------------------------------------------------------------------
+# the photon and occupation rules of rd-basic
+
+# the rd-basic refusals of test_scenarios.py whose rule the model owns, with
+# the same inputs given to the model directly
+@pytest.mark.parametrize("text, kwargs", [
+    ("photons: [{pattern: [5], c: [1, 0]}]\n", {"photon_amplitudes": (((5,), 1.0),)}),
+    ("background: [7]\n", {"background": (7,)}),
+    ("photons: [{pattern: [0], c: [1, 0]}]\n", {"photon_amplitudes": (((0,), 1.0),)}),
+    ("photons: [{pattern: [1], c: [0.6, 0]}]\n", {"photon_amplitudes": (((1,), 0.6),)}),
+    ("photons: [{pattern: [1], c: [0.7071067811865476, 0]},"
+     " {pattern: [1], c: [0.7071067811865476, 90]}]\n",
+     {"photon_amplitudes": (((1,), SQ), ((1,), 1j * SQ))}),
+    ("photons: [{pattern: [1, 0], c: [1, 0]}]\n", {"photon_amplitudes": (((1, 0), 1.0),)}),
+])
+def test_rd_basic_refusals_are_the_model_messages(text, kwargs):
+    with pytest.raises(ValueError) as model_err:
+        RadiationModel(**kwargs)
+    with pytest.raises(scenarios.ConfigError) as config_err:
+        scenarios.parse_config("scenario: rd-basic\n" + text)
+    assert str(config_err.value) == str(model_err.value)
