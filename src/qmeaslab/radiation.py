@@ -44,8 +44,8 @@ class RadiationModel:
     """Path qubit, lattice qubit, and M photon modes truncated at `cutoff`.
 
     `photon_amplitudes` lists (occupation pattern, production amplitude c_j)
-    for the emitting branch; patterns are per-emission-mode occupancies and
-    must not be the vacuum.  `background` prepends extra modes occupied
+    for the emitting branch, at least one; patterns are per-emission-mode
+    occupancies and must not be the vacuum.  `background` prepends extra modes occupied
     identically in BOTH branches (photons uncorrelated with the lattice).
     """
 
@@ -70,7 +70,7 @@ class RadiationModel:
             raise ValueError(f"mode cutoff must be >= 2, got {self.cutoff}")
         _check_weights(self.a1, self.a2)
         if not self.photon_amplitudes:
-            raise ValueError("at least one photon pattern is required")
+            raise ValueError("photons: at least one emission pattern is required")
         seen = set()
         for k, (pattern, _) in enumerate(self.photon_amplitudes):
             path = f"photons[{k}].pattern"

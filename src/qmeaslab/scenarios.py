@@ -235,8 +235,9 @@ def _check_rd_basic(params: dict[str, Any]):
     modes = _int_at_least(params["modes"], 1, "modes")
     cutoff = _int_at_least(params["cutoff"], 2, "cutoff")
     _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
-    if not isinstance(params["photons"], list) or not params["photons"]:
-        raise ConfigError("photons: at least one {pattern, c} entry is required")
+    if not isinstance(params["photons"], list):
+        raise ConfigError("photons: expected a list of {pattern, c} entries, "
+                          f"got {params['photons']!r}")
     for k, entry in enumerate(params["photons"]):
         path = f"photons[{k}]"
         if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
@@ -364,7 +365,15 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
                 f"(1 - |2 Re(a1* a2)|)/2 > tolerance {tol}, got {w_min}")
     if scenario == "rd-basic":
-        _radiation_model(params)
+        model = _radiation_model(params)
+        # the vacuum connector XX (x) (|ref><p_0| + h.c.), alone or times a
+        # Glauber member, sees the superposition only through Re(a1* a2 c_0)
+        seen = 2.0 * abs((model.a1.conjugate() * model.a2
+                          * model.photon_amplitudes[0][1]).real)
+        if seen <= tol:
+            raise ConfigError(
+                "a1/a2/photons[0].c: the vacuum connector sees the superposition only "
+                f"through 2|Re(a1* a2 c_0)|, which must exceed tolerance {tol}, got {seen!r}")
 
 
 def _radiation_model(params: dict[str, Any]) -> rad.RadiationModel:

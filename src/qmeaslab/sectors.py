@@ -15,7 +15,10 @@ one weighted mean, `_mean`, with weight 1 or |a_i|^2.
 Observables come as Pauli sums, dense arrays, or factored
 `KronObservable`s S (x) diag(f).  A closed family's factored members are
 stacked and evaluated by one batched kernel; no dim x dim array is built
-for them.
+for them.  The stack keeps each distinct system factor once (keyed on its
+bytes) and one diagonal row per member, so the products, spectral norms
+and Gram contractions of the system factors run once per distinct factor,
+not once per member.
 """
 
 from __future__ import annotations
@@ -239,28 +242,55 @@ def _branch_gram(weighted, s: int, f: int) -> np.ndarray:
     return sum(w * _kron_gram(v.amplitudes, s, f) for w, v in weighted)
 
 
-def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray) -> np.ndarray:
+def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
+                 sid: np.ndarray | None = None) -> np.ndarray:
     """Expectations of every stacked observable from one Gram array: one
-    matmul and one weighted row sum."""
+    matmul over the system factors and one weighted row sum.  Member r has
+    system factor system[sid[r]] and diagonal field[r] (with no `sid`, row
+    r of both), so a factor shared by many members is contracted once."""
     s, f = system.shape[-1], field.shape[-1]
-    return np.sum((system.reshape(-1, s * s) @ gram) * field.reshape(-1, f), axis=1)
+    values = system.reshape(-1, s * s) @ gram
+    return np.sum((values if sid is None else values[sid]) * field.reshape(-1, f), axis=1)
 
 
 def _kron_deviations(system: np.ndarray, field: np.ndarray, pure: StateVector,
-                     branches: BranchDecomposition) -> np.ndarray:
-    """|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| of every stacked observable,
-    from the real parts of both expectations."""
+                     branches: BranchDecomposition,
+                     sid: np.ndarray | None = None) -> np.ndarray:
+    """|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| of every stacked observable
+    (members as in `_kron_values`), from the real parts of both
+    expectations."""
     s, f = system.shape[-1], field.shape[-1]
     mixed = _branch_gram(_mixture(branches), s, f)
-    return np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f)).real
-                  - _kron_values(system, field, mixed).real)
+    return np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f), sid).real
+                  - _kron_values(system, field, mixed, sid).real)
 
 
-def _kron_norms(system: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """Spectral norms ||S||_2 max|f|, exact: the singular values of a
-    Kronecker product are the products of the factors' singular values."""
-    return (np.linalg.norm(system, ord=2, axis=(-2, -1))
-            * np.max(np.abs(field), axis=-1))
+def _kron_norms(system: np.ndarray, field: np.ndarray,
+                sid: np.ndarray | None = None) -> np.ndarray:
+    """Spectral norms ||S||_2 max|f| (members as in `_kron_values`), exact:
+    the singular values of a Kronecker product are the products of the
+    factors' singular values.  One SVD per system factor."""
+    norms = np.linalg.norm(system, ord=2, axis=(-2, -1))
+    return (norms if sid is None else norms[sid]) * np.max(np.abs(field), axis=-1)
+
+
+def _kron_skew(system: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """||S - S^H||_F ||f|| = ||(S - S^H) (x) diag(f)||_F of every stacked
+    observable: zero iff it is Hermitian."""
+    return (np.linalg.norm(system - system.conj().swapaxes(-1, -2), axis=(-2, -1))
+            * np.linalg.norm(field, axis=-1))
+
+
+def _distinct(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct matrices of a stack and the index of each stacked matrix
+    among them, keyed on their exact bytes with -0.0 read as 0.0 (`+ 0.0`):
+    equal values, so the same spectral norms, and Gram contractions that
+    can differ only in the sign of an exact zero, which every deviation
+    takes the modulus of."""
+    flat = (matrices + 0.0).reshape(len(matrices), -1)
+    keys = flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return matrices[first], inverse
 
 
 @dataclass(frozen=True)
@@ -279,8 +309,16 @@ class ObservableSet:
             for name, op in self.generators))
 
     def validate(self, tol: float = DEFAULT_TOL) -> "ObservableSet":
+        """Raise for the first non-Hermitian generator; the factored ones
+        are checked in one stacked call."""
+        kron = [op for _, op in self.generators if isinstance(op, KronObservable)]
+        kron_ok = iter(())
+        if kron:
+            kron_ok = iter(_kron_skew(np.stack([op.system for op in kron]),
+                                      np.stack([op.field for op in kron])) <= tol)
         for name, op in self.generators:
-            if not op_is_hermitian(op, tol):
+            ok = next(kron_ok) if isinstance(op, KronObservable) else op_is_hermitian(op, tol)
+            if not ok:
                 raise OperatorError(f"generator {name!r} is not Hermitian")
         return self
 
@@ -305,9 +343,7 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     if isinstance(op, PauliSum):
         return op.is_hermitian(tol)
     if isinstance(op, KronObservable):
-        # ||(S - S^H) (x) diag(f)||_F = ||S - S^H||_F ||f||
-        sys = op.system
-        return bool(np.linalg.norm(sys - sys.conj().T) * np.linalg.norm(op.field) <= tol)
+        return bool(_kron_skew(op.system, op.field) <= tol)
     arr = np.asarray(op)
     return bool(np.linalg.norm(arr - arr.conj().T) <= tol)
 
@@ -367,22 +403,32 @@ class _ClosedFamily(NamedTuple):
     """Generators then their pairwise Hermitian products, in sweep order:
     member g + p is herm(G_i[p] G_j[p]) for g generators, the pairs in
     np.triu_indices order.  Members built only from KronObservables are
-    stacked: row r of system and field is the member at position at[r]
-    (ascending).  Every other member is its own operator in `other`."""
+    stacked: the member at position at[r] (ascending) is
+    systems[sid[r]] (x) diag(field[r]).  `systems` holds each distinct
+    system factor once, so their work is done once per factor, not once
+    per member.  Every other member is its own operator in `other`."""
 
     i: np.ndarray
     j: np.ndarray
     at: np.ndarray
-    system: np.ndarray
+    systems: np.ndarray
+    sid: np.ndarray
     field: np.ndarray
     other: dict[int, object]
+
+    @property
+    def system(self) -> np.ndarray:
+        """The system factor of every stacked member, one row each."""
+        return self.systems[self.sid]
 
 
 def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFamily:
     """The product of two factored members is herm(S_a S_b) (x) (f_a f_b)
-    exactly, because real diagonals commute, so all factored products come
-    from one batched matmul and one elementwise product; a product with any
-    other operator goes through `_op_product_hermitian`."""
+    exactly, because real diagonals commute.  Each distinct pair of
+    distinct system factors (keyed on their bytes) is multiplied once, by
+    one batched matmul; the field rows are one elementwise product per
+    member.  A product with any other operator goes through
+    `_op_product_hermitian`."""
     gens = [op for _, op in allowed.generators]
     g = len(gens)
     i, j = np.triu_indices(g if allowed.closure_depth >= 2 else 0)
@@ -393,16 +439,20 @@ def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFami
     for p in np.flatnonzero(~both):
         other[g + int(p)] = _op_product_hermitian(gens[i[p]], gens[j[p]], layout)
     kron = [op for op in gens if isinstance(op, KronObservable)]
-    system = field = np.empty(0)
+    systems, sid, field = np.empty((0, 0, 0)), np.empty(0, dtype=np.intp), np.empty(0)
     if kron:
         row = np.cumsum(factored) - 1  # stack row of each factored generator
         a, b = row[i[both]], row[j[both]]
-        system = np.stack([op.system for op in kron])
+        gen_systems, gen_sid = _distinct(np.stack([op.system for op in kron]))
+        u = len(gen_systems)
+        pairs, pair_sid = np.unique(gen_sid[a] * u + gen_sid[b], return_inverse=True)
+        prod = gen_systems[pairs // u] @ gen_systems[pairs % u]
+        systems, sid = _distinct(np.concatenate(
+            [gen_systems, 0.5 * (prod + prod.conj().swapaxes(-1, -2))]))
+        sid = sid[np.concatenate([gen_sid, u + pair_sid])]
         field = np.stack([op.field for op in kron])
-        prod = system[a] @ system[b]
-        system = np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))])
         field = np.concatenate([field, field[a] * field[b]])
-    return _ClosedFamily(i, j, at, system, field, other)
+    return _ClosedFamily(i, j, at, systems, sid, field, other)
 
 
 @dataclass(frozen=True)
@@ -436,8 +486,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     mixture = _mixture(branches)
     devs = np.zeros(len(names) + family.i.size)
     if family.at.size:
-        norms = _kron_norms(family.system, family.field)
-        diff = _kron_deviations(family.system, family.field, pure, branches)
+        norms = _kron_norms(family.systems, family.field, family.sid)
+        diff = _kron_deviations(family.systems, family.field, pure, branches, family.sid)
         seen = norms > tol
         devs[family.at[seen]] = diff[seen] / norms[seen]
     for k, op in family.other.items():

@@ -1,5 +1,8 @@
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from qmeaslab.radiation import (RadiationModel,
                                 vacuum_pattern_connector,
                                 with_vacuum_connector)
 from qmeaslab.pauli import OperatorError, PauliString, PauliSum
-from qmeaslab.scenarios import parse_config, run
+from qmeaslab.scenarios import ConfigError, parse_config, run
 from qmeaslab.sectors import (KronObservable, ObservableSet, _closed_family,
                               _kron_deviations, _kron_gram, _kron_norms,
                               _kron_values, discriminate, op_expectation,
@@ -450,10 +453,10 @@ def test_stacked_random_factor_check_matches_per_observable_route(text, model,
     stacked = []
     kernel = sectors._kron_deviations
 
-    def spy(system, field, pure, branches):
+    def spy(system, field, pure, branches, *sid):
         if sys._getframe(1).f_code.co_name == "_run_rd_basic":
             stacked.append((system, field))
-        return kernel(system, field, pure, branches)
+        return kernel(system, field, pure, branches, *sid)
 
     monkeypatch.setattr(sectors, "_kron_deviations", spy)
     config = parse_config("scenario: rd-basic\n" + text)
@@ -497,3 +500,108 @@ def test_quadrature_c2_ignores_background_modes(background):
     padded = run(parse_config(f"scenario: rd-basic\nbackground: {background}\n"))
     assert plain.expectations["quadrature_c2"] == 1.0
     assert padded.expectations["quadrature_c2"] == plain.expectations["quadrature_c2"]
+
+
+# ---------------------------------------------------------------------------
+# the closed family keeps each distinct system factor once
+
+ROUTE_MODELS = {**FACTORED_MODELS, "2 modes, background [1]": RadiationModel(
+    a1=np.sqrt(0.35), a2=np.sqrt(0.65) * np.exp(1.3j), modes=2, cutoff=3,
+    photon_amplitudes=(((1, 0), SQ), ((0, 2), SQ * np.exp(0.5j))), background=(1,))}
+
+
+def _per_member_systems(allowed):
+    """The system factor of every stacked member, one per member: the
+    generators' factors, then herm(S_a S_b) for every factored pair in
+    family order, each product taken on its own."""
+    gens = [op for _, op in allowed.generators]
+    row = {k: r for r, k in enumerate(
+        k for k, op in enumerate(gens) if isinstance(op, KronObservable))}
+    system = np.stack([gens[k].system for k in row])
+    a, b = np.array([(row[i], row[j]) for i, j in zip(*np.triu_indices(len(gens)))
+                     if i in row and j in row]).T
+    prod = system[a] @ system[b]
+    return np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))])
+
+
+def _route_mismatches() -> list[str]:
+    """Labels of the families whose spectral norms or deviations differ in
+    any bit between the distinct-factor route and the per-member route."""
+    bad = []
+    for label, model in ROUTE_MODELS.items():
+        decomp = build_final_state(model)
+        glauber = glauber_generators(model)
+        for allowed in (glauber, with_vacuum_connector(model, glauber)):
+            family = _closed_family(allowed, model.layout)
+            per_member = _per_member_systems(allowed)
+            routes = [(_kron_norms(family.systems, family.field, family.sid),
+                       _kron_norms(per_member, family.field)),
+                      (_kron_deviations(family.systems, family.field, decomp.state(),
+                                        decomp, family.sid),
+                       _kron_deviations(per_member, family.field, decomp.state(), decomp))]
+            if not all(np.array_equal(x, y) for x, y in routes):
+                bad.append(f"{label}, {allowed.name}")
+    return bad
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_distinct_factor_route_matches_per_member_route_bit_for_bit(threads):
+    # a fresh interpreter per BLAS thread count, which is fixed at import
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from test_radiation import _route_mismatches as m; "
+                               "print(len(m()), m())"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "0", proc.stdout
+
+
+def test_background_family_stores_each_system_factor_once(monkeypatch):
+    # the default model's background check: 3,320 members over the 16
+    # Paulis, their negatives and zero, each stored and normed once
+    model = add_uncorrelated_mode(RadiationModel(), 1)
+    glauber = glauber_generators(model)
+    family = _closed_family(glauber, model.layout)
+    assert family.at.size == family.sid.size == 3320
+    assert len(family.systems) <= 26
+    assert np.array_equal(family.system, family.systems[family.sid])
+    normed = []
+    norm = np.linalg.norm
+
+    def spy(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            normed.append(int(np.prod(np.shape(x)[:-2])))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    decomp = build_final_state(model)
+    assert not discriminate(decomp.state(), decomp, glauber).distinguishable
+    assert normed and sum(normed) <= 26
+
+
+# ---------------------------------------------------------------------------
+# the vacuum connector sees the superposition through Re(a1* a2 c_0) alone
+
+@pytest.mark.parametrize("phase", [0.0, 45.0, 89.0, 135.0, 271.0])
+def test_counterexample_deviation_is_the_connector_coherence(phase):
+    report = run(parse_config(
+        "scenario: rd-basic\nphotons:\n"
+        f"- {{pattern: [1], c: [0.6, {phase}]}}\n- {{pattern: [2], c: [0.8, 0]}}\n"))
+    want = 2.0 * abs((SQ * SQ * 0.6 * np.exp(1j * np.deg2rad(phase))).real)
+    assert abs(report.expectations["counterexample_deviation"] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    "photons: [{pattern: [1], c: [1.0, 90]}]\n",
+    "a2: [0.7071067811865476, 70]\n"
+    "photons: [{pattern: [1], c: [0.6, 200]}, {pattern: [2], c: [0.8, 0]}]\n",
+    "observable_preset: with_vacuum_connector\n"
+    "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 3}\n",
+])
+def test_config_whose_connector_cannot_see_the_superposition_is_refused(text):
+    # these used to run and fail the required vacuum_connector_discriminates
+    with pytest.raises(ConfigError, match=r"a1/a2/photons\[0\]\.c: the vacuum connector"):
+        parse_config("scenario: rd-basic\n" + text)

@@ -283,6 +283,7 @@ def test_hermitian_messages():
      " {pattern: [1], c: [0.7071067811865476, 90]}]\n",
      {"photon_amplitudes": (((1,), SQ), ((1,), 1j * SQ))}),
     ("photons: [{pattern: [1, 0], c: [1, 0]}]\n", {"photon_amplitudes": (((1, 0), 1.0),)}),
+    ("photons: []\n", {"photon_amplitudes": ()}),
 ])
 def test_rd_basic_refusals_are_the_model_messages(text, kwargs):
     with pytest.raises(ValueError) as model_err:
@@ -290,3 +291,17 @@ def test_rd_basic_refusals_are_the_model_messages(text, kwargs):
     with pytest.raises(scenarios.ConfigError) as config_err:
         scenarios.parse_config("scenario: rd-basic\n" + text)
     assert str(config_err.value) == str(model_err.value)
+
+
+def test_at_least_one_photon_pattern_is_the_model_rule():
+    # the model owns the rule and names the config path; the config layer
+    # keeps only the list-type check
+    with pytest.raises(ValueError) as model_err:
+        RadiationModel(photon_amplitudes=())
+    assert str(model_err.value) == "photons: at least one emission pattern is required"
+    with pytest.raises(scenarios.ConfigError) as config_err:
+        scenarios.parse_config("scenario: rd-basic\nphotons: []\n")
+    assert str(config_err.value) == str(model_err.value)
+    with pytest.raises(scenarios.ConfigError,
+                       match=r"^photons: expected a list of \{pattern, c\} entries, got 3$"):
+        scenarios.parse_config("scenario: rd-basic\nphotons: 3\n")

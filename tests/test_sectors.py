@@ -347,6 +347,44 @@ class TestDiscriminate:
             discriminate(psi, final_branches(model), ObservableSet("empty", ()))
 
 
+class TestValidate:
+    """ObservableSet.validate checks the factored generators in one stacked
+    call and still names the first non-Hermitian generator in order."""
+
+    F = np.array([0.0, 1.0, 2.0])
+    SKEW = np.triu(np.ones((4, 4)))
+    GOOD = {
+        "kron": KronObservable(np.kron(X, Z), F),
+        "dense": np.kron(np.kron(X, Z), np.diag(F)),
+        "pauli": PauliSum.from_string(PauliString.single("a", "X")),
+        # ||S - S^H|| ||f|| = 0: a zero field makes any S Hermitian
+        "zero-field kron": KronObservable(SKEW, np.zeros(3)),
+    }
+    BAD = {
+        "bad kron": KronObservable(SKEW, F),
+        "bad dense": np.kron(SKEW, np.diag(F)),
+        "bad pauli": PauliSum.from_terms([(1j, PauliString.single("a", "X"))]),
+    }
+
+    @pytest.mark.parametrize("order", [
+        ["kron", "dense", "bad kron", "pauli", "bad dense", "bad pauli"],
+        ["pauli", "kron", "bad dense", "bad kron", "bad pauli"],
+        ["zero-field kron", "bad pauli", "bad kron", "dense"],
+        ["dense", "zero-field kron", "kron", "bad kron"],
+    ])
+    def test_names_the_first_non_hermitian_generator(self, order):
+        ops = {**self.GOOD, **self.BAD}
+        first = next(name for name in order if name in self.BAD)
+        with pytest.raises(OperatorError) as err:
+            ObservableSet("mixed", tuple((name, ops[name]) for name in order)).validate()
+        assert str(err.value) == f"generator {first!r} is not Hermitian"
+
+    def test_hermitian_generators_pass(self):
+        allowed = ObservableSet("mixed", tuple(self.GOOD.items()))
+        assert allowed.validate() is allowed
+        assert ObservableSet("empty", ()).validate().generators == ()
+
+
 class TestRestrictedBlindness:
     def test_restricted_observables_cannot_see_decoherence(self):
         n = 2
