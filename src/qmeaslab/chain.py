@@ -10,14 +10,16 @@ crossing applies the conditional pulse
 a complete flip with per-atom phase -i at the calibrated theta = pi/2.
 The measured superposition on ready all-up atoms is built here once, over
 rows (`_ready_rows`), for chains and cascades alike, and so is the system's
-Z (`_Z_SYSTEM`).
+Z (`_Z_SYSTEM`).  Pulses act in place on amplitude rows (`_pulse`), so a
+passage copies nothing per step, and the closed form's flipped-branch
+factor (`_closed_branch`) is built once per (N, theta) and shared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -95,15 +97,10 @@ def _pulse_coeffs(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def passage_step(state: StateVector, atom: str,
-                 system: str = SYSTEM_LABEL,
-                 theta: float = math.pi / 2) -> StateVector:
-    """One conditional pulse on (system, atom); unitary for every theta.
-
-    A passage visits each atom once; repeated application is legal and
-    composes pulse angles.
-    """
-    layout = state.layout
+def _pulse(amps: np.ndarray, layout: HilbertLayout, system: str, atom: str,
+           theta: float) -> None:
+    """One conditional pulse on (system, atom), in place on every amplitude
+    row (last axis) of `amps`, each row then checked normalized."""
     _check_qubit_support((system, atom), layout)
     if system == atom:
         raise OperatorError("system and atom must be distinct qubits")
@@ -112,37 +109,57 @@ def passage_step(state: StateVector, atom: str,
     # the pulse rotates atom |u> <-> |d> where the system is |d>
     up = np.flatnonzero((s_sign < 0) & (a_sign > 0))
     down = up + a_stride
-    amps = state.amplitudes
-    out = amps.copy()
+    u, d = amps[..., up], amps[..., down]
     c, s = _pulse_coeffs(theta)
     # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x on the atom
-    out[up] = c * amps[up] - 1j * s * amps[down]
-    out[down] = c * amps[down] - 1j * s * amps[up]
-    return StateVector(layout, out).check_normalized(1e-9)
+    amps[..., up] = c * u - 1j * s * d
+    amps[..., down] = c * d - 1j * s * u
+    _check_unit_rows(amps, 1e-9)
+
+
+def passage_step(state: StateVector, atom: str,
+                 system: str = SYSTEM_LABEL,
+                 theta: float = math.pi / 2) -> StateVector:
+    """One conditional pulse on (system, atom); unitary for every theta.
+
+    A passage visits each atom once; repeated application is legal and
+    composes pulse angles.
+    """
+    amps = state.amplitudes.copy()
+    _pulse(amps, state.layout, system, atom, theta)
+    return StateVector(state.layout, amps)
 
 
 def full_passage(model: ChainModel) -> StateVector:
-    """Stepwise crossing of the whole chain."""
-    state = initial_state(model)
+    """Stepwise crossing of the whole chain, one in-place pulse per atom."""
+    amps = _ready_rows(model.layout, model.a1, [model.a2])[0]
     for atom in model.atoms:
-        state = passage_step(state, atom, theta=model.theta)
-    return state
+        _pulse(amps, model.layout, SYSTEM_LABEL, atom, model.theta)
+    return StateVector(model.layout, amps)
+
+
+def _closed_branch(n_atoms: int, theta: float) -> np.ndarray:
+    """prod_i (cos theta |u> - i sin theta |d>) over n_atoms atoms: the chain
+    factor of the flipped branch, shared by every model with these two."""
+    c, s = _pulse_coeffs(theta)
+    return reduce(np.kron, [np.array([c, -1j * s], dtype=complex)] * n_atoms,
+                  np.ones(1, dtype=complex))
+
+
+def _closed_form(layout: HilbertLayout, a1: complex, a2: complex,
+                 branch: np.ndarray) -> StateVector:
+    """a1|u0>|u..u> + a2|d0> (x) branch, checked normalized."""
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[0] = a1
+    amps[layout.dim // 2:] = a2 * branch
+    return StateVector(layout, amps).check_normalized(1e-9)
 
 
 def closed_form_final(model: ChainModel) -> StateVector:
     """Final state built directly: a1|u0>|u..u> + a2 prod_i (-i sigma_x^i
     pulse) |d0>|..>; reduces to a2 (-i)^N |d0>|d..d> at theta = pi/2."""
-    layout = model.layout
-    c, s = _pulse_coeffs(model.theta)
-    flipped = np.array([c, -1j * s], dtype=complex)
-    branch2 = np.array([1.0], dtype=complex)
-    for _ in range(model.n_atoms):
-        branch2 = np.kron(branch2, flipped)
-    amps = np.zeros(layout.dim, dtype=complex)
-    half = layout.dim // 2
-    amps[0] = model.a1
-    amps[half:] = model.a2 * branch2
-    return StateVector(layout, amps).check_normalized(1e-9)
+    return _closed_form(model.layout, model.a1, model.a2,
+                        _closed_branch(model.n_atoms, model.theta))
 
 
 def final_branches(model: ChainModel, tol: float = DEFAULT_TOL) -> BranchDecomposition:

@@ -10,7 +10,8 @@ A string acts on the layout basis as a signed permutation,
 op|e_i> = ph[i] |e_pi[i]>, read from the layout's qubit flip tables
 (`_string_action`); state vectors, stacks of amplitude rows and density
 matrices are transformed through it directly, and the dense matrix
-realization is a separate oracle path.
+realization is a separate oracle path.  A string without X or Y letters
+(the identity permutation) acts on rows by its phase multiply alone.
 """
 
 from __future__ import annotations
@@ -271,8 +272,10 @@ def _string_action(op: PauliString, layout: HilbertLayout):
 
 def _apply_rows(op: PauliString, layout: HilbertLayout, amps: np.ndarray) -> np.ndarray:
     """op on every amplitude row (last axis) of `amps`: one scatter of the
-    phased amplitudes through its basis permutation."""
+    phased amplitudes through its basis permutation, none if it flips none."""
     pi, ph = _string_action(op, layout)
+    if not _flips(op):
+        return ph * amps
     out = np.empty(amps.shape, dtype=complex)
     out[..., pi] = ph * amps
     return out

@@ -545,7 +545,8 @@ def _run_ch_basic(params, tol, rng):
     model = ch.ChainModel(n, a1, a2, theta)
     atoms = model.atoms
     psi = ch.full_passage(model)
-    closed = ch.closed_form_final(model)
+    branch = ch._closed_branch(n, theta)  # every fuzz model shares it
+    closed = ch._closed_form(model.layout, a1, a2, branch)
     closed_residual = float(np.linalg.norm(psi.amplitudes - closed.amplitudes))
     fidelity = abs(psi.inner(closed))
     mu = ch.pointer_operator(atoms)
@@ -573,7 +574,7 @@ def _run_ch_basic(params, tol, rng):
         ra1, ra2 = _random_amplitudes(rng)
         rmodel = ch.ChainModel(n, ra1, ra2, theta)
         rpsi = ch.full_passage(rmodel)
-        rclosed = ch.closed_form_final(rmodel)
+        rclosed = ch._closed_form(rmodel.layout, ra1, ra2, branch)
         fuzz_worst = max(fuzz_worst,
                          float(np.linalg.norm(rpsi.amplitudes - rclosed.amplitudes)))
     expectations["fuzz_worst_residual"] = fuzz_worst

@@ -32,10 +32,10 @@ import numpy as np
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                    apply_sum, expectation, format_string, hermitian_part,
-                    string_matrix, sum_matrix, sup_norm_estimate, _check_hermitian,
-                    _check_qubit_support, _diagonal_values, _flip_permutation,
-                    _flips, _is_z_diagonal, _real_part)
+                    expectation, format_string, hermitian_part,
+                    string_matrix, sum_matrix, sup_norm_estimate, _apply_sum_rows,
+                    _check_hermitian, _check_qubit_support, _diagonal_values,
+                    _flip_permutation, _flips, _is_z_diagonal, _real_part)
 
 DEGENERACY_TOL = 1e-9
 
@@ -349,17 +349,19 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _mean(op, weighted) -> complex:
-    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs: one kernel
-    application per vector, or one weighted Gram array for a factored op."""
+    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs: a Pauli sum acts
+    once on the stacked vectors, a dense op once per vector, and a factored
+    op is one weighted Gram array."""
     if isinstance(op, KronObservable):
         gram = _branch_gram(weighted, len(op.system), len(op.field))
         return complex(_kron_values(op.system, op.field, gram)[0])
+    if isinstance(op, PauliSum):
+        images = _apply_sum_rows(op, weighted[0][1].layout,
+                                 np.stack([v.amplitudes for _, v in weighted]))
+    else:
+        images = [np.asarray(op, dtype=complex) @ v.amplitudes for _, v in weighted]
     total = 0.0 + 0.0j
-    for w, v in weighted:
-        if isinstance(op, PauliSum):
-            image = apply_sum(op, v)
-        else:
-            image = np.asarray(op, dtype=complex) @ v.amplitudes
+    for (w, v), image in zip(weighted, images):
         total += w * np.vdot(v.amplitudes, image)
     return complex(total)
 

@@ -7,6 +7,8 @@ kernels and canonical-form algebra, so the two routes check each other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 I2 = np.eye(2, dtype=complex)
@@ -130,3 +132,68 @@ def eigo_projectors(mat: np.ndarray, degeneracy_tol: float = 1e-9):
         block = vecs[:, idxs]
         out.append((float(v), block @ block.conj().T))
     return out
+
+
+# ---------------------------------------------------------------------------
+# earlier kernel routes, kept as bit-for-bit references for the kernels that
+# replaced them: they read the layout's flip tables and a string's (pi, ph)
+# action, but none of the package's pulse, closed-form or mean kernels
+
+def _pulse_coeffs(theta: float) -> tuple[float, float]:
+    """cos/sin of the pulse, exact (0, 1) at the calibrated complete flip."""
+    if abs(theta - math.pi / 2) < 1e-15:
+        return 0.0, 1.0
+    return math.cos(theta), math.sin(theta)
+
+
+def copy_passage_step(layout, amps: np.ndarray, atom: str, theta: float,
+                      system: str = "S0") -> np.ndarray:
+    """One conditional pulse, written to a fresh copy of `amps`."""
+    _, s_sign = layout._qubit_flip(system)
+    a_stride, a_sign = layout._qubit_flip(atom)
+    up = np.flatnonzero((s_sign < 0) & (a_sign > 0))
+    down = up + a_stride
+    c, s = _pulse_coeffs(theta)
+    out = amps.copy()
+    out[up] = c * amps[up] - 1j * s * amps[down]
+    out[down] = c * amps[down] - 1j * s * amps[up]
+    return out
+
+
+def copy_passage(layout, atoms, a1: complex, a2: complex, theta: float) -> np.ndarray:
+    """The whole passage from (a1|u> + a2|d>)|u...u>, one copy per step."""
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[0], amps[layout.dim // 2] = a1, a2
+    for atom in atoms:
+        amps = copy_passage_step(layout, amps, atom, theta)
+    return amps
+
+
+def kron_loop_closed_form(n: int, a1: complex, a2: complex, theta: float) -> np.ndarray:
+    """a1|u>|u..u> + a2|d> prod_i (cos theta|u> - i sin theta|d>), the flipped
+    branch built by one np.kron per atom for this one model."""
+    c, s = _pulse_coeffs(theta)
+    flipped = np.array([c, -1j * s], dtype=complex)
+    branch = np.array([1.0], dtype=complex)
+    for _ in range(n):
+        branch = np.kron(branch, flipped)
+    amps = np.zeros(2 ** (n + 1), dtype=complex)
+    amps[0] = a1
+    amps[2 ** n:] = a2 * branch
+    return amps
+
+
+def scatter_rows(pi: np.ndarray, ph: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """op|e_i> = ph[i] |e_pi[i]> on every row (last axis), always by a scatter."""
+    out = np.empty(amps.shape, dtype=complex)
+    out[..., pi] = ph * amps
+    return out
+
+
+def loop_mean(image_of, weighted) -> complex:
+    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs, one `image_of(v)`
+    (the op applied to v) per vector."""
+    total = 0.0 + 0.0j
+    for w, v in weighted:
+        total += w * np.vdot(v, image_of(v))
+    return complex(total)

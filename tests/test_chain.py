@@ -8,14 +8,15 @@ from qmeaslab.chain import (ChainModel, atom_labels, closed_form_final,
                             eigenstate_residual, final_branches, full_passage,
                             heisenberg_hamiltonian, initial_state,
                             it_commutator_audit, it_operator, passage_step,
-                            pointer_operator, strict_check)
+                            pointer_operator, strict_check, _closed_branch,
+                            _closed_form)
 from qmeaslab.hilbert import (HilbertLayout, LayoutError, MODE, StateVector,
                               Subsystem, basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, commutator,
                             expectation, expectation_mixed)
 
-from oracles import (dense_commutator, dense_of, random_amplitude_pair,
-                     random_state)
+from oracles import (copy_passage, dense_commutator, dense_of,
+                     kron_loop_closed_form, random_amplitude_pair, random_state)
 
 RNG = np.random.default_rng(31415)
 SQ = np.sqrt(0.5)
@@ -125,6 +126,42 @@ class TestFullPassage:
         model = ChainModel(3, 0.6, 0.8j, theta=0.9)
         np.testing.assert_allclose(full_passage(model).amplitudes,
                                    closed_form_final(model).amplitudes, atol=1e-12)
+
+
+class TestKernelsMatchEarlierRoutes:
+    """The in-place passage and the shared closed-form branch give the same
+    bits as the copy-per-step passage and the per-model np.kron loop."""
+
+    GRID = [(n, deg) for n in (1, 5, 11, 13) for deg in (90.0, 60.0, 37.5, 89.999)]
+
+    @pytest.mark.parametrize("n, theta_deg", GRID)
+    def test_in_place_passage(self, n, theta_deg):
+        a1, a2 = random_amplitude_pair(RNG)
+        model = ChainModel(n, a1, a2, math.radians(theta_deg))
+        ref = copy_passage(model.layout, model.atoms, a1, a2, model.theta)
+        assert np.array_equal(full_passage(model).amplitudes, ref)
+        state = initial_state(model)
+        for atom in model.atoms:
+            state = passage_step(state, atom, theta=model.theta)
+        assert np.array_equal(state.amplitudes, ref)
+
+    @pytest.mark.parametrize("n, theta_deg", GRID)
+    def test_shared_closed_form_branch(self, n, theta_deg):
+        theta = math.radians(theta_deg)
+        branch = _closed_branch(n, theta)
+        for _ in range(3):
+            a1, a2 = random_amplitude_pair(RNG)
+            model = ChainModel(n, a1, a2, theta)
+            ref = kron_loop_closed_form(n, a1, a2, theta)
+            assert np.array_equal(closed_form_final(model).amplitudes, ref)
+            assert np.array_equal(_closed_form(model.layout, a1, a2, branch).amplitudes, ref)
+
+    def test_passage_step_leaves_its_input_unchanged(self):
+        state = initial_state(ChainModel(3, *random_amplitude_pair(RNG)))
+        before = state.amplitudes.copy()
+        out = passage_step(state, "A2", theta=1.1)
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.array_equal(out.amplitudes, before)
 
 
 class TestObservables:

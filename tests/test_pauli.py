@@ -14,12 +14,12 @@ from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
                             expectation_mixed, format_string, format_sum,
                             hermitian_part, multiply, parse_string, parse_sum,
                             string_matrix, sum_matrix, sup_norm_estimate,
-                            _diagonal_values)
+                            _apply_rows, _diagonal_values, _string_action)
 from qmeaslab.sectors import Projector
 
 from oracles import (X, ch_final_dense, dense_commutator, dense_expect,
                      dense_expect_mixed, dense_of, kron_all,
-                     random_amplitude_pair, random_state)
+                     random_amplitude_pair, random_state, scatter_rows)
 
 RNG = np.random.default_rng(77)
 
@@ -228,6 +228,23 @@ class TestApply:
         state = basis_state(layout, [0, 0])
         with pytest.raises(OperatorError, match="non-qubit"):
             apply(ps(m="X"), state)
+
+
+@pytest.mark.parametrize("letters", [{}, {"q0": "Z"}, {"q0": "Z", "q2": "Z"},
+                                     {"q1": "X"}, {"q0": "Y", "q2": "Z"}])
+@pytest.mark.parametrize("ipower", range(4))
+def test_apply_rows_matches_the_scatter_route(letters, ipower):
+    # flip-free strings act by a multiply, the others by a scatter: both are
+    # the bits of one scatter through the string's (pi, ph), on one row and
+    # on a row block, next to a mode that no letter touches
+    layout = HilbertLayout((Subsystem("q0"), Subsystem("m", 3, MODE),
+                            Subsystem("q1"), Subsystem("q2")))
+    op = PauliString.from_map(letters, ipower)
+    pi, ph = _string_action(op, layout)
+    row = random_state(RNG, layout.dim)
+    block = np.stack([random_state(RNG, layout.dim) for _ in range(3)])
+    for amps in (row, block):
+        assert np.array_equal(_apply_rows(op, layout, amps), scatter_rows(pi, ph, amps))
 
 
 class TestExpectation:

@@ -3,19 +3,20 @@ import pytest
 
 from qmeaslab.chain import (ChainModel, final_branches, full_passage,
                             it_operator, pointer_operator)
-from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, basis_state,
-                              mixture_of)
+from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, StateVector,
+                              basis_state, mixture_of)
 from qmeaslab.hilbert import MODE, LayoutError, Subsystem
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                            expectation, expectation_mixed, string_matrix)
+                            apply_sum, expectation, expectation_mixed,
+                            string_matrix)
 from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               SectorError, chain_observable_preset,
                               discriminate, joint_sectors, restricted_algebra,
                               sector_decohere, structure_residual)
-from qmeaslab.sectors import KronObservable
+from qmeaslab.sectors import KronObservable, _mean
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
-from oracles import X, Z, dense_commutator
+from oracles import X, Z, dense_commutator, loop_mean
 
 RNG = np.random.default_rng(2718)
 SQ = np.sqrt(0.5)
@@ -345,6 +346,26 @@ class TestDiscriminate:
         psi = full_passage(model)
         with pytest.raises(OperatorError, match="empty"):
             discriminate(psi, final_branches(model), ObservableSet("empty", ()))
+
+
+@pytest.mark.parametrize("terms", [
+    [(0.25, {"S0": "Z", "A2": "Z"}), (-0.5, {"A1": "Z"}), (1.0, {})],
+    [(0.5, {"S0": "X", "A1": "Y", "A2": "Y"}), (0.3, {"A2": "Z"})],
+    [(1.0, {"A1": "Y"}), (2.0, {"S0": "X"})],
+])
+@pytest.mark.parametrize("branches", [1, 2, 3])
+def test_stacked_mean_matches_the_per_vector_loop(terms, branches):
+    # one action of the sum on the stacked vectors, with and without flips,
+    # gives the bits of one action per vector; a dense op keeps its loop
+    layout = chain_layout(2)
+    op = PauliSum.from_terms((c, PauliString.from_map(l)) for c, l in terms)
+    vecs = [random_state(RNG, layout.dim) for _ in range(branches)]
+    weights = RNG.dirichlet(np.ones(branches))
+    weighted = [(w, StateVector(layout, v)) for w, v in zip(weights, vecs)]
+    ref = loop_mean(lambda v: apply_sum(op, StateVector(layout, v)), zip(weights, vecs))
+    assert _mean(op, weighted) == ref
+    mat = dense_of(op, layout)
+    assert _mean(mat, weighted) == loop_mean(lambda v: mat @ v, zip(weights, vecs))
 
 
 class TestValidate:
