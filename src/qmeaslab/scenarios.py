@@ -42,6 +42,9 @@ _MAX_GLAUBER_FAMILY_ENTRIES = 2 ** 24
 # the largest float whose square is finite
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
+# ch-basic claims with_B discriminates only where |2 Re(a1* a2)| exceeds this
+_B_EXCLUSION = 0.1
+
 
 class ConfigError(ValueError):
     """Malformed or inconsistent scenario configuration."""
@@ -353,13 +356,20 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 "a1/a2: rd-basic needs two branches, i.e. min(|a1|, |a2|) > "
                 f"tolerance {tol}, got {min(mags)}")
+    if scenario in ("ch-basic", "ch-cascade"):
+        # |<B>| in the measured state, and B's deviation from its pointer branches
+        cross = abs(2.0 * (_to_complex(_amp(params["a1"], "a1")).conjugate()
+                           * _to_complex(_amp(params["a2"], "a2"))).real)
+    if (scenario == "ch-basic" and ch._complete_flip(math.radians(params["theta_deg"]))
+            and _B_EXCLUSION < cross <= tol):
+        raise ConfigError(f"a1/a2/tolerance: at the complete flip, B's deviation "
+                          f"|2 Re(a1* a2)| > {_B_EXCLUSION} must also exceed tolerance "
+                          f"{tol} (with_B must discriminate), got {cross!r}")
     if scenario == "ch-cascade":
         # recording B splits the state into eigenbranches of weight
-        # (1 +- <B>)/2 with |<B>| = |2 Re(a1* a2)|; one branch leaves no
-        # joint IT operator for the later stages and the terminal witness
-        a1 = _to_complex(_amp(params["a1"], "a1"))
-        a2 = _to_complex(_amp(params["a2"], "a2"))
-        w_min = 0.5 * (1.0 - abs(2.0 * (a1.conjugate() * a2).real))
+        # (1 +- <B>)/2; one branch leaves no joint IT operator for the later
+        # stages and the terminal witness
+        w_min = 0.5 * (1.0 - cross)
         if w_min <= tol:
             raise ConfigError(
                 "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
@@ -616,7 +626,7 @@ def _run_ch_basic(params, tol, rng):
                                    v_preset.max_deviation, tol))
         # amplitudes with a vanishing interference term are excluded from
         # the discrimination claim; report the exclusion instead
-        generic = abs(it_cross) > 0.1
+        generic = abs(it_cross) > _B_EXCLUSION
         extras["b_excluded_amplitudes"] = not generic
         if generic:
             invariants.append(_inv("with_B_discriminates",

@@ -97,6 +97,13 @@ class TestParseConfig:
          "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 7}\n",
          "a2_phase_deg = 0.0: a1/a2: the cascade needs two B eigenbranches"),
         ("scenario: growth\noutput: 5\n", "output: expected a path string or null"),
+        ("scenario: ch-basic\nn_atoms: 2\ntolerance: 0.2\n"
+         "a2: [0.7071067811865476, 80]\nobservable_preset: with_B\n",
+         r"a1/a2/tolerance: .* got 0\.1736"),
+        ("scenario: ch-basic\nobservable_preset: pointer_only\ntolerance: 0.2\n"
+         "a2: [0.7071067811865476, 80]\ntheta_deg: 60\n"
+         "sweep: {parameter: theta_deg, start: 0, stop: 90, steps: 4}\n",
+         "theta_deg = 90.0: a1/a2/tolerance"),
     ])
     def test_config_time_preconditions(self, text, match):
         with pytest.raises(ConfigError, match=match):
