@@ -64,10 +64,6 @@ def render(text: str) -> tuple[str, bytes]:
     return config.fmt, _WALL_TIME.sub(b'"wall_time_s": null', payload)
 
 
-def path_of(name: str, fmt: str) -> Path:
-    return HERE / f"{name}.{fmt}"
-
-
 def _json_changes(old, new, path: str = "") -> list[str]:
     if isinstance(old, dict) and isinstance(new, dict):
         return [line for key in dict.fromkeys([*old, *new])
@@ -75,7 +71,9 @@ def _json_changes(old, new, path: str = "") -> list[str]:
     if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return [line for k, (a, b) in enumerate(zip(old, new))
                 for line in _json_changes(a, b, f"{path}[{k}]")]
-    return [] if old == new and type(old) is type(new) else [f"{path or '.'}: {old!r} -> {new!r}"]
+    if old == new and type(old) is type(new):
+        return []
+    return [f"{path or '.'}: {old!r} -> {new!r}"]
 
 
 def changes(name: str, fmt: str, old: bytes | None, new: bytes) -> list[str]:
@@ -115,7 +113,7 @@ def main(argv=None) -> int:
     changed = 0
     for name in args.names or entries:
         fmt, new = render(entries[name])
-        path = path_of(name, fmt)
+        path = HERE / f"{name}.{fmt}"
         old = path.read_bytes() if path.exists() else None
         lines = changes(name, fmt, old, new)
         changed += bool(lines)
