@@ -60,6 +60,8 @@ def test_golden_reports_at_two_blas_threads():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+# OpenBLAS runs no more threads than there are CPUs, so one CPU cannot show it
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
 @pytest.mark.xfail(strict=True, reason="reports at dim 2^14 depend on the BLAS "
                    "thread count (ROADMAP item 12)")
 def test_golden_dim_2_14_reports_at_two_blas_threads():
