@@ -293,6 +293,17 @@ def _run_rows(model: CascadeModel, state: np.ndarray, stages: int, tol: float):
         yield k, rec
 
 
+def _stage_amplitudes(chains: Sequence[int], a1: complex, a2: complex):
+    """The gauged branch amplitudes (b1, b2) of stages 2..m in closed form,
+    with no state built: starting from (a1, (-1)^{n_1} a2), each stage k >= 2
+    maps (b1, b2) to ((b1 + b2)/sqrt 2, (-i)^{n_k} (b1 - b2)/sqrt 2).  Exact
+    up to rounding while every stage keeps both branches."""
+    b1, b2 = a1, (-1) ** chains[0] * a2
+    for n in chains[1:]:
+        b1, b2 = (b1 + b2) / np.sqrt(2.0), (-1j) ** n * (b1 - b2) / np.sqrt(2.0)
+        yield b1, b2
+
+
 def _terminal_deviation(state: np.ndarray, amps: np.ndarray,
                         units: np.ndarray) -> np.ndarray:
     """|<T>_pure - sum_i |a_i|^2 <chi_i|T|chi_i>| per row, with T the joint

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .scenarios import (SCENARIOS, ConfigError, ScenarioConfig, build_config,
-                        emit, run, _load_yaml)
+                        emit, run, _FORMATS, _load_yaml)
 
 
 def _parse_set(entry: str) -> tuple[str, object]:
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "is parsed as YAML")
     parser.add_argument("--sweep", metavar="PARAM=START:STOP:STEPS",
                         help="sweep one parameter over an inclusive grid")
-    parser.add_argument("--format", choices=("json", "csv"), dest="fmt",
+    parser.add_argument("--format", choices=_FORMATS, dest="fmt",
                         help="report format")
     parser.add_argument("--output", type=Path, help="write the report here "
                                                     "instead of stdout")

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -29,7 +30,8 @@ from .pauli import MAX_ENUMERATED_LABELS, PauliSum
 
 SCHEMA_VERSION = "1"
 
-SCENARIOS = ("ch-basic", "ch-heisenberg", "ch-cascade", "rd-basic", "growth")
+# report formats; the first is the default
+_FORMATS = ("json", "csv")
 
 # qubits that fit the dimension cap
 _MAX_QUBITS = DEFAULT_DIM_CAP.bit_length() - 1
@@ -51,20 +53,27 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration schema: the kinds, each a check (value, path) that raises
+# ConfigError; the bound of a kind made with functools.partial is its
+# keyword.  Each scenario's table, `_SPECS` below the runners, gives every
+# key its kind and default.
 
-def _amp(value, path: str) -> tuple[float, float]:
+def _amp(value, path: str):
+    """A [magnitude, phase-degrees] pair, both finite, the magnitude >= 0
+    and its square finite."""
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                        for x in value)):
         raise ConfigError(
             f"{path}: amplitudes are [magnitude, phase-degrees] pairs, got {value!r}")
+    if not (abs(value[0]) <= _SQRT_FLOAT_MAX and abs(value[1]) <= sys.float_info.max):
+        raise ConfigError(f"{path}: requires a finite magnitude <= sqrt(float max) and a "
+                          f"finite phase, got {value!r}")
     if value[0] < 0:
         raise ConfigError(f"{path}: magnitude must be >= 0, got {value[0]}")
-    return float(value[0]), float(value[1])
 
 
-def _to_complex(amp: tuple[float, float]) -> complex:
+def _to_complex(amp) -> complex:
     mag, deg = amp
     return mag * complex(math.cos(math.radians(deg)), math.sin(math.radians(deg)))
 
@@ -74,56 +83,9 @@ _INV_SQRT2 = float(np.sqrt(0.5))
 _COMMON_DEFAULTS: dict[str, Any] = {
     "tolerance": DEFAULT_TOL,
     "seed": 7,
-    "format": "json",
+    "format": _FORMATS[0],
     "output": None,
     "sweep": None,
-}
-
-_SCENARIO_DEFAULTS: dict[str, dict[str, Any]] = {
-    "ch-basic": {
-        "n_atoms": 4,
-        "a1": [_INV_SQRT2, 0.0],
-        "a2": [_INV_SQRT2, 0.0],
-        "theta_deg": 90.0,
-        "fuzz_cases": 20,
-        "observable_preset": "sector_preserving",
-    },
-    "ch-heisenberg": {
-        "n_atoms": 4,
-        "j_coupling": 1.0,
-    },
-    "ch-cascade": {
-        "chains": [1, 1],
-        "a1": [float(np.sqrt(0.7)), 0.0],
-        "a2": [float(np.sqrt(0.3)), 60.0],
-        "phase_scan_points": 13,
-    },
-    "rd-basic": {
-        "modes": 1,
-        "cutoff": 3,
-        "photons": [
-            {"pattern": [1], "c": [_INV_SQRT2, 0.0]},
-            {"pattern": [2], "c": [_INV_SQRT2, 0.0]},
-        ],
-        "background": [],
-        "a1": [_INV_SQRT2, 0.0],
-        "a2": [_INV_SQRT2, 0.0],
-        "system_factor_cases": 100,
-        "observable_preset": "glauber",
-    },
-    "growth": {
-        "n_emit": 2,
-        "depth": 10,
-        "bound": 2 ** 62,
-    },
-}
-
-_SWEEPABLE: dict[str, tuple[str, ...]] = {
-    "ch-basic": ("a1_phase_deg", "a2_phase_deg", "theta_deg"),
-    "ch-heisenberg": ("j_coupling",),
-    "ch-cascade": ("a1_phase_deg", "a2_phase_deg"),
-    "rd-basic": ("a1_phase_deg", "a2_phase_deg"),
-    "growth": (),
 }
 
 
@@ -160,18 +122,19 @@ def _parse_sweep(raw, scenario: str) -> SweepSpec | None:
     try:
         spec = SweepSpec(str(raw["parameter"]), _real_text(raw["start"], "sweep.start"),
                          _real_text(raw["stop"], "sweep.stop"),
-                         _int_at_least(raw["steps"], 1, "sweep.steps"))
+                         _int_at_least(raw["steps"], "sweep.steps", 1))
     except KeyError as missing:
         raise ConfigError(f"sweep: missing key {missing.args[0]!r}") from None
-    if spec.parameter not in _SWEEPABLE[scenario]:
+    sweepable = _SPECS[scenario].sweepable
+    if spec.parameter not in sweepable:
         raise ConfigError(
             f"sweep.parameter: {spec.parameter!r} is not sweepable for {scenario} "
-            f"(allowed: {_SWEEPABLE[scenario]}); magnitude sweeps would violate "
+            f"(allowed: {sweepable}); magnitude sweeps would violate "
             "|a1|^2+|a2|^2 = 1")
     return spec
 
 
-def _int_at_least(value, minimum: int, path: str) -> int:
+def _int_at_least(value, path: str, minimum: int) -> int:
     """An integer field (YAML booleans rejected) with its lower bound."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(
@@ -180,9 +143,10 @@ def _int_at_least(value, minimum: int, path: str) -> int:
 
 
 def _real(value, path: str) -> float:
-    """A finite real field (YAML booleans rejected)."""
+    """A finite real field (YAML booleans rejected).  The float range bounds
+    it, so .nan, .inf and an integer too large for a float are refused."""
     if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{path}: requires a finite real number, got {value!r}")
     return float(value)
 
@@ -212,13 +176,41 @@ def _tolerance(value) -> float:
     return tol
 
 
-def _occupations(value, path: str) -> tuple[int, ...]:
+def _occupations(value, path: str):
     """A list of photon occupation numbers, each an integer >= 0."""
     if not isinstance(value, list):
         raise ConfigError(f"{path}: requires a list of occupation numbers, got {value!r}")
     for k, n in enumerate(value):
-        _int_at_least(n, 0, f"{path}[{k}]")
-    return tuple(value)
+        _int_at_least(n, f"{path}[{k}]", 0)
+
+
+def _one_of(value, path: str, choices: tuple[str, ...]):
+    """One of a fixed list of names."""
+    if value not in choices:
+        listed = " or ".join(choices) if len(choices) == 2 else f"one of {choices}"
+        raise ConfigError(f"{path}: expected {listed}, got {value!r}")
+
+
+def _chains(value, path: str):
+    """A cascade's chain sizes: m >= 2 integers, each >= 1."""
+    if not isinstance(value, list) or len(value) < 2:
+        raise ConfigError(
+            f"{path}: cascade scenarios require a list of m >= 2 chains, got {value!r}")
+    for k, size in enumerate(value):
+        _int_at_least(size, f"{path}[{k}]", 1)
+
+
+def _photons(value, path: str):
+    """A list of {pattern, c} mappings: occupations and an amplitude.  The
+    pattern rules are the radiation model's own (see `_radiation_model`)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of {{pattern, c}} entries, got {value!r}")
+    for k, entry in enumerate(value):
+        where = f"{path}[{k}]"
+        if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
+            raise ConfigError(f"{where}: entries are mappings with keys pattern and c")
+        _occupations(entry["pattern"], f"{where}.pattern")
+        _amp(entry["c"], f"{where}.c")
 
 
 def _glauber_family_entries(modes: int, cutoff: int) -> int:
@@ -229,62 +221,31 @@ def _glauber_family_entries(modes: int, cutoff: int) -> int:
     return (g + g * (g + 1) // 2) * cutoff ** modes
 
 
-def _check_rd_basic(params: dict[str, Any]):
-    """Types and field size of an rd-basic config; the photon patterns,
-    amplitudes and occupations are the model's own preconditions (see
-    `_radiation_model`).  The run's background check adds one mode to the
-    model, so its layout and its closed Glauber family bound those of the
-    model itself."""
-    modes = _int_at_least(params["modes"], 1, "modes")
-    cutoff = _int_at_least(params["cutoff"], 2, "cutoff")
-    _int_at_least(params["system_factor_cases"], 0, "system_factor_cases")
-    if not isinstance(params["photons"], list):
-        raise ConfigError("photons: expected a list of {pattern, c} entries, "
-                          f"got {params['photons']!r}")
-    for k, entry in enumerate(params["photons"]):
-        path = f"photons[{k}]"
-        if not isinstance(entry, dict) or set(entry) != {"pattern", "c"}:
-            raise ConfigError(f"{path}: entries are mappings with keys pattern and c")
-        _occupations(entry["pattern"], f"{path}.pattern")
-        _amp(entry["c"], f"{path}.c")
-    field_modes = len(_occupations(params["background"], "background")) + modes
-    dim = 4 * cutoff ** (field_modes + 1)
-    if dim > DEFAULT_DIM_CAP:
-        raise ConfigError(
-            f"modes/cutoff/background: the background check's layout of dim 4 * "
-            f"cutoff^(modes + len(background) + 1) = {dim} must fit the dimension "
-            f"cap {DEFAULT_DIM_CAP}")
-    entries = _glauber_family_entries(field_modes + 1, cutoff)
-    if entries > _MAX_GLAUBER_FAMILY_ENTRIES:
-        raise ConfigError(
-            f"modes/cutoff/background: the closed Glauber family of the background "
-            f"check has members x field_dim = {entries} entries, above the bound "
-            f"{_MAX_GLAUBER_FAMILY_ENTRIES}")
+def _single_branch(stage: int) -> ConfigError:
+    return ConfigError("a1/a2: the terminal witness needs two branches at every stage >= 2; "
+                       f"these amplitudes leave one at stage {stage}")
 
 
 def _check_params(scenario: str, params: dict[str, Any], tol: float):
-    """Type and range checks naming the violated precondition."""
+    """The kind of every key, then the cross-key preconditions, each error
+    naming the violated one."""
+    for key, (kind, _) in _SPECS[scenario].keys.items():
+        kind(params[key], key)
     if scenario in ("ch-basic", "ch-heisenberg"):
-        n = _int_at_least(params["n_atoms"], 2 if scenario == "ch-heisenberg" else 1,
-                          "n_atoms")
+        n = params["n_atoms"]
         qubits = n + 1 if scenario == "ch-basic" else n
         if qubits > _MAX_QUBITS:
             raise ConfigError(
                 f"n_atoms: the layout of {qubits} qubits must fit the dimension cap "
                 f"2^{_MAX_QUBITS}, got n_atoms = {n}")
     if scenario == "ch-basic":
-        _real(params["theta_deg"], "theta_deg")
-        _int_at_least(params["fuzz_cases"], 0, "fuzz_cases")
         preset = params["observable_preset"]
-        if preset not in sec.CHAIN_PRESETS:
-            raise ConfigError(
-                f"observable_preset: expected one of {sec.CHAIN_PRESETS}, got {preset!r}")
         if preset in ("all_strings", "sector_preserving") and n + 1 > MAX_ENUMERATED_LABELS:
             raise ConfigError(
                 f"observable_preset: {preset} enumerates 4^(n_atoms + 1) Pauli strings "
                 f"and requires n_atoms + 1 <= {MAX_ENUMERATED_LABELS}, got n_atoms = {n}")
     if scenario == "ch-heisenberg":
-        j = abs(_real(params["j_coupling"], "j_coupling"))
+        j = abs(float(params["j_coupling"]))
         # the single flip's residual is exactly 2|J|: the one bond term
         # J (XX + YY) it breaks maps |du...> to 2J |ud...>
         if 0.0 < 2.0 * j <= tol:
@@ -307,28 +268,29 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 f"tolerance: ch-heisenberg compares a sum of n_atoms - 1 couplings with "
                 f"J (n_atoms - 1) and requires tolerance >= (n_atoms - 2)/2 ulp(|J| "
                 f"(n_atoms - 1)(1 + n_atoms eps)) = {floor!r}, got {tol!r}")
-    if scenario == "ch-cascade":
-        chains = params["chains"]
-        if not isinstance(chains, list) or len(chains) < 2:
-            raise ConfigError(
-                f"chains: cascade scenarios require a list of m >= 2 chains, got {chains!r}")
-        for k, size in enumerate(chains):
-            _int_at_least(size, 1, f"chains[{k}]")
-        if 1 + sum(chains) > _MAX_QUBITS:
-            raise ConfigError(
-                f"chains: the layout of 1 + sum(chains) = {1 + sum(chains)} qubits must "
-                f"fit the dimension cap 2^{_MAX_QUBITS}, got {chains!r}")
-        _int_at_least(params["phase_scan_points"], 0, "phase_scan_points")
+    if scenario == "ch-cascade" and 1 + sum(params["chains"]) > _MAX_QUBITS:
+        raise ConfigError(
+            f"chains: the layout of 1 + sum(chains) = {1 + sum(params['chains'])} qubits "
+            f"must fit the dimension cap 2^{_MAX_QUBITS}, got {params['chains']!r}")
     if scenario == "rd-basic":
-        _check_rd_basic(params)
-        if params["observable_preset"] not in ("glauber", "with_vacuum_connector"):
+        # the run's background check adds one mode to the model, so its
+        # layout and its closed Glauber family bound those of the model
+        field_modes = len(params["background"]) + params["modes"]
+        cutoff = params["cutoff"]
+        dim = 4 * cutoff ** (field_modes + 1)
+        if dim > DEFAULT_DIM_CAP:
             raise ConfigError(
-                "observable_preset: expected glauber or with_vacuum_connector, "
-                f"got {params['observable_preset']!r}")
+                f"modes/cutoff/background: the background check's layout of dim 4 * "
+                f"cutoff^(modes + len(background) + 1) = {dim} must fit the dimension "
+                f"cap {DEFAULT_DIM_CAP}")
+        entries = _glauber_family_entries(field_modes + 1, cutoff)
+        if entries > _MAX_GLAUBER_FAMILY_ENTRIES:
+            raise ConfigError(
+                f"modes/cutoff/background: the closed Glauber family of the background "
+                f"check has members x field_dim = {entries} entries, above the bound "
+                f"{_MAX_GLAUBER_FAMILY_ENTRIES}")
     if scenario == "growth":
-        n_emit = _int_at_least(params["n_emit"], 2, "n_emit")
-        depth = _int_at_least(params["depth"], 0, "depth")
-        bound = _int_at_least(params["bound"], 1, "bound")
+        n_emit, depth, bound = params["n_emit"], params["depth"], params["bound"]
         try:
             count = rad.cascade_growth(n_emit, depth, bound)
         except OverflowError:
@@ -339,11 +301,8 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 f"depth/bound: the report's float final_count requires n_emit^depth <= "
                 f"float max {sys.float_info.max!r}, got {n_emit}^{depth}")
-    for key in ("a1", "a2"):
-        if key in params:
-            _amp(params[key], key)
-    if "a1" in params and "a2" in params:
-        mags = (_amp(params["a1"], "a1")[0], _amp(params["a2"], "a2")[0])
+    if "a1" in params:
+        mags = (float(params["a1"][0]), float(params["a2"][0]))
         w = mags[0] ** 2 + mags[1] ** 2
         if abs(w - 1.0) > 1e-9:
             raise ConfigError(
@@ -356,10 +315,9 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 "a1/a2: rd-basic needs two branches, i.e. min(|a1|, |a2|) > "
                 f"tolerance {tol}, got {min(mags)}")
-    if scenario in ("ch-basic", "ch-cascade"):
+        a1, a2 = _to_complex(params["a1"]), _to_complex(params["a2"])
         # |<B>| in the measured state, and B's deviation from its pointer branches
-        cross = abs(2.0 * (_to_complex(_amp(params["a1"], "a1")).conjugate()
-                           * _to_complex(_amp(params["a2"], "a2"))).real)
+        cross = abs(2.0 * (a1.conjugate() * a2).real)
     if (scenario == "ch-basic" and ch._complete_flip(math.radians(params["theta_deg"]))
             and _B_EXCLUSION < cross <= tol):
         raise ConfigError(f"a1/a2/tolerance: at the complete flip, B's deviation "
@@ -374,6 +332,10 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
             raise ConfigError(
                 "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
                 f"(1 - |2 Re(a1* a2)|)/2 > tolerance {tol}, got {w_min}")
+        # a stage keeps a branch only where its amplitude exceeds tol
+        for stage, pair in enumerate(casc._stage_amplitudes(params["chains"], a1, a2), 2):
+            if min(map(abs, pair)) <= tol:
+                raise _single_branch(stage)
     if scenario == "rd-basic":
         model = _radiation_model(params)
         # the vacuum connector XX (x) (|ref><p_0| + h.c.), alone or times a
@@ -387,16 +349,14 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
 
 
 def _radiation_model(params: dict[str, Any]) -> rad.RadiationModel:
-    """The model of an rd-basic config whose types are checked.  The model
+    """The model of an rd-basic config whose kinds are checked.  The model
     owns the photon and occupation rules; its refusal is the ConfigError."""
-    a1 = _to_complex(_amp(params["a1"], "a1"))
-    a2 = _to_complex(_amp(params["a2"], "a2"))
-    photons = tuple((tuple(entry["pattern"]),
-                     _to_complex(_amp(entry["c"], "photons.c")))
+    photons = tuple((tuple(entry["pattern"]), _to_complex(entry["c"]))
                     for entry in params["photons"])
     try:
-        return rad.RadiationModel(a1, a2, params["modes"], params["cutoff"],
-                                  photons, tuple(params["background"]))
+        return rad.RadiationModel(_to_complex(params["a1"]), _to_complex(params["a2"]),
+                                  params["modes"], params["cutoff"], photons,
+                                  tuple(params["background"]))
     except ValueError as err:
         raise ConfigError(str(err)) from None
 
@@ -410,22 +370,20 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(
             f"scenario: unknown scenario {scenario!r}; expected one of {SCENARIOS}")
-    defaults = dict(_SCENARIO_DEFAULTS[scenario])
-    allowed = set(_COMMON_DEFAULTS) | set(defaults) | {"scenario"}
+    keys = _SPECS[scenario].keys
+    allowed = set(_COMMON_DEFAULTS) | set(keys) | {"scenario"}
     for key in data:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown key for scenario {scenario!r} "
                               f"(allowed: {sorted(allowed)})")
-    merged = {**_COMMON_DEFAULTS, **defaults,
+    merged = {**_COMMON_DEFAULTS, **{k: default for k, (_, default) in keys.items()},
               **{k: v for k, v in data.items() if k != "scenario"}}
     fmt = merged["format"]
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format: expected json or csv, got {fmt!r}")
+    _one_of(fmt, "format", _FORMATS)
     sweep = _parse_sweep(merged["sweep"], scenario)
-    params = {k: v for k, v in merged.items()
-              if k not in ("tolerance", "seed", "format", "output", "sweep")}
+    params = {k: merged[k] for k in keys}
     tolerance = _tolerance(merged["tolerance"])
-    seed = _int_at_least(merged["seed"], 0, "seed")
+    seed = _int_at_least(merged["seed"], "seed", 0)
     output = merged["output"]
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output: expected a path string or null, got {output!r}")
@@ -504,12 +462,11 @@ class RunReport:
 
 
 def emit(report: RunReport, fmt: str | None = None) -> bytes:
-    fmt = fmt or "json"
+    fmt = fmt or _FORMATS[0]
+    _one_of(fmt, "format", _FORMATS)
     if fmt == "json":
         return (json.dumps(report.as_dict(), indent=2, sort_keys=True,
                            allow_nan=False) + "\n").encode()
-    if fmt != "csv":
-        raise ConfigError(f"format: expected json or csv, got {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if report.sweep is not None:
@@ -549,8 +506,7 @@ def _random_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
 
 def _run_ch_basic(params, tol, rng):
     n = params["n_atoms"]
-    a1 = _to_complex(_amp(params["a1"], "a1"))
-    a2 = _to_complex(_amp(params["a2"], "a2"))
+    a1, a2 = _to_complex(params["a1"]), _to_complex(params["a2"])
     theta = math.radians(params["theta_deg"])
     model = ch.ChainModel(n, a1, a2, theta)
     atoms = model.atoms
@@ -665,15 +621,12 @@ def _run_ch_heisenberg(params, tol, rng):
 
 
 def _run_ch_cascade(params, tol, rng):
-    a1 = _to_complex(_amp(params["a1"], "a1"))
-    a2 = _to_complex(_amp(params["a2"], "a2"))
+    a1, a2 = _to_complex(params["a1"]), _to_complex(params["a2"])
     chains = tuple(params["chains"])
     model = casc.CascadeModel(chains, a1, a2)
     run = casc.run_cascade(model, tol=tol)
     if len(run.stages) < model.m or len(run.final.branches.branches) < 2:
-        raise ConfigError(
-            "a1/a2: the terminal witness needs two branches at every stage >= 2; "
-            f"these amplitudes leave one at stage {len(run.stages)}")
+        raise _single_branch(len(run.stages))
     trade = run.tradeoff(tol)
     witness = run.terminal_witness(tol)
     b1_op = ch.it_operator(model.chain_atoms(1))
@@ -724,8 +677,7 @@ def _run_ch_cascade(params, tol, rng):
     invariants.append(_inv("pointers_cannot_discriminate", v.max_deviation, tol))
     extras["pointer_verdict"] = _verdict_dict(pointer_set.name, v)
     # excluded-parameter scan: phases where the terminal witness goes blind
-    mag1, _ = _amp(params["a1"], "a1")
-    mag2, _ = _amp(params["a2"], "a2")
+    mag1, mag2 = float(params["a1"][0]), float(params["a2"][0])
     degs = [float(d) for d in np.linspace(0.0, 180.0, params["phase_scan_points"])]
     devs = casc.scan_terminal_deviation(casc.CascadeModel(chains, mag1, mag2),
                                         [_to_complex((mag2, d)) for d in degs], tol)
@@ -806,32 +758,74 @@ def _run_growth(params, tol, rng):
     return expectations, invariants, [], extras
 
 
-_RUNNERS: dict[str, Callable] = {
-    "ch-basic": _run_ch_basic,
-    "ch-heisenberg": _run_ch_heisenberg,
-    "ch-cascade": _run_ch_cascade,
-    "rd-basic": _run_rd_basic,
-    "growth": _run_growth,
+@dataclass(frozen=True)
+class _Spec:
+    """A scenario's runner, and for each config key its kind and default."""
+
+    runner: Callable
+    keys: dict[str, tuple[Callable, Any]]
+
+    @property
+    def sweepable(self) -> tuple[str, ...]:
+        """The phase of each amplitude key and each real key; magnitudes
+        are not swept, they would break the weight rule."""
+        return tuple(f"{key}_phase_deg" if kind is _amp else key
+                     for key, (kind, _) in self.keys.items() if kind in (_amp, _real))
+
+
+_SPECS: dict[str, _Spec] = {
+    "ch-basic": _Spec(_run_ch_basic, {
+        "n_atoms": (partial(_int_at_least, minimum=1), 4),
+        "a1": (_amp, [_INV_SQRT2, 0.0]),
+        "a2": (_amp, [_INV_SQRT2, 0.0]),
+        "theta_deg": (_real, 90.0),
+        "fuzz_cases": (partial(_int_at_least, minimum=0), 20),
+        "observable_preset": (partial(_one_of, choices=sec.CHAIN_PRESETS),
+                              "sector_preserving"),
+    }),
+    "ch-heisenberg": _Spec(_run_ch_heisenberg, {
+        "n_atoms": (partial(_int_at_least, minimum=2), 4),
+        "j_coupling": (_real, 1.0),
+    }),
+    "ch-cascade": _Spec(_run_ch_cascade, {
+        "chains": (_chains, [1, 1]),
+        "a1": (_amp, [float(np.sqrt(0.7)), 0.0]),
+        "a2": (_amp, [float(np.sqrt(0.3)), 60.0]),
+        "phase_scan_points": (partial(_int_at_least, minimum=0), 13),
+    }),
+    "rd-basic": _Spec(_run_rd_basic, {
+        "modes": (partial(_int_at_least, minimum=1), 1),
+        "cutoff": (partial(_int_at_least, minimum=2), 3),
+        "photons": (_photons, [{"pattern": [1], "c": [_INV_SQRT2, 0.0]},
+                               {"pattern": [2], "c": [_INV_SQRT2, 0.0]}]),
+        "background": (_occupations, []),
+        "a1": (_amp, [_INV_SQRT2, 0.0]),
+        "a2": (_amp, [_INV_SQRT2, 0.0]),
+        "system_factor_cases": (partial(_int_at_least, minimum=0), 100),
+        "observable_preset": (partial(_one_of, choices=("glauber", "with_vacuum_connector")),
+                              "glauber"),
+    }),
+    "growth": _Spec(_run_growth, {
+        "n_emit": (partial(_int_at_least, minimum=2), 2),
+        "depth": (partial(_int_at_least, minimum=0), 10),
+        "bound": (partial(_int_at_least, minimum=1), 2 ** 62),
+    }),
 }
+
+SCENARIOS = tuple(_SPECS)
 
 
 def _apply_sweep_value(params: dict[str, Any], parameter: str, value: float) -> dict[str, Any]:
-    out = dict(params)
-    if parameter == "a1_phase_deg":
-        out["a1"] = [_amp(params["a1"], "a1")[0], float(value)]
-    elif parameter == "a2_phase_deg":
-        out["a2"] = [_amp(params["a2"], "a2")[0], float(value)]
-    elif parameter in ("theta_deg", "j_coupling"):
-        out[parameter] = float(value)
-    else:
-        raise ConfigError(f"sweep.parameter: cannot apply {parameter!r}")
-    return out
+    """`params` at one sweep point: a real key set to `value`, or the phase
+    of an amplitude key."""
+    key = parameter.removesuffix("_phase_deg")
+    return {**params, key: value if key == parameter else [params[key][0], value]}
 
 
 def run(config: ScenarioConfig) -> RunReport:
     """Execute a scenario (or its sweep); deterministic for a fixed config."""
     t0 = time.perf_counter()
-    runner = _RUNNERS[config.scenario]
+    runner = _SPECS[config.scenario].runner
     tol = config.tolerance
     if config.sweep is None:
         rng = np.random.default_rng(config.seed)

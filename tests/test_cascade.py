@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmeaslab.cascade import (BranchConnector, CascadeModel, _record, _record_rows,
-                              build_B2_flip_sum, b_eigenbranches,
+                              _stage_amplitudes, build_B2_flip_sum, b_eigenbranches,
                               information_tradeoff, initial_cascade_state,
                               joint_it_operator, run_cascade,
                               second_chain_measure, unmeasured_it_exists)
@@ -430,6 +430,21 @@ def test_single_branch_stage_ends_the_run():
     assert len(run.stages) == 2
     assert len(run.final.branches.branches) == 1
     assert run.terminal_deviation() == 0.0
+
+
+def test_stage_amplitudes_match_the_run():
+    # the closed form the config check reads, against every stage >= 2 of
+    # random cascades with m = 2..5 (random amplitudes keep two branches)
+    rng = np.random.default_rng(606)
+    for _ in range(150):
+        chains = tuple(int(n) for n in rng.integers(1, 3, size=rng.integers(2, 6)))
+        a1, a2 = random_amplitude_pair(rng)
+        run = run_cascade(CascadeModel(chains, a1, a2))
+        closed = list(_stage_amplitudes(chains, a1, a2))
+        assert len(closed) == len(run.stages) - 1 == len(chains) - 1
+        for stage, pair in zip(run.stages[1:], closed):
+            amps = [a for a, _ in stage.branches.branches]
+            assert np.abs(np.subtract(amps, pair)).max() <= 1e-14
 
 
 def test_record_rows_checks_every_row():

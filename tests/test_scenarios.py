@@ -198,6 +198,45 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stage 3"):
             run(parse_config(text))
 
+    @pytest.mark.parametrize("text, match", [
+        ("scenario: ch-cascade\nchains: [2, 1, 1, 2]\na1: [1.0, 90]\na2: [1.0e-13, 90]\n"
+         "tolerance: 0.01\n", "^a1/a2: .* leave one at stage 4$"),
+        (f"scenario: ch-cascade\nchains: [1, 1, 1]\na1: [{SQ!r}, 0]\na2: [{SQ!r}, 30]\n"
+         "sweep: {parameter: a2_phase_deg, start: 30, stop: 90, steps: 3}\n",
+         "a2_phase_deg = 90.0: a1/a2: .* leave one at stage 3$"),
+    ])
+    def test_single_branch_at_a_later_stage_refused_by_parse_config(self, text, match):
+        # the stage amplitudes' closed form refuses it before any state is built
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("text, path", [
+        ("scenario: ch-basic\na1: [{v}, 0]\n", "a1"),
+        ("scenario: ch-basic\na2: [0.7071067811865476, {v}]\n", "a2"),
+        ("scenario: ch-cascade\na2: [{v}, 60]\n", "a2"),
+        ("scenario: rd-basic\na1: [0.7071067811865476, {v}]\n", "a1"),
+        ("scenario: rd-basic\nphotons: [{{pattern: [1], c: [{v}, 0]}}]\n", r"photons\[0\]\.c"),
+        ("scenario: rd-basic\nphotons: [{{pattern: [1], c: [0.7071067811865476, 0]}},"
+         " {{pattern: [2], c: [0.7071067811865476, {v}]}}]\n", r"photons\[1\]\.c"),
+    ])
+    def test_non_finite_amplitude_refused(self, text, path, value):
+        with pytest.raises(ConfigError, match=f"^{path}: requires a finite magnitude"):
+            parse_config(text.format(v=value))
+
+    @pytest.mark.parametrize("text, match", [
+        ("scenario: ch-basic\na1: [1.0e+300, 0]\n", r"^a1: requires a finite magnitude <="),
+        (f"scenario: rd-basic\nphotons: [{{pattern: [1], c: [{10 ** 400}, 0]}}]\n",
+         r"^photons\[0\]\.c: requires a finite magnitude"),
+        (f"scenario: ch-basic\ntheta_deg: {10 ** 400}\n", "^theta_deg: requires a finite real"),
+        (f"scenario: ch-heisenberg\nj_coupling: {-10 ** 400}\n", "^j_coupling: requires"),
+        (f"scenario: growth\ntolerance: {10 ** 400}\n", "^tolerance: requires a finite real"),
+    ], ids=["square-overflows", "integer-c", "integer-theta", "integer-j", "integer-tolerance"])
+    def test_number_outside_the_float_range_refused(self, text, match):
+        # a square that overflows, or an integer no float holds
+        with pytest.raises(ConfigError, match=match):
+            parse_config(text)
+
     def test_bad_yaml(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("scenario: [unclosed")
