@@ -185,11 +185,8 @@ def vacuum_pattern_connector(model: RadiationModel,
     return mat
 
 
-def _system_paulis() -> list[tuple[str, np.ndarray]]:
-    out = []
-    for p1, p2 in itertools.product("IXYZ", repeat=2):
-        out.append((p1 + p2, np.kron(PAULI_MATRICES[p1], PAULI_MATRICES[p2])))
-    return out
+_SYSTEM_PAULIS = tuple((p1 + p2, np.kron(PAULI_MATRICES[p1], PAULI_MATRICES[p2]))
+                       for p1, p2 in itertools.product("IXYZ", repeat=2))
 
 
 def full_observable(model: RadiationModel, system: np.ndarray,
@@ -220,10 +217,10 @@ def glauber_generators(model: RadiationModel) -> ObservableSet:
     """Photodetection-allowed generators: every number-function field factor
     tensored with every Hermitian path x lattice basis element, kept
     factored."""
-    gens, paulis = [], _system_paulis()
+    gens = []
     for f_name, f in glauber_field_generators(model):
-        for sys_name, sys in paulis:
-            gens.append((f"{sys_name}(x){f_name}", KronObservable(sys, f)))
+        for sys_name, sys in _SYSTEM_PAULIS:
+            gens.append((f"{sys_name}(x){f_name}", KronObservable(sys.copy(), f)))
     return ObservableSet("glauber", tuple(gens), closure_depth=2)
 
 

@@ -715,7 +715,7 @@ def _run_rd_basic(params, tol, rng):
     worst_random = 0.0
     if draws:
         systems, fields = map(np.stack, zip(*draws))
-        worst_random = float(np.max(sec._kron_deviations(systems, fields, pure, decomp)))
+        worst_random = float(np.max(sec._kron_deviations(systems, fields, decomp)))
     overlap = abs(decomp.branches[0][1].inner(decomp.branches[-1][1])) \
         if len(decomp.branches) == 2 else 0.0
     expectations = {

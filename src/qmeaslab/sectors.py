@@ -9,8 +9,8 @@ which shares its memo across the pool: one label test per flip pattern.
 Observables that commute with every projector cannot see coherences between
 sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
-with the branch mixture kept as its branch vectors chi_i.  Both sides are
-one weighted mean, `_mean`, with weight 1 or |a_i|^2.
+with the mixture the even one of psi+/- = a1 chi1 +/- a2 chi2 (`_phase_pair`),
+so the deviation is the interference term (<Q>_psi+ - <Q>_psi-) / 2 itself.
 
 Observables come as Pauli sums, dense arrays, or factored
 `KronObservable`s S (x) diag(f).  A closed family's factored members are
@@ -31,9 +31,9 @@ import numpy as np
 
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       HilbertLayout, StateError, StateVector, check_dense_dim)
-from .pauli import (OperatorError, PauliString, PauliSum, all_strings,
+from .pauli import (OperatorError, PauliString, PauliSum, all_strings, apply_sum,
                     expectation, format_string, hermitian_part,
-                    string_matrix, sum_matrix, sup_norm_estimate, _apply_sum_rows,
+                    string_matrix, sum_matrix, sup_norm_estimate,
                     _check_hermitian, _check_qubit_support, _diagonal_values,
                     _flip_permutation, _flips, _is_z_diagonal, _real_part)
 
@@ -143,6 +143,7 @@ def _keeps_sectors(values: np.ndarray, projectors: Sequence[Projector], op,
                 break
         if keeps or len(terms) == 1:
             return keeps
+    check_dense_dim(layout, "projector")
     q = as_matrix(op, layout)
     return all(float(np.linalg.norm(p @ q - q @ p)) <= tol
                for p in (proj.to_matrix() for proj in projectors))
@@ -231,15 +232,18 @@ def _kron_gram(vec: np.ndarray, s: int, f: int) -> np.ndarray:
     return (v.conj()[:, None, :] * v[None, :, :]).reshape(s * s, f)
 
 
-def _mixture(branches: BranchDecomposition) -> list[tuple[float, StateVector]]:
-    """(|a_i|^2, chi_i): the branch mixture as (weight, vector) pairs."""
-    return [(abs(a) ** 2, chi) for a, chi in branches.branches]
-
-
-def _branch_gram(weighted, s: int, f: int) -> np.ndarray:
-    """sum_k w_k (Gram array of v_k) over (weight, vector) pairs: the
-    weighted vectors as every factored observable sees them."""
-    return sum(w * _kron_gram(v.amplitudes, s, f) for w, v in weighted)
+def _phase_pair(branches: BranchDecomposition) -> tuple[StateVector, StateVector]:
+    """psi+/- = a1 chi1 +/- a2 chi2, summed as `BranchDecomposition.state`
+    sums them (one branch: a1 chi1 twice); their even mixture is the branch
+    mixture, so <Q>_mix = (<Q>_psi+ + <Q>_psi-) / 2."""
+    if len(branches.branches) > 2:
+        raise StateError(f"a mixture of {len(branches.branches)} branches has no phase "
+                         "pair: pure/mixed deviations take one or two branches")
+    (a1, chi1), *rest = branches.branches
+    first = np.zeros(branches.layout.dim, dtype=complex) + a1 * chi1.amplitudes
+    second = rest[0][0] * rest[0][1].amplitudes if rest else 0.0
+    return (StateVector(branches.layout, first + second),
+            StateVector(branches.layout, first - second))
 
 
 def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
@@ -253,16 +257,15 @@ def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
     return np.sum((values if sid is None else values[sid]) * field.reshape(-1, f), axis=1)
 
 
-def _kron_deviations(system: np.ndarray, field: np.ndarray, pure: StateVector,
-                     branches: BranchDecomposition,
+def _kron_deviations(system: np.ndarray, field: np.ndarray, branches: BranchDecomposition,
                      sid: np.ndarray | None = None) -> np.ndarray:
-    """|<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| of every stacked observable
-    (members as in `_kron_values`), from the real parts of both
-    expectations."""
+    """|<Q>_pure - <Q>_mix| = |<Q>_psi+ - <Q>_psi-| / 2 (`_phase_pair`) of
+    every stacked observable (members as in `_kron_values`), from the real
+    parts of both expectations."""
     s, f = system.shape[-1], field.shape[-1]
-    mixed = _branch_gram(_mixture(branches), s, f)
-    return np.abs(_kron_values(system, field, _kron_gram(pure.amplitudes, s, f), sid).real
-                  - _kron_values(system, field, mixed, sid).real)
+    plus, minus = (_kron_values(system, field, _kron_gram(v.amplitudes, s, f), sid).real
+                   for v in _phase_pair(branches))
+    return 0.5 * np.abs(plus - minus)
 
 
 def _kron_norms(system: np.ndarray, field: np.ndarray,
@@ -348,39 +351,34 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(arr - arr.conj().T) <= tol)
 
 
-def _mean(op, weighted) -> complex:
-    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs: a Pauli sum acts
-    once on the stacked vectors, a dense op once per vector, and a factored
-    op is one weighted Gram array."""
-    if isinstance(op, KronObservable):
-        gram = _branch_gram(weighted, len(op.system), len(op.field))
-        return complex(_kron_values(op.system, op.field, gram)[0])
+def _value(op, state: StateVector) -> complex:
+    """<state|op|state>: a Pauli sum by its string actions, a factored op
+    from one Gram array, a dense op by one product."""
+    v = state.amplitudes
     if isinstance(op, PauliSum):
-        images = _apply_sum_rows(op, weighted[0][1].layout,
-                                 np.stack([v.amplitudes for _, v in weighted]))
-    else:
-        images = [np.asarray(op, dtype=complex) @ v.amplitudes for _, v in weighted]
-    total = 0.0 + 0.0j
-    for (w, v), image in zip(weighted, images):
-        total += w * np.vdot(v.amplitudes, image)
-    return complex(total)
+        return complex(np.vdot(v, apply_sum(op, state)))
+    if isinstance(op, KronObservable):
+        gram = _kron_gram(v, len(op.system), len(op.field))
+        return complex(_kron_values(op.system, op.field, gram)[0])
+    return complex(np.vdot(v, np.asarray(op, dtype=complex) @ v))
 
 
 def op_expectation(op, state: StateVector, tol: float = DEFAULT_TOL) -> float:
     if isinstance(op, PauliSum):
         return expectation(op, state, tol)
-    return _real_part(_mean(op, [(1.0, state)]), tol, "expectation")
+    return _real_part(_value(op, state), tol, "expectation")
 
 
 def op_expectation_mixed(op, branches: BranchDecomposition,
                          tol: float = DEFAULT_TOL) -> float:
-    """Expectation in the branch mixture, sum_i |a_i|^2 <chi_i|Q|chi_i>,
-    evaluated on the branch vectors (no density matrix); the branches are
+    """Expectation in the branch mixture, sum_i |a_i|^2 <chi_i|Q|chi_i>, as the
+    mean of its values in psi+ and psi- (`_phase_pair`); the branches are
     validated and the imaginary part is checked against tol."""
     branches.validate(tol)
     if isinstance(op, PauliSum):
         _check_hermitian(op, tol)
-    return _real_part(_mean(op, _mixture(branches)), tol, "mixture expectation")
+    values = [_value(op, v) for v in _phase_pair(branches)]
+    return _real_part(0.5 * (values[0] + values[1]), tol, "mixture expectation")
 
 
 def op_sup_norm(op, layout: HilbertLayout) -> float:
@@ -473,7 +471,8 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
                  allowed: ObservableSet, tol: float = DEFAULT_TOL) -> DiscriminationVerdict:
     """Maximize |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over the allowed
     family (generators plus pairwise Hermitian products, each normalized by
-    its exact spectral norm), with the mixture given by its branches.  Members
+    its exact spectral norm), with `pure` the superposition of the one or two
+    branches to tol, as |<Q>_psi+ - <Q>_psi-| / 2 (`_phase_pair`).  Members
     of norm <= tol are skipped; the first member reaching the maximum is the
     witness, and only its name is formatted.  Distinguishable iff the maximum
     exceeds tol."""
@@ -482,21 +481,24 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     if not allowed.generators:
         raise OperatorError(f"observable set {allowed.name!r} is empty")
     branches.validate(tol)
+    plus, minus = _phase_pair(branches)
+    residual = float(np.linalg.norm(pure.amplitudes - plus.amplitudes))
+    if residual > tol:
+        raise StateError(f"pure state is not its branches' superposition: {residual!r} > {tol}")
     allowed.validate(tol)
     family = _closed_family(allowed, pure.layout)
     names = [name for name, _ in allowed.generators]
-    mixture = _mixture(branches)
     devs = np.zeros(len(names) + family.i.size)
     if family.at.size:
         norms = _kron_norms(family.systems, family.field, family.sid)
-        diff = _kron_deviations(family.systems, family.field, pure, branches, family.sid)
+        diff = _kron_deviations(family.systems, family.field, branches, family.sid)
         seen = norms > tol
         devs[family.at[seen]] = diff[seen] / norms[seen]
     for k, op in family.other.items():
         norm = op_sup_norm(op, pure.layout)
         if norm > tol:
-            devs[k] = abs(op_expectation(op, pure, tol=np.inf)
-                          - _mean(op, mixture).real) / norm
+            devs[k] = 0.5 * abs(op_expectation(op, plus, tol=np.inf)
+                                - op_expectation(op, minus, tol=np.inf)) / norm
     k = int(np.argmax(devs))
     best = float(devs[k])
     if best <= tol:

@@ -137,7 +137,7 @@ def eigo_projectors(mat: np.ndarray, degeneracy_tol: float = 1e-9):
 # ---------------------------------------------------------------------------
 # earlier kernel routes, kept as bit-for-bit references for the kernels that
 # replaced them: they read the layout's flip tables and a string's (pi, ph)
-# action, but none of the package's pulse, closed-form or mean kernels
+# action, but none of the package's pulse or closed-form kernels
 
 def _pulse_coeffs(theta: float) -> tuple[float, float]:
     """cos/sin of the pulse, exact (0, 1) at the calibrated complete flip."""
@@ -190,10 +190,29 @@ def scatter_rows(pi: np.ndarray, ph: np.ndarray, amps: np.ndarray) -> np.ndarray
     return out
 
 
-def loop_mean(image_of, weighted) -> complex:
-    """sum_k w_k <v_k|op|v_k> over (weight, vector) pairs, one `image_of(v)`
-    (the op applied to v) per vector."""
-    total = 0.0 + 0.0j
-    for w, v in weighted:
-        total += w * np.vdot(v, image_of(v))
-    return complex(total)
+# ---------------------------------------------------------------------------
+# the pure/mixed deviation by three expectations, the route the phase pair
+# (psi+ and psi-) replaced: it cancels the branch-diagonal terms in floating
+# point, so it agrees with the phase pair to rounding, not bit for bit
+
+def kron_expectations(vec: np.ndarray, systems: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """<v|S_m (x) diag(f_m)|v> of every stacked pair (systems[m], fields[m]),
+    by one einsum over v as an (s, f) array."""
+    v = vec.reshape(systems.shape[-1], fields.shape[-1])
+    return np.einsum("ak,mab,mk,bk->m", v.conj(), systems, fields, v, optimize=True)
+
+
+def fsum_expect(vec: np.ndarray, parts: np.ndarray) -> float:
+    """Re <v|Q|v> for Q v = parts.sum(axis=0), one row per term of Q: every
+    product conj(v_i) parts[k, i] is rounded once and then summed exactly
+    (math.fsum), so no accumulation error enters."""
+    return math.fsum(np.concatenate([(vec.real * parts.real).ravel(),
+                                     (vec.imag * parts.imag).ravel()]))
+
+
+def three_expectation_deviation(expect, pure: np.ndarray, branches):
+    """<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>, the pure/mixed deviation as
+    the phase-pair route replaced it: one expectation per state, with
+    `expect(v)` giving <v|Q|v> of one Q or of a stack of them."""
+    return expect(pure) - sum(abs(a) ** 2 * expect(chi.amplitudes)
+                              for a, chi in branches.branches)

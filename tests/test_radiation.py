@@ -453,10 +453,10 @@ def test_stacked_random_factor_check_matches_per_observable_route(text, model,
     stacked = []
     kernel = sectors._kron_deviations
 
-    def spy(system, field, pure, branches, *sid):
+    def spy(system, field, branches, *sid):
         if sys._getframe(1).f_code.co_name == "_run_rd_basic":
             stacked.append((system, field))
-        return kernel(system, field, pure, branches, *sid)
+        return kernel(system, field, branches, *sid)
 
     monkeypatch.setattr(sectors, "_kron_deviations", spy)
     config = parse_config("scenario: rd-basic\n" + text)
@@ -488,7 +488,7 @@ def test_stacked_deviations_match_per_observable_route_off_the_blind_family():
     draws = _draws(model, 30, np.random.default_rng(7))
     want = _per_observable_deviations(decomp, draws)
     got = _kron_deviations(np.stack([s for s, _ in draws]),
-                           np.stack([f for _, f in draws]), decomp.state(), decomp)
+                           np.stack([f for _, f in draws]), decomp)
     assert max(want) > 0.1
     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -536,9 +536,9 @@ def _route_mismatches() -> list[str]:
             per_member = _per_member_systems(allowed)
             routes = [(_kron_norms(family.systems, family.field, family.sid),
                        _kron_norms(per_member, family.field)),
-                      (_kron_deviations(family.systems, family.field, decomp.state(),
+                      (_kron_deviations(family.systems, family.field,
                                         decomp, family.sid),
-                       _kron_deviations(per_member, family.field, decomp.state(), decomp))]
+                       _kron_deviations(per_member, family.field, decomp))]
             if not all(np.array_equal(x, y) for x, y in routes):
                 bad.append(f"{label}, {allowed.name}")
     return bad

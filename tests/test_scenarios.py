@@ -717,3 +717,20 @@ def test_no_spectral_norm_of_a_zero_member(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", spy)
     assert not run(parse_config(_TWO_MODES)).failed_required()
     assert nonzero and all(nonzero)
+
+
+@pytest.mark.parametrize("text, names", [
+    *((f"scenario: rd-basic\n{extra}", ("glauber_cannot_discriminate",
+                                         "background_photons_irrelevant",
+                                         "random_system_factors_blind"))
+      for extra in ("", "background: [1]\n", "background: [2, 1]\n")),
+    *((f"scenario: ch-basic\nobservable_preset: {preset}\n", ("preset_cannot_discriminate",))
+      for preset in ("pointer_only", "sector_preserving")),
+    ("scenario: ch-cascade", ("pointers_cannot_discriminate",)),
+])
+def test_blind_families_deviate_by_exactly_zero(text, names):
+    # psi+ and psi- differ only in the sign of the second branch's terms,
+    # which these families never mix with the first's: their expectations
+    # agree bit for bit, not just to the tolerance
+    residuals = {i.name: i.residual for i in run(parse_config(text)).invariants}
+    assert {name: residuals[name] for name in names} == dict.fromkeys(names, 0.0)

@@ -1,22 +1,30 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 from qmeaslab.chain import (ChainModel, final_branches, full_passage,
                             it_operator, pointer_operator)
-from qmeaslab.hilbert import (DensityMatrix, HilbertLayout, StateVector,
-                              basis_state, mixture_of)
+from qmeaslab.hilbert import (BranchDecomposition, DensityMatrix, DimensionCapError,
+                              HilbertLayout, StateError, StateVector, basis_state,
+                              mixture_of)
 from qmeaslab.hilbert import MODE, LayoutError, Subsystem
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                            apply_sum, expectation, expectation_mixed,
+                            apply, expectation, expectation_mixed,
                             string_matrix)
 from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               SectorError, chain_observable_preset,
                               discriminate, joint_sectors, restricted_algebra,
                               sector_decohere, structure_residual)
-from qmeaslab.sectors import KronObservable, _mean
+from qmeaslab import radiation, scenarios, sectors
+from qmeaslab.sectors import (KronObservable, _closed_family, _kron_deviations,
+                              _kron_norms, _phase_pair, op_expectation,
+                              op_expectation_mixed, op_sup_norm)
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
-from oracles import X, Z, dense_commutator, loop_mean
+from oracles import (X, Z, dense_commutator, fsum_expect, kron_expectations,
+                     three_expectation_deviation)
 
 RNG = np.random.default_rng(2718)
 SQ = np.sqrt(0.5)
@@ -348,24 +356,140 @@ class TestDiscriminate:
             discriminate(psi, final_branches(model), ObservableSet("empty", ()))
 
 
-@pytest.mark.parametrize("terms", [
-    [(0.25, {"S0": "Z", "A2": "Z"}), (-0.5, {"A1": "Z"}), (1.0, {})],
-    [(0.5, {"S0": "X", "A1": "Y", "A2": "Y"}), (0.3, {"A2": "Z"})],
-    [(1.0, {"A1": "Y"}), (2.0, {"S0": "X"})],
-])
-@pytest.mark.parametrize("branches", [1, 2, 3])
-def test_stacked_mean_matches_the_per_vector_loop(terms, branches):
-    # one action of the sum on the stacked vectors, with and without flips,
-    # gives the bits of one action per vector; a dense op keeps its loop
-    layout = chain_layout(2)
-    op = PauliSum.from_terms((c, PauliString.from_map(l)) for c, l in terms)
-    vecs = [random_state(RNG, layout.dim) for _ in range(branches)]
-    weights = RNG.dirichlet(np.ones(branches))
-    weighted = [(w, StateVector(layout, v)) for w, v in zip(weights, vecs)]
-    ref = loop_mean(lambda v: apply_sum(op, StateVector(layout, v)), zip(weights, vecs))
-    assert _mean(op, weighted) == ref
-    mat = dense_of(op, layout)
-    assert _mean(mat, weighted) == loop_mean(lambda v: mat @ v, zip(weights, vecs))
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = yaml.safe_load((GOLDEN / "corpus.yaml").read_text())
+
+
+def _term_images(op, layout, v):
+    """One row per term of op: c P v for a Pauli sum's terms c P (each P
+    exact: a permutation and a phase), M_ij v_j (row j) for a dense M."""
+    if isinstance(op, PauliSum):
+        return np.stack([c * apply(s, StateVector(layout, v)).amplitudes for c, s in op.terms])
+    return (op * v[None, :]).T
+
+
+def _member_deviations(family, layout, tol, expect_stack, expect_one):
+    """|deviation| / ||Q|| of every family member in family order, 0.0 where
+    ||Q|| <= tol: `expect_stack()` gives the stacked members' deviations,
+    `expect_one(op)` one other member's."""
+    devs = np.zeros(len(family.at) + len(family.other))
+    if family.at.size:
+        norms = _kron_norms(family.systems, family.field, family.sid)
+        devs[family.at] = np.divide(np.abs(expect_stack()), norms,
+                                    out=np.zeros(norms.shape), where=norms > tol)
+    for k, op in family.other.items():
+        norm = op_sup_norm(op, layout)
+        if norm > tol:
+            devs[k] = abs(expect_one(op)) / norm
+    return devs
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_phase_pair_matches_the_three_expectation_route(name, monkeypatch):
+    # every member of every family the golden config discriminates: the
+    # phase pair's (<Q>_psi+ - <Q>_psi-) / 2 against the oracle's three
+    # expectations at pure = a1 chi1 + a2 chi2, the unstacked members' summed
+    # exactly (a 56-term pointer square rounds its image apart by 1.2e-15
+    # between the states)
+    calls, kernel = [], sectors.discriminate
+
+    def spy(pure, branches, allowed, tol):
+        verdict = kernel(pure, branches, allowed, tol)
+        calls.append((branches, allowed, tol, verdict))
+        return verdict
+
+    monkeypatch.setattr(sectors, "discriminate", spy)
+    monkeypatch.setattr(radiation, "discriminate", spy)
+    scenarios.run(scenarios.parse_config(CORPUS[name]))
+    for branches, allowed, tol, verdict in calls:
+        layout = branches.layout
+        family = _closed_family(allowed, layout)
+        pair = _phase_pair(branches)
+        got = _member_deviations(
+            family, layout, tol,
+            lambda: _kron_deviations(family.systems, family.field, branches, family.sid),
+            lambda op: 0.5 * (op_expectation(op, pair[0], tol=np.inf)
+                              - op_expectation(op, pair[1], tol=np.inf)))
+        assert verdict.max_deviation == np.max(got)
+        psi = branches.state().amplitudes
+        want = _member_deviations(
+            family, layout, tol,
+            lambda: three_expectation_deviation(
+                lambda v: kron_expectations(v, family.system, family.field), psi,
+                branches).real,
+            lambda op: three_expectation_deviation(
+                lambda v: fsum_expect(v, _term_images(op, layout, v)), psi, branches))
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_stacked_phase_pair_matches_the_three_expectation_route_off_the_blind_family():
+    # the corpus's stacked families are all blind (every deviation 0.0):
+    # random orthogonal branches on a radiation layout make them see the
+    # coherence
+    rng = np.random.default_rng(31)
+    model = radiation.RadiationModel(modes=2, cutoff=3, photon_amplitudes=(
+        ((1, 0), SQ), ((0, 2), SQ)))
+    dim = model.layout.dim
+    family = _closed_family(radiation.glauber_generators(model), model.layout)
+    norms = _kron_norms(family.systems, family.field, family.sid)
+    seen = norms > 1e-12
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+        a1, a2 = random_amplitude_pair(rng)
+        branches = BranchDecomposition(model.layout, (
+            (a1, StateVector(model.layout, q[:, 0])), (a2, StateVector(model.layout, q[:, 1]))))
+        got = _kron_deviations(family.systems, family.field, branches, family.sid)
+        want = np.abs(three_expectation_deviation(
+            lambda v: kron_expectations(v, family.system, family.field),
+            branches.state().amplitudes, branches).real)
+        got, want = got[seen] / norms[seen], want[seen] / norms[seen]
+        assert np.max(want) > 0.01
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+def test_phase_pair_mixes_to_the_branch_mixture(dim):
+    for _ in range(20):
+        q, _ = np.linalg.qr(RNG.normal(size=(dim, 2)) + 1j * RNG.normal(size=(dim, 2)))
+        a1, a2 = random_amplitude_pair(RNG)
+        layout = HilbertLayout((Subsystem("m", dim, MODE),))
+        branches = BranchDecomposition(layout, (
+            (a1, StateVector(layout, q[:, 0])), (a2, StateVector(layout, q[:, 1]))))
+        plus, minus = (v.amplitudes for v in _phase_pair(branches))
+        even = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
+        assert np.max(np.abs(even - mixture_of(branches).matrix)) <= 1e-15
+
+
+class TestDiscriminateRefusals:
+    def test_pure_that_is_not_the_branch_superposition(self):
+        a1, a2 = np.sqrt(0.7), np.sqrt(0.3)
+        branches = final_branches(ChainModel(2, a1, a2))
+        swapped = full_passage(ChainModel(2, a2, a1))
+        with pytest.raises(StateError, match="not its branches' superposition"):
+            discriminate(swapped, branches, chain_observable_preset("with_B", 2))
+
+    def test_more_than_two_branches(self):
+        layout = chain_layout(2)
+        third = np.sqrt(1 / 3)
+        branches = BranchDecomposition(layout, tuple(
+            (third, basis_state(layout, bits)) for bits in ([0, 0, 0], [0, 1, 0], [1, 1, 1])))
+        allowed = chain_observable_preset("pointer_only", 2)
+        for call in (lambda: discriminate(branches.state(), branches, allowed),
+                     lambda: op_expectation_mixed(allowed.generators[0][1], branches)):
+            with pytest.raises(StateError, match="mixture of 3 branches"):
+                call()
+
+
+def test_factored_candidate_refused_before_any_dense_realization(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense KronObservable built")
+
+    monkeypatch.setattr(KronObservable, "matrix", refuse)
+    layout = HilbertLayout.qubits([f"q{i}" for i in range(7)])
+    sec = SectorDecomposition(layout, np.arange(layout.dim) % 2, ("even", "odd"))
+    pool = ObservableSet("pool", (("kron", KronObservable(X, np.ones(64))),))
+    with pytest.raises(DimensionCapError, match="dim 128"):
+        restricted_algebra(sec, pool)
 
 
 class TestValidate:
