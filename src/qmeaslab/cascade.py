@@ -9,14 +9,12 @@ it, is the unmeasurable witness; its expectation separates the final
 superposition from the branch mixture, and being nonzero and rank 2 it is
 the identity on no qubit, so its support is the whole layout.
 
-The stage kernel has a leading scan axis: it records a block of cascades,
-one per row of a `(points, dim)` amplitude array, in one call per stage;
-a row whose stage leaves a single branch is masked to record nothing at
-the later stages.  `run_cascade` is its one-row case, and every block
-starts from `chain._ready_rows`.  `scan_terminal_deviation` runs a whole
-a2 scan through it in blocks of at most `SCAN_BLOCK_AMPLITUDES` amplitudes
-per array, so m stage calls per block replace one cascade run per point
-(at dim 2^14 a block is one point).
+`run_cascade` records each stage once through the stage kernel
+(`_record_rows`, one row).  The terminal deviation of a whole a2 scan
+needs no state: every stage maps the branch amplitudes by a 2x2 map
+(`_stage_amplitudes`), and `_closed_form_terminal` reads the deviation and
+the single-branch rule off the last stage's pair, for every scan point at
+once.
 """
 
 from __future__ import annotations
@@ -35,10 +33,6 @@ from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
                       check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
                     _apply_sum_rows, expectation)
-
-# amplitudes per array in one block of a batched scan: bounds its memory
-SCAN_BLOCK_AMPLITUDES = 2 ** 12
-
 
 @dataclass(frozen=True)
 class CascadeModel:
@@ -260,48 +254,51 @@ def _recorded(k: int) -> str:
     return {1: "mu_z(C1)", 2: "B(S0,C1)"}.get(k, f"joint IT of stage {k - 1}")
 
 
-def _run_rows(model: CascadeModel, state: np.ndarray, stages: int, tol: float):
-    """Stages 1..`stages` for a block of cascades, one per row of `state`,
-    each stage one `_record_rows` call over the block; yields (k, rec) with
-    `rec` the block's stage k.
-
-    Stage k >= 3 splits each row along the eigenvectors (chi1 +- chi2)/sqrt 2
-    of its previous stage's joint IT operator.  A row whose stage left a
-    single branch has no interference term for a later chain to record: it
-    is masked to record nothing (identity on its whole state), so it keeps
-    its one branch, and the block ends early only when no row is left with
-    two.
-    """
-    layout = model.layout
-    for k in range(1, stages + 1):
-        target = model.chain_atoms(k)
-        if k <= 2:
-            b = _Z_SYSTEM if k == 1 else it_operator(model.chain_atoms(1))
-            plus, minus = _pauli_split(layout, state, b, target, tol)
-        else:
-            two = np.all(rec.kept, axis=1)
-            if not two.any():
-                return
-            chi1, chi2 = rec.units[:, 0], rec.units[:, 1]
-            eigvecs = ((chi1 + chi2) / np.sqrt(2.0), (chi1 - chi2) / np.sqrt(2.0))
-            plus, minus = (np.vecdot(w, state)[:, None] * w for w in eigvecs)
-            if not two.all():
-                plus = np.where(two[:, None], plus, state)
-                minus = np.where(two[:, None], minus, 0.0)
-        rec = _record_rows(layout, state, plus, minus, target, tol)
-        state = rec.state
-        yield k, rec
+def _stage_split(model: CascadeModel, k: int, state: np.ndarray,
+                 prev: _StageRows | None, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The +/-1 eigencomponents that stage k records, for every row of
+    `state`: of Z_S0 (k = 1), of B of (S0, chain 1) (k = 2), and for k >= 3
+    along the eigenvectors (chi1 +- chi2)/sqrt 2 of the joint IT operator of
+    `prev`, the block's stage k-1."""
+    if k <= 2:
+        b = _Z_SYSTEM if k == 1 else it_operator(model.chain_atoms(1))
+        return _pauli_split(model.layout, state, b, model.chain_atoms(k), tol)
+    chi1, chi2 = prev.units[:, 0], prev.units[:, 1]
+    eigvecs = ((chi1 + chi2) / np.sqrt(2.0), (chi1 - chi2) / np.sqrt(2.0))
+    plus, minus = (np.vecdot(w, state)[:, None] * w for w in eigvecs)
+    return plus, minus
 
 
-def _stage_amplitudes(chains: Sequence[int], a1: complex, a2: complex):
+def _stage_amplitudes(chains: Sequence[int], a1: complex, a2):
     """The gauged branch amplitudes (b1, b2) of stages 2..m in closed form,
     with no state built: starting from (a1, (-1)^{n_1} a2), each stage k >= 2
     maps (b1, b2) to ((b1 + b2)/sqrt 2, (-i)^{n_k} (b1 - b2)/sqrt 2).  Exact
-    up to rounding while every stage keeps both branches."""
+    up to rounding while every stage keeps both branches; `a2` may be an
+    array of values, one cascade each."""
     b1, b2 = a1, (-1) ** chains[0] * a2
     for n in chains[1:]:
         b1, b2 = (b1 + b2) / np.sqrt(2.0), (-1j) ** n * (b1 - b2) / np.sqrt(2.0)
         yield b1, b2
+
+
+def _closed_form_terminal(chains: Sequence[int], a1: complex, a2s,
+                          tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For the cascade of m >= 2 `chains` with a1 and each entry of `a2s` as
+    a2: its terminal deviation, and the first stage >= 2 that leaves it a
+    single branch (0 for none).  No state is built.
+
+    The terminal joint IT operator connects orthonormal branches, so the
+    deviation is exactly 2|Re(conj(b1) b2)| of the last stage's pair.  A
+    stage keeps a branch where its amplitude exceeds tol, as `_record_rows`
+    does, and a cascade left with one branch reads 0.0, the deviation of a
+    one-branch mixture.  Stage 1's pair is not read: stage 2 splits the
+    whole state by B, whatever stage 1 kept."""
+    a2s = np.asarray(a2s, dtype=complex)
+    lost = np.zeros(a2s.shape, dtype=int)
+    for k, (b1, b2) in enumerate(_stage_amplitudes(chains, a1, a2s), 2):
+        lost[(lost == 0) & (np.minimum(np.abs(b1), np.abs(b2)) <= tol)] = k
+    dev = np.abs(2.0 * np.real(np.conj(b1) * b2))
+    return np.where(lost == 0, dev, 0.0), lost
 
 
 def _terminal_deviation(state: np.ndarray, amps: np.ndarray,
@@ -391,37 +388,25 @@ def run_cascade(model: CascadeModel, stages: int | None = None,
     Stage k records one involution on the fresh chain k: Z_S0 for chain 1
     (the complete-flip passage), B of (S0, chain 1) for chain 2, and for
     k >= 3 the joint IT operator of stage k-1, split along its eigenvectors.
-    A stage that leaves a single branch ends the run: no interference term
-    is left for a later chain to record.  This is the one-row case of the
-    batched stage kernel.
+    A stage k >= 2 that leaves a single branch ends the run: no
+    interference term is left for a later chain to record.  Each stage is
+    one call of the stage kernel on a one-row block.
     """
     stages = model.m if stages is None else stages
     if not 1 <= stages <= model.m:
         raise ValueError(f"stages must be in 1..{model.m}, got {stages}")
     layout = model.layout
-    start = initial_cascade_state(model).amplitudes[None]
-    return CascadeRun(model, tuple(
-        CascadeStage(_recorded(k), StateVector(layout, rec.state[0]), rec.branches(layout, 0))
-        for k, rec in _run_rows(model, start, stages, tol)))
-
-
-def scan_terminal_deviation(model: CascadeModel, a2s: Sequence[complex],
-                            tol: float = DEFAULT_TOL) -> np.ndarray:
-    """`run_cascade(...).terminal_deviation()` of `model` with its a2
-    replaced by each entry of `a2s` (a1 kept), with no run per entry: each
-    block of at most SCAN_BLOCK_AMPLITUDES amplitudes (at least one row)
-    goes through the m stages together.  A row whose run ends with a single
-    branch reads 0.0."""
-    a2s = np.asarray(a2s, dtype=complex)
-    out = np.zeros(len(a2s))
-    size = max(1, SCAN_BLOCK_AMPLITUDES // model.layout.dim)
-    for start in range(0, len(a2s), size):
-        rows = _ready_rows(model.layout, model.a1, a2s[start:start + size])
-        for _, rec in _run_rows(model, rows, model.m, tol):
-            pass  # the deviation reads the last stage only
-        dev = _terminal_deviation(rec.state, rec.amps, rec.units)
-        out[start:start + size] = np.where(np.all(rec.kept, axis=1), dev, 0.0)
-    return out
+    state, rec, out = initial_cascade_state(model).amplitudes[None], None, []
+    for k in range(1, stages + 1):
+        # stage 2 splits the whole state by B, whatever stage 1 kept
+        if k >= 3 and not rec.kept.all():
+            break
+        rec = _record_rows(layout, state, *_stage_split(model, k, state, rec, tol),
+                           model.chain_atoms(k), tol)
+        state = rec.state
+        out.append(CascadeStage(_recorded(k), StateVector(layout, state[0]),
+                                rec.branches(layout, 0)))
+    return CascadeRun(model, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -333,9 +333,9 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 "a1/a2: the cascade needs two B eigenbranches after stage 2, i.e. "
                 f"(1 - |2 Re(a1* a2)|)/2 > tolerance {tol}, got {w_min}")
         # a stage keeps a branch only where its amplitude exceeds tol
-        for stage, pair in enumerate(casc._stage_amplitudes(params["chains"], a1, a2), 2):
-            if min(map(abs, pair)) <= tol:
-                raise _single_branch(stage)
+        lost = int(casc._closed_form_terminal(params["chains"], a1, [a2], tol)[1][0])
+        if lost:
+            raise _single_branch(lost)
     if scenario == "rd-basic":
         model = _radiation_model(params)
         # the vacuum connector XX (x) (|ref><p_0| + h.c.), alone or times a
@@ -649,6 +649,9 @@ def _run_ch_cascade(params, tol, rng):
         _inv("b_prime_matches_b", abs(trade.b_prime_after - trade.b_before), tol),
         _inv("terminal_support_covers_observer",
              0.0 if witness.covers_observer else 1.0, tol),
+        _inv("terminal_closed_form_matches_run",
+             abs(witness.deviation - casc._closed_form_terminal(chains, a1, [a2], tol)[0][0]),
+             tol),
     ]
     extras: dict[str, Any] = {
         "terminal_support": list(witness.support),
@@ -679,9 +682,9 @@ def _run_ch_cascade(params, tol, rng):
     # excluded-parameter scan: phases where the terminal witness goes blind
     mag1, mag2 = float(params["a1"][0]), float(params["a2"][0])
     degs = [float(d) for d in np.linspace(0.0, 180.0, params["phase_scan_points"])]
-    devs = casc.scan_terminal_deviation(casc.CascadeModel(chains, mag1, mag2),
-                                        [_to_complex((mag2, d)) for d in degs], tol)
-    extras["phase_scan"] = [{"a2_phase_deg": d, "terminal_deviation": float(dev)}
+    devs = casc._closed_form_terminal(chains, mag1, [_to_complex((mag2, d)) for d in degs],
+                                      tol)[0].tolist()
+    extras["phase_scan"] = [{"a2_phase_deg": d, "terminal_deviation": dev}
                             for d, dev in zip(degs, devs)]
     extras["excluded_phases_deg"] = [d for d, dev in zip(degs, devs) if dev <= tol]
     return expectations, invariants, [], extras

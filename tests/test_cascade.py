@@ -1,10 +1,13 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from qmeaslab.cascade import (BranchConnector, CascadeModel, _record, _record_rows,
-                              _stage_amplitudes, build_B2_flip_sum, b_eigenbranches,
+from qmeaslab.cascade import (BranchConnector, CascadeModel, _closed_form_terminal,
+                              _record, _record_rows, _stage_amplitudes,
+                              build_B2_flip_sum, b_eigenbranches,
                               information_tradeoff, initial_cascade_state,
                               joint_it_operator, run_cascade,
                               second_chain_measure, unmeasured_it_exists)
@@ -14,9 +17,10 @@ from qmeaslab.hilbert import (HilbertLayout, StateError, StateVector,
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
                             expectation_mixed)
 from qmeaslab.radiation import RadiationModel
+from qmeaslab.scenarios import parse_config, run
 from qmeaslab.sectors import ObservableSet, discriminate
 
-from oracles import dense_of, random_amplitude_pair
+from oracles import dense_of, random_amplitude_pair, scan_terminal_deviation
 
 RNG = np.random.default_rng(424242)
 SQ = np.sqrt(0.5)
@@ -445,6 +449,65 @@ def test_stage_amplitudes_match_the_run():
         for stage, pair in zip(run.stages[1:], closed):
             amps = [a for a, _ in stage.branches.branches]
             assert np.abs(np.subtract(amps, pair)).max() <= 1e-14
+
+
+def _assert_scan_matches_oracle(chains, a1, mag2, degs, tol=1e-12):
+    """The closed-form scan against the batched stage kernel at 1e-13, with
+    identical excluded sets; returns the closed-form deviations."""
+    a2s = mag2 * np.exp(1j * np.radians(degs))
+    closed = _closed_form_terminal(chains, a1, a2s, tol)[0]
+    kernel = scan_terminal_deviation(CascadeModel(chains, a1, mag2), a2s, tol)
+    assert np.abs(closed - kernel).max() <= 1e-13
+    np.testing.assert_array_equal(closed <= tol, kernel <= tol)
+    return closed
+
+
+_CORPUS = yaml.safe_load((Path(__file__).parent / "golden" / "corpus.yaml").read_text())
+GOLDEN_SCANS = [name for name, text in _CORPUS.items()
+                if "scenario: ch-cascade" in text and "sweep:" not in text]
+
+
+@pytest.mark.parametrize("name", GOLDEN_SCANS)
+def test_golden_scans_match_the_batched_oracle(name):
+    # every point of the report's scan, and its excluded set, against the
+    # batched stage kernel over the same points
+    report = run(parse_config(_CORPUS[name]))
+    params = report.parameters
+    scan = report.extras["phase_scan"]
+    degs = np.array([row["a2_phase_deg"] for row in scan])
+    kernel = scan_terminal_deviation(
+        CascadeModel(params["chains"], params["a1"][0], params["a2"][0]),
+        params["a2"][0] * np.exp(1j * np.radians(degs)), report.tolerance)
+    devs = np.array([row["terminal_deviation"] for row in scan])
+    assert np.abs(devs - kernel).max(initial=0.0) <= 1e-13
+    assert report.extras["excluded_phases_deg"] == [
+        d for d, dev in zip(degs.tolist(), kernel) if dev <= report.tolerance]
+
+
+def test_random_scans_match_the_batched_oracle():
+    # complex a1 and random magnitudes, m = 2..5 chains of 1 or 2 atoms
+    rng = np.random.default_rng(23)
+    degs = np.linspace(0.0, 180.0, 181)
+    for _ in range(40):
+        chains = tuple(int(n) for n in rng.integers(1, 3, size=rng.integers(2, 6)))
+        a1, a2 = random_amplitude_pair(rng)
+        _assert_scan_matches_oracle(chains, a1, abs(a2), degs)
+
+
+@pytest.mark.parametrize("chains", [(2, 2, 1), (2, 2, 1, 1, 1), (1, 1, 1, 1)])
+def test_equal_magnitude_scans_match_the_batched_oracle(chains):
+    # |a1| = |a2|: rows left with one branch at stage 2 (0 and 180 degrees)
+    # or later read 0.0 in both routes
+    closed = _assert_scan_matches_oracle(chains, SQ, SQ, np.linspace(0.0, 180.0, 181))
+    assert closed[0] == closed[-1] == 0.0
+
+
+def test_stage1_single_branch_is_not_excluded():
+    # a2 = 0 leaves stage 1 one branch, but stage 2 splits the whole state by
+    # B into two: the scan point keeps its deviation, as the run does
+    closed = _assert_scan_matches_oracle((2, 1, 1), 1.0, 0.0, np.array([0.0, 90.0]))
+    run_dev = run_cascade(CascadeModel((2, 1, 1), 1.0, 0.0)).terminal_deviation()
+    assert abs(closed[0] - run_dev) <= 1e-14 and run_dev > 0.5
 
 
 def test_record_rows_checks_every_row():

@@ -24,7 +24,8 @@ _spec.loader.exec_module(regen)
 CORPUS = regen.corpus()
 
 # entries whose runs reach BLAS-backed products (closed Kron families, dense
-# norms, the cascade scan, inner products at dim 2^14)
+# norms, inner products at dim 2^14); the cascade entry's phase scan is
+# scalar arithmetic, its one cascade run is not
 THREADED = ("chain-pointer-seed11-0", "chain-exhaustive-seed11-0",
             "radiation-field-seed11-0", "cascade-scan-seed11-0",
             "ch-heisenberg-n14", "rd-basic-3modes-cutoff3",

@@ -211,8 +211,9 @@ class TestCanonicalSplit:
 
     def test_gauged_rows_match_scalar_rule_bit_for_bit(self):
         # a row gauged inside a block is exactly the one-vector gauge (norm,
-        # first component above 1e-9 * norm, its phase by scalar |z|), so a
-        # batched cascade scan reproduces per-point runs to the last bit
+        # first component above 1e-9 * norm, its phase by scalar |z|), so
+        # run_cascade's one-row stages and the batched scan oracle's blocks
+        # gauge every branch alike
         layout = HilbertLayout.qubits(["a", "b", "c", "d"])
         rows = RNG.normal(size=(6, 16)) + 1j * RNG.normal(size=(6, 16))
         rows[1, :5] = 0.0

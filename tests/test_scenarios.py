@@ -528,7 +528,7 @@ def test_scenarios_take_no_dense_pauli_norm(monkeypatch, text):
 
 
 def test_ch_cascade_report_runs_one_cascade(monkeypatch):
-    # the phase scan is one batched run, not a cascade run per point
+    # the phase scan is closed form, not a cascade run per point
     calls = []
     original = cascade.run_cascade
 
@@ -542,6 +542,45 @@ def test_ch_cascade_report_runs_one_cascade(monkeypatch):
     assert len(report.extras["phase_scan"]) == 181
     assert not report.failed_required()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("points", [181, 1])
+def test_ch_cascade_report_records_each_stage_once(monkeypatch, points):
+    # the report's one run records every stage once; the scan records none
+    targets = []
+    original = cascade._record_rows
+
+    def counting(layout, state, plus, minus, target, tol):
+        targets.append(tuple(target))
+        return original(layout, state, plus, minus, target, tol)
+
+    monkeypatch.setattr(cascade, "_record_rows", counting)
+    chains = (2, 2, 1, 1, 1)
+    report = run(parse_config(f"scenario: ch-cascade\nchains: {list(chains)}\n"
+                              f"phase_scan_points: {points}\n"))
+    assert len(report.extras["phase_scan"]) == points
+    assert not report.failed_required()
+    model = CascadeModel(chains)
+    assert targets == [model.chain_atoms(k) for k in range(1, model.m + 1)]
+
+
+def test_terminal_closed_form_invariant_catches_a_wrong_stage_phase(monkeypatch):
+    # a planted extra quarter turn, (-i)^{n_k + 1} for (-i)^{n_k}, in the
+    # stage map.  (+i)^{n_k} would go unseen: the conjugated map gives every
+    # cascade the same |2 Re(conj(b1) b2)|
+    config = parse_config("scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\n")
+    passed = {inv.name: inv.passed for inv in run(config).invariants}
+    assert passed["terminal_closed_form_matches_run"]
+
+    def wrong_phase(chains, a1, a2):
+        b1, b2 = a1, (-1) ** chains[0] * a2
+        for n in chains[1:]:
+            b1, b2 = (b1 + b2) / np.sqrt(2.0), (-1j) ** (n + 1) * (b1 - b2) / np.sqrt(2.0)
+            yield b1, b2
+
+    monkeypatch.setattr(cascade, "_stage_amplitudes", wrong_phase)
+    failed = [inv.name for inv in run(config).invariants if not inv.passed]
+    assert failed == ["terminal_closed_form_matches_run"]
 
 
 _TWO_MODES = ("scenario: rd-basic\nmodes: 2\ncutoff: 3\nphotons:\n"
