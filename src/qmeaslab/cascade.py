@@ -9,9 +9,9 @@ it, is the unmeasurable witness; its expectation separates the final
 superposition from the branch mixture, and being nonzero and rank 2 it is
 the identity on no qubit, so its support is the whole layout.
 
-`run_cascade` records each stage once through the stage kernel
-(`_record_rows`, one row).  The terminal deviation of a whole a2 scan
-needs no state: every stage maps the branch amplitudes by a 2x2 map
+`run_cascade` records each stage once, on one state, through the one
+recording primitive (`_record`).  The terminal deviation of a whole a2
+scan needs no state: every stage maps the branch amplitudes by a 2x2 map
 (`_stage_amplitudes`), and `_closed_form_terminal` reads the deviation and
 the single-branch rule off the last stage's pair, for every scan point at
 once.
@@ -22,15 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .chain import SYSTEM_LABEL, _ready_rows, _Z_SYSTEM, it_operator, pointer_operator
+from .chain import SYSTEM_LABEL, _ready, _Z_SYSTEM, it_operator, pointer_operator
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, DensityMatrix,
-                      HilbertLayout, StateError, StateVector, _check_branch_rows,
-                      _check_unit_rows, _check_weights, _gauge_rows, _row_norms,
-                      check_dense_dim)
+                      HilbertLayout, StateError, StateVector, _check_weights,
+                      _row_norms, canonical_split, check_dense_dim)
 from .pauli import (OperatorError, PauliString, PauliSum, _apply_rows,
                     _apply_sum_rows, expectation)
 
@@ -71,12 +70,11 @@ class CascadeModel:
 
 
 def _connector_expectation(chi1: np.ndarray, chi2: np.ndarray,
-                           rows: np.ndarray) -> np.ndarray:
-    """<v|T|v> for T = |chi1><chi2| + |chi2><chi1| and every row v of
-    `rows` (chi1, chi2 row by row alongside, or single vectors)."""
-    c1 = np.vecdot(chi2, rows)[..., None]
-    c2 = np.vecdot(chi1, rows)[..., None]
-    return np.real(np.vecdot(rows, c1 * chi1 + c2 * chi2))
+                           v: np.ndarray) -> np.floating:
+    """<v|T|v> for T = |chi1><chi2| + |chi2><chi1|, from inner products."""
+    c1 = np.vecdot(chi2, v)
+    c2 = np.vecdot(chi1, v)
+    return np.real(np.vecdot(v, c1 * chi1 + c2 * chi2))
 
 
 @dataclass(frozen=True)
@@ -143,23 +141,22 @@ def _involution_check(b: PauliSum, tol: float):
         raise OperatorError("operator is not an involution (B^2 != identity)")
 
 
-def _pauli_split(layout: HilbertLayout, rows: np.ndarray, b: PauliSum,
-                 target: Sequence[str], tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _pauli_split(psi: StateVector, b: PauliSum, target: Sequence[str],
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The +/-1 eigencomponents (P+ psi, P- psi) of a Pauli involution B
-    that leaves the recording chain `target` alone, for every amplitude row
-    psi of `rows`."""
+    that leaves the recording chain `target` alone."""
     if set(b.support) & set(target):
         raise OperatorError("B must not act on the recording chain")
     _involution_check(b, tol)
-    b_psi = _apply_sum_rows(b, layout, rows)
-    return 0.5 * (rows + b_psi), 0.5 * (rows - b_psi)
+    b_psi = _apply_sum_rows(b, psi.layout, psi.amplitudes)
+    return 0.5 * (psi.amplitudes + b_psi), 0.5 * (psi.amplitudes - b_psi)
 
 
 def b_eigenbranches(psi: StateVector, b: PauliSum,
                     tol: float = DEFAULT_TOL) -> BranchDecomposition:
     """Decompose psi into the +/-1 eigencomponents of an involution B,
     canonically gauged; branches with zero weight are dropped."""
-    return _record(psi, *_pauli_split(psi.layout, psi.amplitudes, b, (), tol), (), tol)[1]
+    return _record(psi, *_pauli_split(psi, b, (), tol), (), tol)[1]
 
 
 def _chain_flip(labels: Sequence[str]) -> PauliString:
@@ -167,63 +164,13 @@ def _chain_flip(labels: Sequence[str]) -> PauliString:
     return PauliString.from_map({l: "X" for l in labels}, ipower=3 * len(labels))
 
 
-def _ready_residuals(layout: HilbertLayout, rows: np.ndarray,
-                     target: Sequence[str]) -> np.ndarray:
-    """Per row, the norm of the amplitude outside the target chain's all-up
-    subspace."""
+def _ready_residual(layout: HilbertLayout, amps: np.ndarray,
+                    target: Sequence[str]) -> float:
+    """The norm of the amplitude outside the target chain's all-up subspace."""
     ready = np.ones(layout.dim, dtype=bool)
     for label in target:
         ready &= layout._qubit_flip(label)[1] > 0
-    return _row_norms(np.where(ready, 0.0, rows))
-
-
-def _first(values: np.ndarray, bad: np.ndarray) -> float:
-    """The value of the first row flagged bad, for an error message."""
-    return float(values[bad][0])
-
-
-class _StageRows(NamedTuple):
-    """One recorded stage of a block: the new states, and per row the
-    canonically gauged branch pair (plus part, flipped part).  `kept` marks
-    the parts that carry weight; a dropped part has amplitude 0 and a zero
-    row."""
-
-    state: np.ndarray  # (points, dim)
-    amps: np.ndarray   # (points, 2)
-    units: np.ndarray  # (points, 2, dim)
-    kept: np.ndarray   # (points, 2) bool
-
-    def branches(self, layout: HilbertLayout, row: int) -> BranchDecomposition:
-        return BranchDecomposition(layout, tuple(
-            (self.amps[row, j], StateVector(layout, self.units[row, j]))
-            for j in (0, 1) if self.kept[row, j]))
-
-
-def _record_rows(layout: HilbertLayout, state: np.ndarray, plus: np.ndarray,
-                 minus: np.ndarray, target: Sequence[str], tol: float) -> _StageRows:
-    """`_record` for a block of states, one per row: every check is made
-    row by row with the same tolerance, and the first failing row raises."""
-    target = tuple(target)
-    r = _ready_residuals(layout, state, target)
-    if np.any(r > tol):
-        raise StateError("target chain is not in the ready all-up state "
-                         f"(residual {_first(r, r > tol)})")
-    err = _row_norms(plus + minus - state)
-    if np.any(err > tol):
-        raise StateError(
-            f"eigencomponent reconstruction error {_first(err, err > tol)} exceeds {tol}")
-    parts = np.stack([plus, _apply_rows(_chain_flip(target), layout, minus)], axis=1)
-    new_state = parts[:, 0] + parts[:, 1]
-    _check_unit_rows(new_state, 1e-9)
-    # the branch decomposition of each row: its kept parts, gauged
-    kept = _row_norms(parts) > tol
-    if not kept.all():
-        # a dropped part is gauged as a stand-in row of ones, then cleared
-        parts = np.where(kept[..., None], parts, 1.0)
-    amps, units = _gauge_rows(parts, tol)
-    amps[~kept], units[~kept] = 0.0, 0.0
-    _check_branch_rows(amps, units, tol, kept)
-    return _StageRows(new_state, amps, units, kept)
+    return float(_row_norms(np.where(ready, 0.0, amps)))
 
 
 def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,
@@ -231,13 +178,22 @@ def _record(state: StateVector, plus: np.ndarray, minus: np.ndarray,
             tol: float) -> tuple[StateVector, BranchDecomposition]:
     """Record an involution on the fresh all-up chain `target`, given the
     split state = plus + minus into its +1 and -1 eigencomponents: identity
-    on plus, the per-atom -i flip of the target on minus.  The two parts,
-    canonically gauged, are the new branch pair.  An empty target flips
-    nothing and leaves the plain eigenbranches.  The one-row case of
-    `_record_rows`."""
-    rec = _record_rows(state.layout, state.amplitudes[None], np.asarray(plus)[None],
-                       np.asarray(minus)[None], target, tol)
-    return StateVector(state.layout, rec.state[0]), rec.branches(state.layout, 0)
+    on plus, the per-atom -i flip of the target on minus.  The parts that
+    carry weight (norm above tol), canonically gauged, are the new branch
+    pair.  An empty target flips nothing and leaves the plain eigenbranches."""
+    layout, target = state.layout, tuple(target)
+    r = _ready_residual(layout, state.amplitudes, target)
+    if r > tol:
+        raise StateError(f"target chain is not in the ready all-up state (residual {r})")
+    err = float(_row_norms(plus + minus - state.amplitudes))
+    if err > tol:
+        raise StateError(f"eigencomponent reconstruction error {err} exceeds {tol}")
+    flipped = _apply_rows(_chain_flip(target), layout, minus)
+    new_state = StateVector(layout, plus + flipped).check_normalized(1e-9)
+    branches = BranchDecomposition(layout, tuple(
+        canonical_split(layout, part, tol) for part in (plus, flipped)
+        if _row_norms(part) > tol))
+    return new_state, branches.validate(tol)
 
 
 def second_chain_measure(state: StateVector, b: PauliSum,
@@ -245,8 +201,7 @@ def second_chain_measure(state: StateVector, b: PauliSum,
                          tol: float = DEFAULT_TOL) -> StateVector:
     """Record the involution B on a fresh all-up chain: identity on the
     B=+1 eigenspace, the per-atom -i flip of the target on B=-1."""
-    return _record(state, *_pauli_split(state.layout, state.amplitudes, b,
-                                        target_chain, tol), target_chain, tol)[0]
+    return _record(state, *_pauli_split(state, b, target_chain, tol), target_chain, tol)[0]
 
 
 def _recorded(k: int) -> str:
@@ -254,18 +209,19 @@ def _recorded(k: int) -> str:
     return {1: "mu_z(C1)", 2: "B(S0,C1)"}.get(k, f"joint IT of stage {k - 1}")
 
 
-def _stage_split(model: CascadeModel, k: int, state: np.ndarray,
-                 prev: _StageRows | None, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The +/-1 eigencomponents that stage k records, for every row of
-    `state`: of Z_S0 (k = 1), of B of (S0, chain 1) (k = 2), and for k >= 3
-    along the eigenvectors (chi1 +- chi2)/sqrt 2 of the joint IT operator of
-    `prev`, the block's stage k-1."""
+def _stage_split(model: CascadeModel, k: int, state: StateVector,
+                 prev: BranchDecomposition | None,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The +/-1 eigencomponents of `state` that stage k records: of Z_S0
+    (k = 1), of B of (S0, chain 1) (k = 2), and for k >= 3 along the
+    eigenvectors (chi1 +- chi2)/sqrt 2 of the joint IT operator of `prev`,
+    the branch pair of stage k-1."""
     if k <= 2:
         b = _Z_SYSTEM if k == 1 else it_operator(model.chain_atoms(1))
-        return _pauli_split(model.layout, state, b, model.chain_atoms(k), tol)
-    chi1, chi2 = prev.units[:, 0], prev.units[:, 1]
+        return _pauli_split(state, b, model.chain_atoms(k), tol)
+    chi1, chi2 = (chi.amplitudes for _, chi in prev.branches)
     eigvecs = ((chi1 + chi2) / np.sqrt(2.0), (chi1 - chi2) / np.sqrt(2.0))
-    plus, minus = (np.vecdot(w, state)[:, None] * w for w in eigvecs)
+    plus, minus = (np.vecdot(w, state.amplitudes) * w for w in eigvecs)
     return plus, minus
 
 
@@ -289,7 +245,7 @@ def _closed_form_terminal(chains: Sequence[int], a1: complex, a2s,
 
     The terminal joint IT operator connects orthonormal branches, so the
     deviation is exactly 2|Re(conj(b1) b2)| of the last stage's pair.  A
-    stage keeps a branch where its amplitude exceeds tol, as `_record_rows`
+    stage keeps a branch where its amplitude exceeds tol, as `_record`
     does, and a cascade left with one branch reads 0.0, the deviation of a
     one-branch mixture.  Stage 1's pair is not read: stage 2 splits the
     whole state by B, whatever stage 1 kept."""
@@ -299,17 +255,6 @@ def _closed_form_terminal(chains: Sequence[int], a1: complex, a2s,
         lost[(lost == 0) & (np.minimum(np.abs(b1), np.abs(b2)) <= tol)] = k
     dev = np.abs(2.0 * np.real(np.conj(b1) * b2))
     return np.where(lost == 0, dev, 0.0), lost
-
-
-def _terminal_deviation(state: np.ndarray, amps: np.ndarray,
-                        units: np.ndarray) -> np.ndarray:
-    """|<T>_pure - sum_i |a_i|^2 <chi_i|T|chi_i>| per row, with T the joint
-    IT operator of the row's branch pair (chi1, chi2) = units (meaningful
-    for two-branch rows only)."""
-    chi1, chi2 = units[..., 0, :], units[..., 1, :]
-    mixed = sum(np.abs(amps[..., i]) ** 2
-                * _connector_expectation(chi1, chi2, units[..., i, :]) for i in (0, 1))
-    return np.abs(_connector_expectation(chi1, chi2, state) - mixed)
 
 
 @dataclass(frozen=True)
@@ -357,8 +302,12 @@ class CascadeRun:
         if len(self.final.branches.branches) < 2:
             return 0.0
         (a1, chi1), (a2, chi2) = self.final.branches.branches
-        return float(_terminal_deviation(self.final.state.amplitudes, np.array([a1, a2]),
-                                          np.stack([chi1.amplitudes, chi2.amplitudes])))
+        c1, c2 = chi1.amplitudes, chi2.amplitudes
+        w1, w2 = np.abs([a1, a2]) ** 2
+        mixed = (w1 * _connector_expectation(c1, c2, c1)
+                 + w2 * _connector_expectation(c1, c2, c2))
+        return float(np.abs(_connector_expectation(c1, c2, self.final.state.amplitudes)
+                            - mixed))
 
     def terminal_witness(self, tol: float = DEFAULT_TOL) -> TerminalWitnessReport:
         """The last stage's joint IT operator with its support and its
@@ -378,7 +327,7 @@ class CascadeRun:
 
 
 def initial_cascade_state(model: CascadeModel) -> StateVector:
-    return StateVector(model.layout, _ready_rows(model.layout, model.a1, [model.a2])[0])
+    return StateVector(model.layout, _ready(model.layout, model.a1, model.a2))
 
 
 def run_cascade(model: CascadeModel, stages: int | None = None,
@@ -389,23 +338,19 @@ def run_cascade(model: CascadeModel, stages: int | None = None,
     (the complete-flip passage), B of (S0, chain 1) for chain 2, and for
     k >= 3 the joint IT operator of stage k-1, split along its eigenvectors.
     A stage k >= 2 that leaves a single branch ends the run: no
-    interference term is left for a later chain to record.  Each stage is
-    one call of the stage kernel on a one-row block.
+    interference term is left for a later chain to record.
     """
     stages = model.m if stages is None else stages
     if not 1 <= stages <= model.m:
         raise ValueError(f"stages must be in 1..{model.m}, got {stages}")
-    layout = model.layout
-    state, rec, out = initial_cascade_state(model).amplitudes[None], None, []
+    state, branches, out = initial_cascade_state(model), None, []
     for k in range(1, stages + 1):
         # stage 2 splits the whole state by B, whatever stage 1 kept
-        if k >= 3 and not rec.kept.all():
+        if k >= 3 and len(branches.branches) < 2:
             break
-        rec = _record_rows(layout, state, *_stage_split(model, k, state, rec, tol),
-                           model.chain_atoms(k), tol)
-        state = rec.state
-        out.append(CascadeStage(_recorded(k), StateVector(layout, state[0]),
-                                rec.branches(layout, 0)))
+        state, branches = _record(state, *_stage_split(model, k, state, branches, tol),
+                                  model.chain_atoms(k), tol)
+        out.append(CascadeStage(_recorded(k), state, branches))
     return CascadeRun(model, tuple(out))
 
 

@@ -8,9 +8,9 @@ crossing applies the conditional pulse
     |u0><u0| (x) I  +  |d0><d0| (x) exp(-i theta sigma_x),
 
 a complete flip with per-atom phase -i at the calibrated theta = pi/2.
-The measured superposition on ready all-up atoms is built here once, over
-rows (`_ready_rows`), for chains and cascades alike, and so is the system's
-Z (`_Z_SYSTEM`).  Pulses act in place on amplitude rows (`_pulse`), so a
+The measured superposition on ready all-up atoms is built here once
+(`_ready`), for chains and cascades alike, and so is the system's Z
+(`_Z_SYSTEM`).  Pulses act in place on an amplitude array (`_pulse`), so a
 passage copies nothing per step, and the closed form's flipped-branch
 factor (`_closed_branch`) is built once per (N, theta) and shared.
 """
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout,
-                      StateVector, StateError, _check_unit_rows, _check_weights,
+                      StateVector, StateError, _check_unit, _check_weights,
                       _pointer_branches)
 from .pauli import (OperatorError, PauliString, PauliSum, apply_sum,
                     commutator, expectation, _check_qubit_support)
@@ -69,20 +69,19 @@ class ChainModel:
         return HilbertLayout.qubits((SYSTEM_LABEL,) + self.atoms)
 
 
-def _ready_rows(layout: HilbertLayout, a1: complex, a2s) -> np.ndarray:
-    """Rows a1|u>|u...u> + a2|d>|u...u>, one per entry of a2s, each checked
-    normalized: the measured qubit is first in the layout, and every qubit
-    after it is a ready all-up atom."""
-    amps = np.zeros((len(a2s), layout.dim), dtype=complex)
-    amps[:, 0] = a1
-    amps[:, layout.dim // 2] = a2s
-    _check_unit_rows(amps, DEFAULT_TOL)
+def _ready(layout: HilbertLayout, a1: complex, a2: complex) -> np.ndarray:
+    """The amplitudes of a1|u>|u...u> + a2|d>|u...u>, checked normalized: the
+    measured qubit is first in the layout, and every qubit after it is a
+    ready all-up atom."""
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[0], amps[layout.dim // 2] = a1, a2
+    _check_unit(amps, DEFAULT_TOL)
     return amps
 
 
 def initial_state(model: ChainModel) -> StateVector:
     """(a1|u0> + a2|d0>) tensor |u...u>."""
-    return StateVector(model.layout, _ready_rows(model.layout, model.a1, [model.a2])[0])
+    return StateVector(model.layout, _ready(model.layout, model.a1, model.a2))
 
 
 def _complete_flip(theta: float) -> bool:
@@ -99,8 +98,8 @@ def _pulse_coeffs(theta: float) -> tuple[float, float]:
 
 def _pulse(amps: np.ndarray, layout: HilbertLayout, system: str, atom: str,
            theta: float) -> None:
-    """One conditional pulse on (system, atom), in place on every amplitude
-    row (last axis) of `amps`, each row then checked normalized."""
+    """One conditional pulse on (system, atom), in place on the amplitude
+    array `amps`, then checked normalized."""
     _check_qubit_support((system, atom), layout)
     if system == atom:
         raise OperatorError("system and atom must be distinct qubits")
@@ -109,12 +108,12 @@ def _pulse(amps: np.ndarray, layout: HilbertLayout, system: str, atom: str,
     # the pulse rotates atom |u> <-> |d> where the system is |d>
     up = np.flatnonzero((s_sign < 0) & (a_sign > 0))
     down = up + a_stride
-    u, d = amps[..., up], amps[..., down]
+    u, d = amps[up], amps[down]
     c, s = _pulse_coeffs(theta)
     # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x on the atom
-    amps[..., up] = c * u - 1j * s * d
-    amps[..., down] = c * d - 1j * s * u
-    _check_unit_rows(amps, 1e-9)
+    amps[up] = c * u - 1j * s * d
+    amps[down] = c * d - 1j * s * u
+    _check_unit(amps, 1e-9)
 
 
 def passage_step(state: StateVector, atom: str,
@@ -132,7 +131,7 @@ def passage_step(state: StateVector, atom: str,
 
 def full_passage(model: ChainModel) -> StateVector:
     """Stepwise crossing of the whole chain, one in-place pulse per atom."""
-    amps = _ready_rows(model.layout, model.a1, [model.a2])[0]
+    amps = _ready(model.layout, model.a1, model.a2)
     for atom in model.atoms:
         _pulse(amps, model.layout, SYSTEM_LABEL, atom, model.theta)
     return StateVector(model.layout, amps)

@@ -6,10 +6,10 @@ first subsystem is the most significant digit.  `HilbertLayout` is the only
 place that maps flat indices to subsystem digits; every qubit kernel reads
 a qubit's stride and per-index |u>/|d> sign from the layout's flip table.
 
-The canonical branch gauge lives here once, over the rows of an amplitude
-array (`_gauge_rows`); `canonical_split` is its one-row case.  So do the
-models' unit-weight rule and their measured pointer pair.  Dataclasses
-holding arrays compare and hash by identity (`eq=False`).
+The canonical branch gauge lives here once (`canonical_split`), and so do
+the branch rules (`BranchDecomposition.validate`), the models' unit-weight
+rule and their measured pointer pair.  Dataclasses holding arrays compare
+and hash by identity (`eq=False`).
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def check_normalized(self, tol: float = DEFAULT_TOL) -> "StateVector":
-        _check_unit_rows(self.amplitudes, tol)
+        _check_unit(self.amplitudes, tol)
         return self
 
     def inner(self, other: "StateVector") -> complex:
@@ -232,12 +232,24 @@ class BranchDecomposition:
                            tuple((complex(a), s) for a, s in self.branches))
 
     def validate(self, tol: float = DEFAULT_TOL) -> "BranchDecomposition":
+        """The branch rules: a branch at least, unit branches on this layout,
+        pairwise orthogonal, weights summing to 1."""
         for k, (_, s) in enumerate(self.branches):
             if s.layout.labels != self.layout.labels:
                 raise StateError(f"branch {k} lives on a different layout")
+        if not self.branches:
+            raise StateError("branch decomposition needs at least one branch")
         units = np.array([s.amplitudes for _, s in self.branches], dtype=complex)
-        _check_branch_rows(np.array([[a for a, _ in self.branches]], dtype=complex),
-                           units.reshape(1, len(self.branches), self.layout.dim), tol)
+        for unit in units:
+            _check_unit(unit, tol)
+        for a in range(len(units) - 1):
+            overlap = np.abs(np.vecdot(units[a], units[a + 1:]))
+            if (overlap > tol).any():
+                raise StateError(
+                    f"branches not orthogonal (overlap {float(overlap[overlap > tol][0])})")
+        total = (np.abs(np.array([a for a, _ in self.branches])) ** 2).sum()
+        if abs(total - 1.0) > tol:
+            raise StateError(f"branch weights sum to {float(total)}, not 1")
         return self
 
     def state(self) -> StateVector:
@@ -282,61 +294,30 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _check_unit_rows(rows: np.ndarray, tol: float) -> None:
-    """StateVector.check_normalized for every row of an amplitude array."""
-    norms = _row_norms(rows)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > tol)
-    if bad.size:
-        norm = float(norms.flat[bad[0]])
+def _check_unit(amps: np.ndarray, tol: float) -> None:
+    """The unit-norm rule of one amplitude array (StateVector.check_normalized)."""
+    norm = float(_row_norms(amps))
+    if abs(norm - 1.0) > tol:
         raise StateError(f"state norm {norm!r} deviates from 1 beyond {tol}")
-
-
-def _check_branch_rows(amps: np.ndarray, units: np.ndarray, tol: float,
-                       kept: np.ndarray | None = None) -> None:
-    """The branch rules, row p of a block holding the amplitudes amps[p] of
-    the states units[p]: a branch at least, unit branches, pairwise orthogonal,
-    weights summing to 1.  A branch not `kept` has amplitude 0, a zero row."""
-    kept = np.ones(amps.shape, dtype=bool) if kept is None else kept
-    if not kept.any(axis=-1).all():
-        raise StateError("branch decomposition needs at least one branch")
-    _check_unit_rows(units[kept], tol)
-    for a in range(units.shape[-2] - 1):
-        overlap = np.abs(np.vecdot(units[:, a, None], units[:, a + 1:]))
-        if (overlap > tol).any():
-            raise StateError(
-                f"branches not orthogonal (overlap {float(overlap[overlap > tol][0])})")
-    total = (np.abs(amps) ** 2).sum(axis=-1)
-    off = np.abs(total - 1.0) > tol
-    if off.any():
-        raise StateError(f"branch weights sum to {float(total[off][0])}, not 1")
-
-
-def _gauge_rows(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical gauge of every row of a complex array: amplitudes a and
-    unit rows u with row = a * u and the first component of u above
-    1e-9 * |row| real positive."""
-    norms = _row_norms(rows)
-    if np.any(norms <= tol):
-        raise StateError("cannot split a (numerically) zero vector")
-    idx = np.argmax(np.abs(rows) > 1e-9 * norms[..., None], axis=-1)
-    first = np.take_along_axis(rows, idx[..., None], axis=-1)[..., 0]
-    # np.hypot, not np.abs: numpy's vectorised complex abs can differ from
-    # hypot in the last bit, and hypot keeps every gauged branch (and so
-    # every report) what the scalar rule gave
-    amps = norms * (first / np.hypot(first.real, first.imag))
-    return amps, rows / amps[..., None]
 
 
 def canonical_split(layout: HilbertLayout, vector: np.ndarray,
                     tol: float = DEFAULT_TOL) -> tuple[complex, StateVector]:
     """Split an unnormalized vector into (amplitude, unit state) with the
-    state's first significant component real positive: the one-row case of
-    the canonical gauge.
+    state's first component above 1e-9 * |vector| real positive.
 
     The gauge is deterministic, so branch amplitudes are reproducible.
     """
-    amps, units = _gauge_rows(np.asarray(vector, dtype=complex)[None], tol)
-    return complex(amps[0]), StateVector(layout, units[0])
+    vector = np.asarray(vector, dtype=complex)
+    norm = _row_norms(vector)
+    if norm <= tol:
+        raise StateError("cannot split a (numerically) zero vector")
+    first = vector[np.argmax(np.abs(vector) > 1e-9 * norm)]
+    # np.hypot, not np.abs: numpy's vectorised complex abs can differ from
+    # hypot in the last bit, and hypot keeps every gauged branch (and so
+    # every report) what the scalar rule gave
+    amp = norm * (first / np.hypot(first.real, first.imag))
+    return complex(amp), StateVector(layout, vector / amp)
 
 
 def _check_weights(a1: complex, a2: complex) -> None:

@@ -9,12 +9,12 @@ leaner kernels, as references for their replacements.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from qmeaslab import cascade
-from qmeaslab.chain import _ready_rows
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -224,39 +224,14 @@ def three_expectation_deviation(expect, pure: np.ndarray, branches):
 
 
 # ---------------------------------------------------------------------------
-# the batched stage kernel's phase scan, the route the closed-form scan
-# (cascade._closed_form_terminal) replaced: it records a block of cascades,
-# one per row of a (points, dim) array, through the package's stage kernel,
-# and masks a row left with one branch to record nothing at later stages
-
-# amplitudes per array in one block of a batched scan: bounds its memory
-SCAN_BLOCK_AMPLITUDES = 2 ** 12
+# the phase scan as per-point runs, the route the closed-form scan
+# (cascade._closed_form_terminal) replaced: one run_cascade per scan point
 
 
 def scan_terminal_deviation(model, a2s, tol: float = 1e-12) -> np.ndarray:
     """`run_cascade(...).terminal_deviation()` of `model` with its a2
-    replaced by each entry of `a2s` (a1 kept): each block of at most
-    SCAN_BLOCK_AMPLITUDES amplitudes (at least one row) goes through the m
-    stages together.  A row whose stage k >= 2 leaves a single branch has no
-    interference term for a later chain to record: it records nothing (the
-    identity on its whole state) at the later stages and reads 0.0."""
-    layout = model.layout
-    a2s = np.asarray(a2s, dtype=complex)
-    out = np.zeros(len(a2s))
-    size = max(1, SCAN_BLOCK_AMPLITUDES // layout.dim)
-    for start in range(0, len(a2s), size):
-        state, rec = _ready_rows(layout, model.a1, a2s[start:start + size]), None
-        for k in range(1, model.m + 1):
-            if k >= 3:
-                two = np.all(rec.kept, axis=1)
-                if not two.any():
-                    break
-            plus, minus = cascade._stage_split(model, k, state, rec, tol)
-            if k >= 3 and not two.all():
-                plus = np.where(two[:, None], plus, state)
-                minus = np.where(two[:, None], minus, 0.0)
-            rec = cascade._record_rows(layout, state, plus, minus, model.chain_atoms(k), tol)
-            state = rec.state
-        dev = cascade._terminal_deviation(rec.state, rec.amps, rec.units)
-        out[start:start + size] = np.where(np.all(rec.kept, axis=1), dev, 0.0)
-    return out
+    replaced by each entry of `a2s` (a1 kept), one run per point.  A run
+    whose stage k >= 2 leaves a single branch ends there and reads 0.0."""
+    return np.array([
+        cascade.run_cascade(dataclasses.replace(model, a2=a2), tol=tol).terminal_deviation()
+        for a2 in np.asarray(a2s, dtype=complex)])

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from qmeaslab.cascade import (BranchConnector, CascadeModel, _closed_form_terminal,
-                              _record, _record_rows, _stage_amplitudes,
+                              _record, _stage_amplitudes,
                               build_B2_flip_sum, b_eigenbranches,
                               information_tradeoff, initial_cascade_state,
                               joint_it_operator, run_cascade,
@@ -452,13 +452,13 @@ def test_stage_amplitudes_match_the_run():
 
 
 def _assert_scan_matches_oracle(chains, a1, mag2, degs, tol=1e-12):
-    """The closed-form scan against the batched stage kernel at 1e-13, with
-    identical excluded sets; returns the closed-form deviations."""
+    """The closed-form scan against per-point runs at 1e-13, with identical
+    excluded sets; returns the closed-form deviations."""
     a2s = mag2 * np.exp(1j * np.radians(degs))
     closed = _closed_form_terminal(chains, a1, a2s, tol)[0]
-    kernel = scan_terminal_deviation(CascadeModel(chains, a1, mag2), a2s, tol)
-    assert np.abs(closed - kernel).max() <= 1e-13
-    np.testing.assert_array_equal(closed <= tol, kernel <= tol)
+    runs = scan_terminal_deviation(CascadeModel(chains, a1, mag2), a2s, tol)
+    assert np.abs(closed - runs).max() <= 1e-13
+    np.testing.assert_array_equal(closed <= tol, runs <= tol)
     return closed
 
 
@@ -468,23 +468,23 @@ GOLDEN_SCANS = [name for name, text in _CORPUS.items()
 
 
 @pytest.mark.parametrize("name", GOLDEN_SCANS)
-def test_golden_scans_match_the_batched_oracle(name):
-    # every point of the report's scan, and its excluded set, against the
-    # batched stage kernel over the same points
+def test_golden_scans_match_per_point_runs(name):
+    # every point of the report's scan, and its excluded set, against one
+    # run_cascade per point
     report = run(parse_config(_CORPUS[name]))
     params = report.parameters
     scan = report.extras["phase_scan"]
     degs = np.array([row["a2_phase_deg"] for row in scan])
-    kernel = scan_terminal_deviation(
+    runs = scan_terminal_deviation(
         CascadeModel(params["chains"], params["a1"][0], params["a2"][0]),
         params["a2"][0] * np.exp(1j * np.radians(degs)), report.tolerance)
     devs = np.array([row["terminal_deviation"] for row in scan])
-    assert np.abs(devs - kernel).max(initial=0.0) <= 1e-13
+    assert np.abs(devs - runs).max(initial=0.0) <= 1e-13
     assert report.extras["excluded_phases_deg"] == [
-        d for d, dev in zip(degs.tolist(), kernel) if dev <= report.tolerance]
+        d for d, dev in zip(degs.tolist(), runs) if dev <= report.tolerance]
 
 
-def test_random_scans_match_the_batched_oracle():
+def test_random_scans_match_per_point_runs():
     # complex a1 and random magnitudes, m = 2..5 chains of 1 or 2 atoms
     rng = np.random.default_rng(23)
     degs = np.linspace(0.0, 180.0, 181)
@@ -495,8 +495,8 @@ def test_random_scans_match_the_batched_oracle():
 
 
 @pytest.mark.parametrize("chains", [(2, 2, 1), (2, 2, 1, 1, 1), (1, 1, 1, 1)])
-def test_equal_magnitude_scans_match_the_batched_oracle(chains):
-    # |a1| = |a2|: rows left with one branch at stage 2 (0 and 180 degrees)
+def test_equal_magnitude_scans_match_per_point_runs(chains):
+    # |a1| = |a2|: points left with one branch at stage 2 (0 and 180 degrees)
     # or later read 0.0 in both routes
     closed = _assert_scan_matches_oracle(chains, SQ, SQ, np.linspace(0.0, 180.0, 181))
     assert closed[0] == closed[-1] == 0.0
@@ -510,44 +510,29 @@ def test_stage1_single_branch_is_not_excluded():
     assert abs(closed[0] - run_dev) <= 1e-14 and run_dev > 0.5
 
 
-def test_record_rows_checks_every_row():
-    # a block fails when any one of its rows fails a check of _record
+def test_record_checks_ready_reconstruction_and_norm():
+    # the checks of _record, each with its own message
     layout = HilbertLayout.qubits(["S0", "C1A1", "C2A1"])
     ready = basis_state(layout, [1, 0, 0]).amplitudes
-    block = np.stack([ready, basis_state(layout, [0, 0, 1]).amplitudes, ready])
-    zero = np.zeros_like(block)
+    zero = np.zeros_like(ready)
+    flipped = basis_state(layout, [0, 0, 1])
     with pytest.raises(StateError, match="ready"):
-        _record_rows(layout, block, block, zero, ["C2A1"], 1e-12)
-    block = np.stack([ready, ready, ready])
-    plus = block.copy()
-    plus[2] *= 0.5
+        _record(flipped, flipped.amplitudes, zero, ["C2A1"], 1e-12)
     with pytest.raises(StateError, match="reconstruction"):
-        _record_rows(layout, block, plus, zero, ["C2A1"], 1e-12)
-    block[1] *= 2.0
+        _record(StateVector(layout, ready), 0.5 * ready, zero, ["C2A1"], 1e-12)
     with pytest.raises(StateError, match="state norm 2.0"):
-        _record_rows(layout, block, block, zero, ["C2A1"], 1e-12)
+        _record(StateVector(layout, 2.0 * ready), 2.0 * ready, zero, ["C2A1"], 1e-12)
 
 
-def test_record_rows_keeps_single_branch_rows():
-    # a row with an empty flipped part keeps one branch; its neighbour two
+def test_record_keeps_a_single_branch():
+    # an empty flipped part is dropped: one branch, the state unchanged
     layout = HilbertLayout.qubits(["S0", "C1A1", "C2A1"])
-    up = basis_state(layout, [0, 0, 0]).amplitudes
-    down = basis_state(layout, [1, 0, 0]).amplitudes
-    block = np.stack([SQ * (up + down), up])
-    plus = np.stack([SQ * up, up])
-    minus = np.stack([SQ * down, 0.0 * up])
-    rec = _record_rows(layout, block, plus, minus, ["C2A1"], 1e-12)
-    assert rec.kept.tolist() == [[True, True], [True, False]]
-    assert rec.amps[1, 1] == 0.0 and not rec.units[1, 1].any()
-    np.testing.assert_array_equal(rec.state[1], up)
-    assert len(rec.branches(layout, 1).branches) == 1
-    one_state, one_branches = _record(StateVector(layout, block[0]), plus[0], minus[0],
-                                      ["C2A1"], 1e-12)
-    np.testing.assert_array_equal(one_state.amplitudes, rec.state[0])
-    for (a, chi), (b, phi) in zip(one_branches.branches, rec.branches(layout, 0).branches,
-                                  strict=True):
-        assert a == b
-        np.testing.assert_array_equal(chi.amplitudes, phi.amplitudes)
+    up = basis_state(layout, [0, 0, 0])
+    state, branches = _record(up, up.amplitudes, 0.0 * up.amplitudes, ["C2A1"], 1e-12)
+    np.testing.assert_array_equal(state.amplitudes, up.amplitudes)
+    ((amp, chi),) = branches.branches
+    assert amp == 1.0
+    np.testing.assert_array_equal(chi.amplitudes, up.amplitudes)
 
 
 @pytest.mark.parametrize("make", [lambda: ChainModel(3, 0.6, 0.8j),

@@ -6,7 +6,7 @@ from qmeaslab.hilbert import (BranchDecomposition, DensityMatrix,
                               MODE, StateError, StateVector, Subsystem,
                               basis_state, build_premeasurement,
                               canonical_split, mixture_of, partial_trace,
-                              qubit_state, tensor, _gauge_rows)
+                              qubit_state, tensor)
 
 from oracles import loop_partial_trace, random_state
 
@@ -209,32 +209,22 @@ class TestCanonicalSplit:
         with pytest.raises(StateError):
             canonical_split(layout, np.zeros(2))
 
-    def test_gauged_rows_match_scalar_rule_bit_for_bit(self):
-        # a row gauged inside a block is exactly the one-vector gauge (norm,
-        # first component above 1e-9 * norm, its phase by scalar |z|), so
-        # run_cascade's one-row stages and the batched scan oracle's blocks
-        # gauge every branch alike
+    def test_split_matches_scalar_rule_bit_for_bit(self):
+        # the gauge is exactly the explicit scalar rule (norm, first
+        # component above 1e-9 * norm, its phase by scalar |z|), vector by
+        # vector
         layout = HilbertLayout.qubits(["a", "b", "c", "d"])
         rows = RNG.normal(size=(6, 16)) + 1j * RNG.normal(size=(6, 16))
         rows[1, :5] = 0.0
         rows[2, 0] = 1e-13  # below the 1e-9 * norm threshold
         rows[3] *= 1e-6
-        amps, units = _gauge_rows(rows, 1e-12)
-        for row, amp, unit in zip(rows, amps, units):
+        for row in rows:
             n = float(np.linalg.norm(row))
             idx = int(np.argmax(np.abs(row) > 1e-9 * n))
             phase = row[idx] / abs(row[idx])
+            amp, state = canonical_split(layout, row)
             assert amp == complex(n * phase)
-            assert np.array_equal(unit, row / (n * phase))
-            split_amp, split_state = canonical_split(layout, row)
-            assert split_amp == amp
-            assert np.array_equal(split_state.amplitudes, unit)
-
-    def test_any_zero_row_rejected(self):
-        rows = np.ones((3, 4), dtype=complex)
-        rows[1] = 0.0
-        with pytest.raises(StateError, match="zero vector"):
-            _gauge_rows(rows, 1e-12)
+            assert np.array_equal(state.amplitudes, row / (n * phase))
 
 
 def test_basis_state_norm():

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from qmeaslab import chain, scenarios
-from qmeaslab.cascade import CascadeModel, _record_rows, initial_cascade_state
+from qmeaslab.cascade import CascadeModel, _record, initial_cascade_state
 from qmeaslab.chain import (ChainModel, closed_form_final, final_branches, initial_state,
                             pointer_operator)
 from qmeaslab.hilbert import (BranchDecomposition, HilbertLayout, StateError,
-                              StateVector, _check_branch_rows, basis_state)
+                              StateVector, basis_state)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, expectation,
                             expectation_mixed)
 from qmeaslab.radiation import RadiationModel, build_final_state
@@ -93,18 +93,18 @@ def _validate_message(pairs, tol=1e-12):
     return str(err.value)
 
 
-def _record_rows_message(state, plus, minus, tol=1e-12):
+def _record_message(state, plus, minus, tol=1e-12):
     # an empty target records nothing, so the branch pair is (plus, minus)
     with pytest.raises(StateError) as err:
-        _record_rows(_layout(), state[None], plus[None], minus[None], (), tol)
+        _record(StateVector(_layout(), state), plus, minus, (), tol)
     return str(err.value)
 
 
 def test_orthogonality_message_through_both_sites():
     uu = basis_state(_layout(), [0, 0]).amplitudes
     via_validate = _validate_message([(SQ, uu), (SQ, uu)])
-    via_rows = _record_rows_message(uu, 0.5 * uu, 0.5 * uu)
-    assert via_validate == via_rows == "branches not orthogonal (overlap 1.0)"
+    via_record = _record_message(uu, 0.5 * uu, 0.5 * uu)
+    assert via_validate == via_record == "branches not orthogonal (overlap 1.0)"
 
 
 def test_weight_sum_message_through_both_sites():
@@ -112,17 +112,17 @@ def test_weight_sum_message_through_both_sites():
     du = basis_state(_layout(), [1, 0]).amplitudes
     a, b = 0.5, math.sqrt(0.75 + 1e-10)
     via_validate = _validate_message([(a, uu), (b, du)])
-    via_rows = _record_rows_message(a * uu + b * du, a * uu, b * du)
+    via_record = _record_message(a * uu + b * du, a * uu, b * du)
     assert via_validate.startswith("branch weights sum to 1.0000000001")
-    assert via_rows.startswith("branch weights sum to 1.0000000001")
-    assert via_validate.endswith(", not 1") and via_rows.endswith(", not 1")
+    assert via_record.startswith("branch weights sum to 1.0000000001")
+    assert via_validate.endswith(", not 1") and via_record.endswith(", not 1")
 
 
 def test_no_branch_message_through_both_sites():
     uu = basis_state(_layout(), [0, 0]).amplitudes
     assert _validate_message([]) == "branch decomposition needs at least one branch"
     # at tolerance 0.9 both halves of |uu> are dropped
-    assert (_record_rows_message(uu, 0.5 * uu, 0.5 * uu, tol=0.9)
+    assert (_record_message(uu, 0.5 * uu, 0.5 * uu, tol=0.9)
             == "branch decomposition needs at least one branch")
 
 
@@ -131,12 +131,8 @@ def test_unit_branch_rule():
     du = basis_state(_layout(), [1, 0]).amplitudes
     assert _validate_message([(0.5, 2 * uu), (math.sqrt(0.75), du)]).startswith(
         "state norm 2.0 deviates from 1")
-    # the row-wise owner: a dropped branch (amplitude 0, zero row) is left out
-    amps = np.array([[1.0, 0.0]], dtype=complex)
-    units = np.stack([uu, 0 * uu])[None]
-    with pytest.raises(StateError, match="state norm 0.0"):
-        _check_branch_rows(amps, units, 1e-12)
-    _check_branch_rows(amps, units, 1e-12, kept=np.array([[True, False]]))
+    assert _validate_message([(1.0, uu), (0.0, 0 * uu)]).startswith(
+        "state norm 0.0 deviates from 1")
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,9 @@ class TestRunReports:
 
     @pytest.mark.parametrize("chains, mag", [
         ((1, 1), None), ((3, 2), None), ((2, 2, 1, 1, 1), None),
-        # |a1| = |a2|: rows left with one branch by stage 2 (0 and 180
-        # degrees) and by stage 3 (90 degrees) share blocks with the others
+        # |a1| = |a2|: points left with one branch by stage 2 (0 and 180
+        # degrees) and by stage 3 (90 degrees) read 0.0 in the scan and in
+        # their runs
         ((1, 1, 1, 1), SQ)], ids=["1-1", "3-2", "2-2-1-1-1", "1-1-1-1-equal"])
     def test_ch_cascade_scan_matches_per_point_runs(self, chains, mag):
         text = f"scenario: ch-cascade\nchains: {list(chains)}\nphase_scan_points: 181\n"
@@ -348,8 +349,8 @@ class TestRunReports:
     def test_ch_cascade_scan_masks_single_branch_rows(self, chains):
         # |a1| = |a2|: at 0 and 180 degrees a1 = +-a2, so stage 2 leaves one
         # branch (with five chains, 90 degrees is left with one at stage 4);
-        # those rows are masked through the later stages in one block with
-        # the others and read exactly 0.0
+        # the run of such a point stops there, and the scan reads it as
+        # exactly 0.0
         report = run(parse_config(
             f"scenario: ch-cascade\nchains: {list(chains)}\n"
             f"a1: [{SQ!r}, 0]\na2: [{SQ!r}, 60]\nphase_scan_points: 5\n"))
@@ -548,13 +549,13 @@ def test_ch_cascade_report_runs_one_cascade(monkeypatch):
 def test_ch_cascade_report_records_each_stage_once(monkeypatch, points):
     # the report's one run records every stage once; the scan records none
     targets = []
-    original = cascade._record_rows
+    original = cascade._record
 
-    def counting(layout, state, plus, minus, target, tol):
+    def counting(state, plus, minus, target, tol):
         targets.append(tuple(target))
-        return original(layout, state, plus, minus, target, tol)
+        return original(state, plus, minus, target, tol)
 
-    monkeypatch.setattr(cascade, "_record_rows", counting)
+    monkeypatch.setattr(cascade, "_record", counting)
     chains = (2, 2, 1, 1, 1)
     report = run(parse_config(f"scenario: ch-cascade\nchains: {list(chains)}\n"
                               f"phase_scan_points: {points}\n"))
@@ -564,10 +565,15 @@ def test_ch_cascade_report_records_each_stage_once(monkeypatch, points):
     assert targets == [model.chain_atoms(k) for k in range(1, model.m + 1)]
 
 
-def test_terminal_closed_form_invariant_catches_a_wrong_stage_phase(monkeypatch):
-    # a planted extra quarter turn, (-i)^{n_k + 1} for (-i)^{n_k}, in the
-    # stage map.  (+i)^{n_k} would go unseen: the conjugated map gives every
-    # cascade the same |2 Re(conj(b1) b2)|
+@pytest.mark.parametrize("phase", [
+    # a planted extra quarter turn: it moves the terminal deviation
+    lambda n: (-1j) ** (n + 1),
+    # the conjugated map gives every cascade the same |2 Re(conj(b1) b2)|,
+    # so only the branch amplitudes show it
+    lambda n: 1j ** n,
+], ids=["quarter-turn", "conjugated"])
+def test_terminal_closed_form_invariant_catches_a_wrong_stage_phase(monkeypatch, phase):
+    # phase(n_k) in place of (-i)^{n_k} in the closed form's stage map
     config = parse_config("scenario: ch-cascade\nchains: [2, 2, 1, 1, 1]\n")
     passed = {inv.name: inv.passed for inv in run(config).invariants}
     assert passed["terminal_closed_form_matches_run"]
@@ -575,7 +581,7 @@ def test_terminal_closed_form_invariant_catches_a_wrong_stage_phase(monkeypatch)
     def wrong_phase(chains, a1, a2):
         b1, b2 = a1, (-1) ** chains[0] * a2
         for n in chains[1:]:
-            b1, b2 = (b1 + b2) / np.sqrt(2.0), (-1j) ** (n + 1) * (b1 - b2) / np.sqrt(2.0)
+            b1, b2 = (b1 + b2) / np.sqrt(2.0), phase(n) * (b1 - b2) / np.sqrt(2.0)
             yield b1, b2
 
     monkeypatch.setattr(cascade, "_stage_amplitudes", wrong_phase)
