@@ -206,7 +206,7 @@ class TestCanonicalSplit:
 
     def test_zero_vector_rejected(self):
         layout = HilbertLayout.qubits(["a"])
-        with pytest.raises(StateError):
+        with pytest.raises(StateError, match="zero vector"):
             canonical_split(layout, np.zeros(2))
 
     def test_split_matches_scalar_rule_bit_for_bit(self):
