@@ -10,9 +10,10 @@ crossing applies the conditional pulse
 a complete flip with per-atom phase -i at the calibrated theta = pi/2.
 The measured superposition on ready all-up atoms is built here once
 (`_ready`), for chains and cascades alike, and so is the system's Z
-(`_Z_SYSTEM`).  Pulses act in place on an amplitude array (`_pulse`), so a
-passage copies nothing per step, and the closed form's flipped-branch
-factor (`_closed_branch`) is built once per (N, theta) and shared.
+(`_Z_SYSTEM`).  Pulses act in place on strided views of an amplitude
+array (`_pulse`), so a passage copies nothing per step, and the closed
+form's flipped-branch factor (`_closed_branch`) is built once per (N,
+theta) and shared.
 """
 
 from __future__ import annotations
@@ -99,20 +100,22 @@ def _pulse_coeffs(theta: float) -> tuple[float, float]:
 def _pulse(amps: np.ndarray, layout: HilbertLayout, system: str, atom: str,
            theta: float) -> None:
     """One conditional pulse on (system, atom), in place on the amplitude
-    array `amps`, then checked normalized."""
+    array `amps` through strided views of it, then checked normalized; an
+    array that only a copy could reshape is refused (AttributeError)."""
     _check_qubit_support((system, atom), layout)
     if system == atom:
         raise OperatorError("system and atom must be distinct qubits")
-    _, s_sign = layout._qubit_flip(system)
-    a_stride, a_sign = layout._qubit_flip(atom)
-    # the pulse rotates atom |u> <-> |d> where the system is |d>
-    up = np.flatnonzero((s_sign < 0) & (a_sign > 0))
-    down = up + a_stride
-    u, d = amps[up], amps[down]
+    grid = amps.view()
+    grid.shape = layout.dims()
+    # the half where the system is |d>, and it again with the atom's |u> and
+    # |d> swapped: slices, so both are views of amps even at N = 1
+    at = [slice(None)] * grid.ndim
+    at[layout.axis(system)] = slice(1, 2)
+    pair = grid[tuple(at)]
+    at[layout.axis(atom)] = slice(None, None, -1)
     c, s = _pulse_coeffs(theta)
     # exp(-i theta sigma_x) = cos(theta) I - i sin(theta) sigma_x on the atom
-    amps[up] = c * u - 1j * s * d
-    amps[down] = c * d - 1j * s * u
+    pair[...] = c * pair - 1j * s * grid[tuple(at)]
     _check_unit(amps, 1e-9)
 
 

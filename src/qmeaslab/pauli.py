@@ -11,12 +11,14 @@ op|e_i> = ph[i] |e_pi[i]>, read from the layout's qubit flip tables
 (`_string_action`); state vectors, stacks of amplitude rows and density
 matrices are transformed through it directly, and the dense matrix
 realization is a separate oracle path.  A string without X or Y letters
-(the identity permutation) acts on rows by its phase multiply alone.
+(the identity permutation) acts on rows by its phase multiply alone, and
+an {I,Z} sum's diagonal is read from the sign tables (`_diagonal_values`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -326,11 +328,12 @@ def _is_z_diagonal(op: PauliSum) -> bool:
 
 
 def _diagonal_values(op: PauliSum, layout: HilbertLayout) -> np.ndarray:
-    """Exact diagonal of a {I,Z}-supported Pauli sum on the layout basis."""
+    """Exact diagonal of a {I,Z}-supported Pauli sum on the layout basis: each
+    term's coefficient times the product of its letters' sign tables."""
+    _check_qubit_support(op.support, layout)
     diag = np.zeros(layout.dim, dtype=complex)
     for c, s in op.terms:
-        _, ph = _string_action(s, layout)
-        diag += c * ph
+        diag += c * math.prod(layout._qubit_flip(label)[1] for label, _ in s.letters)
     return diag
 
 

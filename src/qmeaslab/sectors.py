@@ -11,6 +11,8 @@ sectors; the discrimination verdict makes that operational by maximizing
 |<Q>_pure - sum_i |a_i|^2 <chi_i|Q|chi_i>| over an allowed observable family,
 with the mixture the even one of psi+/- = a1 chi1 +/- a2 chi2 (`_phase_pair`),
 so the deviation is the interference term (<Q>_psi+ - <Q>_psi-) / 2 itself.
+A diagonal member d reads it from one diagonal as |d . w|, with the branches'
+cross weights w (`_cross_weights`).
 
 Observables come as Pauli sums, dense arrays, or factored
 `KronObservable`s S (x) diag(f).  A closed family's factored members are
@@ -244,6 +246,15 @@ def _phase_pair(branches: BranchDecomposition) -> tuple[StateVector, StateVector
     second = rest[0][0] * rest[0][1].amplitudes if rest else 0.0
     return (StateVector(branches.layout, first + second),
             StateVector(branches.layout, first - second))
+
+
+def _cross_weights(branches: BranchDecomposition) -> np.ndarray:
+    """w = 2 Re(conj(a1 chi1) a2 chi2), the phase pair's (|psi+|^2 - |psi-|^2)
+    / 2 (zero for one branch), so a diagonal d has deviation |d . w|: 0.0 by
+    construction where the branches' supports are disjoint."""
+    (a1, chi1), *rest = branches.branches
+    y = rest[0][0] * rest[0][1].amplitudes if rest else 0.0
+    return 2.0 * np.real(np.conj(a1 * chi1.amplitudes) * y)
 
 
 def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
@@ -494,7 +505,14 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
         diff = _kron_deviations(family.systems, family.field, branches, family.sid)
         seen = norms > tol
         devs[family.at[seen]] = diff[seen] / norms[seen]
+    cross = _cross_weights(branches)
     for k, op in family.other.items():
+        if isinstance(op, PauliSum) and _is_z_diagonal(op):
+            diag = _diagonal_values(op, pure.layout)  # norm max|d|, deviation |d . w|
+            norm = np.max(np.abs(diag))
+            if norm > tol:
+                devs[k] = abs(diag.real @ cross) / norm
+            continue
         norm = op_sup_norm(op, pure.layout)
         if norm > tol:
             devs[k] = 0.5 * abs(op_expectation(op, plus, tol=np.inf)

@@ -9,13 +9,13 @@ from qmeaslab.chain import (ChainModel, atom_labels, closed_form_final,
                             heisenberg_hamiltonian, initial_state,
                             it_commutator_audit, it_operator, passage_step,
                             pointer_operator, strict_check, _closed_branch,
-                            _closed_form)
+                            _closed_form, _pulse)
 from qmeaslab.hilbert import (HilbertLayout, LayoutError, MODE, StateVector,
                               Subsystem, basis_state, mixture_of)
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, commutator,
                             expectation, expectation_mixed)
 
-from oracles import (copy_passage, dense_commutator, dense_of,
+from oracles import (copy_passage, copy_passage_step, dense_commutator, dense_of,
                      kron_loop_closed_form, random_amplitude_pair, random_state)
 
 RNG = np.random.default_rng(31415)
@@ -155,6 +155,48 @@ class TestKernelsMatchEarlierRoutes:
             ref = kron_loop_closed_form(n, a1, a2, theta)
             assert np.array_equal(closed_form_final(model).amplitudes, ref)
             assert np.array_equal(_closed_form(model.layout, a1, a2, branch).amplitudes, ref)
+
+    PULSE_LAYOUTS = [
+        HilbertLayout.qubits(["S0", "A1"]),
+        HilbertLayout((Subsystem("A1"), Subsystem("m", 3, MODE), Subsystem("S0"),
+                       Subsystem("A2"))),
+        HilbertLayout((Subsystem("A2"), Subsystem("S0"), Subsystem("m", 2, MODE),
+                       Subsystem("A1"))),
+    ]
+
+    @pytest.mark.parametrize("theta_deg", [90.0, 60.0, 37.5])
+    @pytest.mark.parametrize("layout", PULSE_LAYOUTS, ids=lambda l: "-".join(l.labels))
+    def test_pulse_on_every_qubit_pair(self, layout, theta_deg):
+        # N = 1, a system qubit that is not first, and a photon mode between
+        # the two qubits: the strided views give the oracle's bits
+        theta = math.radians(theta_deg)
+        qubits = [l for l in layout.labels if l != "m"]
+        amps = random_state(RNG, layout.dim)
+        for system in qubits:
+            for atom in qubits:
+                if atom != system:
+                    ref = copy_passage_step(layout, amps, atom, theta, system=system)
+                    out = passage_step(StateVector(layout, amps), atom, system, theta)
+                    assert np.array_equal(out.amplitudes, ref)
+
+    def test_pulse_writes_through_a_strided_array(self):
+        # a 1-d array of any stride is viewed in the layout's shape, so the
+        # pulse lands in the caller's buffer, never in a copy
+        layout = HilbertLayout.qubits(["S0", "A1", "A2"])
+        buf = np.zeros(2 * layout.dim, dtype=complex)
+        amps = buf[::2]
+        amps[:] = random_state(RNG, layout.dim)
+        ref = copy_passage_step(layout, amps, "A2", 1.1)
+        _pulse(amps, layout, "S0", "A2", 1.1)
+        assert np.array_equal(amps, ref) and not buf[1::2].any()
+
+    def test_pulse_refuses_an_array_only_a_copy_could_reshape(self):
+        layout = HilbertLayout((Subsystem("S0"), Subsystem("m", 3, MODE), Subsystem("A1")))
+        amps = random_state(RNG, layout.dim).reshape(4, 3).T
+        before = amps.copy()
+        with pytest.raises(AttributeError, match="in-place"):
+            _pulse(amps, layout, "S0", "A1", 1.1)
+        assert np.array_equal(amps, before)
 
     def test_passage_step_leaves_its_input_unchanged(self):
         state = initial_state(ChainModel(3, *random_amplitude_pair(RNG)))

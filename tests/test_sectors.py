@@ -11,15 +11,15 @@ from qmeaslab.hilbert import (BranchDecomposition, DensityMatrix, DimensionCapEr
                               mixture_of)
 from qmeaslab.hilbert import MODE, LayoutError, Subsystem
 from qmeaslab.pauli import (OperatorError, PauliString, PauliSum, all_strings,
-                            apply, expectation, expectation_mixed,
-                            string_matrix)
+                            apply, expectation, expectation_mixed, hermitian_part,
+                            string_matrix, _is_z_diagonal)
 from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               SectorError, chain_observable_preset,
                               discriminate, joint_sectors, restricted_algebra,
                               sector_decohere, structure_residual)
-from qmeaslab import radiation, scenarios, sectors
-from qmeaslab.sectors import (KronObservable, _closed_family, _kron_deviations,
-                              _kron_norms, _phase_pair, op_expectation,
+from qmeaslab import pauli, radiation, scenarios, sectors
+from qmeaslab.sectors import (KronObservable, _closed_family, _cross_weights,
+                              _kron_deviations, _kron_norms, _phase_pair, op_expectation,
                               op_expectation_mixed, op_sup_norm)
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
@@ -458,6 +458,106 @@ def test_phase_pair_mixes_to_the_branch_mixture(dim):
         plus, minus = (v.amplitudes for v in _phase_pair(branches))
         even = 0.5 * (np.outer(plus, plus.conj()) + np.outer(minus, minus.conj()))
         assert np.max(np.abs(even - mixture_of(branches).matrix)) <= 1e-15
+
+
+def _diagonal_sum(rng, labels):
+    """A random real combination of 1-4 random {I,Z} strings over `labels`."""
+    return PauliSum.from_terms(
+        (rng.normal(), PauliString.from_map({l: "Z" for l in labels if rng.random() < 0.5}))
+        for _ in range(rng.integers(1, 5)))
+
+
+def _one_member(op):
+    return ObservableSet("q", (("q", op),), closure_depth=1)
+
+
+DIAGONAL_LAYOUTS = [
+    HilbertLayout.qubits(["q0"]),
+    HilbertLayout.qubits([f"q{i}" for i in range(6)]),
+    HilbertLayout((Subsystem("q0"), Subsystem("m", 3, MODE), Subsystem("q1"), Subsystem("q2"))),
+]
+
+
+@pytest.mark.parametrize("layout", DIAGONAL_LAYOUTS, ids=lambda l: f"dim{l.dim}")
+def test_diagonal_members_match_the_expectation_routes_off_the_blind_family(layout):
+    # the diagonal route |d . w| / max|d| against the oracle's three exactly
+    # summed expectations and against the two op_expectation calls it replaced,
+    # for random {I,Z} sums and every member of their closure
+    rng = np.random.default_rng(7 + layout.dim)
+    qubits = [l for l in layout.labels if l != "m"]
+    worst = 0.0
+    for _ in range(6):
+        raw = rng.normal(size=(2, layout.dim, 2))
+        q, _ = np.linalg.qr(raw[0] + 1j * raw[1])
+        a1, a2 = random_amplitude_pair(rng)
+        branches = BranchDecomposition(layout, (
+            (a1, StateVector(layout, q[:, 0])), (a2, StateVector(layout, q[:, 1]))))
+        pure = branches.state()
+        plus, minus = _phase_pair(branches)
+        gens = [_diagonal_sum(rng, qubits) for _ in range(2)]
+        members = gens + [hermitian_part(a @ b) for k, a in enumerate(gens) for b in gens[k:]]
+        devs = []
+        for op in members:
+            norm = float(np.linalg.norm(dense_of(op, layout), ord=2))
+            got = discriminate(pure, branches, _one_member(op)).max_deviation
+            old = 0.5 * abs(op_expectation(op, plus, tol=np.inf)
+                            - op_expectation(op, minus, tol=np.inf)) / op_sup_norm(op, layout)
+            want = abs(three_expectation_deviation(
+                lambda v: fsum_expect(v, _term_images(op, layout, v)),
+                pure.amplitudes, branches)) / norm
+            assert abs(got - old) <= 1e-15 and abs(got - want) <= 1e-15
+            devs.append(got)
+        closed = ObservableSet("pair", (("g0", gens[0]), ("g1", gens[1])))
+        assert discriminate(pure, branches, closed).max_deviation == max(devs)
+        worst = max(worst, max(devs))
+    assert worst > 0.01
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_diagonal_members_read_exactly_zero_at_the_complete_flip(n):
+    # the branches |u..u> and |d..d> have disjoint supports, so the cross
+    # weights vanish element by element and no cancellation is needed
+    model = ChainModel(n, *random_amplitude_pair(RNG))
+    psi, branches = full_passage(model), final_branches(model)
+    assert not np.any(_cross_weights(branches))
+    for name, diagonal in (("pointer_only", 2), ("with_B", 4)):
+        preset = chain_observable_preset(name, n)
+        members = [op for op in _closed_family(preset, model.layout).other.values()
+                   if _is_z_diagonal(op)]
+        # mu_z and herm(mu_z*mu_z); with B also herm(mu_z*B) = 0 and herm(B*B) = I
+        assert len(members) == diagonal
+        for op in members:
+            assert discriminate(psi, branches, _one_member(op)).max_deviation == 0.0
+    verdict = discriminate(psi, branches, chain_observable_preset("pointer_only", n))
+    assert verdict.max_deviation == 0.0
+
+
+def test_pointer_square_diagonal_is_built_once_per_discriminate(monkeypatch):
+    # one discriminate(pointer_only) at N = 11 builds each diagonal member's
+    # diagonal once, and no string action: a norm and two phase-pair
+    # expectations of their own would build herm(mu_z*mu_z) three times
+    n = 11
+    model = ChainModel(n, np.sqrt(0.3), np.sqrt(0.7))
+    psi, branches = full_passage(model), final_branches(model)
+    preset = chain_observable_preset("pointer_only", n)
+    built, actions = [], []
+    diagonal_values, string_action = pauli._diagonal_values, pauli._string_action
+
+    def count_diagonal(op, layout):
+        built.append(op)
+        return diagonal_values(op, layout)
+
+    def count_action(op, layout):
+        actions.append(op)
+        return string_action(op, layout)
+
+    for module in (pauli, sectors):
+        monkeypatch.setattr(module, "_diagonal_values", count_diagonal)
+    monkeypatch.setattr(pauli, "_string_action", count_action)
+    discriminate(psi, branches, preset)
+    mu = pointer_operator(n)
+    assert built.count(hermitian_part(mu @ mu)) == 1
+    assert len(built) == 2 and actions == []
 
 
 class TestDiscriminateRefusals:
