@@ -16,7 +16,6 @@ from qmeaslab.scenarios import emit, parse_config, run
 CONFIG = """
 scenario: ch-basic
 n_atoms: 4
-fuzz_cases: 0
 sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 19}
 format: csv
 """

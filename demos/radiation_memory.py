@@ -14,8 +14,8 @@ Run:  python demos/radiation_memory.py
 import numpy as np
 
 from qmeaslab import (RadiationModel, add_uncorrelated_mode, build_final_state,
-                      cascade_growth, check_c22, check_no_vacuum_interference,
-                      glauber_generators, quadrature_op, with_vacuum_connector)
+                      check_c22, check_no_vacuum_interference, glauber_generators,
+                      quadrature_op, with_vacuum_connector)
 from qmeaslab.radiation import glauber_field_generators
 
 model = RadiationModel()  # one mode, cutoff 3, patterns {1, 2} photons
@@ -52,5 +52,5 @@ print("uncorrelated photons change nothing")
 
 print("\nemission bookkeeping: each detector generation emits fresh particles")
 for depth in range(0, 11, 2):
-    print(f"  generation {depth:2d}: {cascade_growth(2, depth):5d} unmeasured particles")
+    print(f"  generation {depth:2d}: {2 ** depth:5d} unmeasured particles")
 print("the complete state can never be reconstructed by adding detectors")

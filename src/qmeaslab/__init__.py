@@ -25,7 +25,7 @@ from .cascade import (BranchConnector, CascadeModel, build_B2_flip_sum,
                       b_eigenbranches, information_tradeoff, joint_it_operator,
                       run_cascade, second_chain_measure, unmeasured_it_exists)
 from .radiation import (RadiationModel, add_uncorrelated_mode, build_final_state,
-                        cascade_growth, check_c22, check_no_vacuum_interference,
+                        check_c22, check_no_vacuum_interference,
                         glauber_generators, number_op, quadrature_op,
                         vacuum_pattern_connector, with_vacuum_connector)
 from .scenarios import RunReport, ScenarioConfig, emit, parse_config, run

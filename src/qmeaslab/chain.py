@@ -11,9 +11,9 @@ a complete flip with per-atom phase -i at the calibrated theta = pi/2.
 The measured superposition on ready all-up atoms is built here once
 (`_ready`), for chains and cascades alike, and so is the system's Z
 (`_Z_SYSTEM`).  Pulses act in place on strided views of an amplitude
-array (`_pulse`), so a passage copies nothing per step, and the closed
-form's flipped-branch factor (`_closed_branch`) is built once per (N,
-theta) and shared.
+array (`_pulse`), so a passage copies nothing per step, and pulses at
+-theta undo it.  The closed form's flipped-branch factor (`_closed_branch`)
+is built once per (N, theta) and shared by every amplitude pair.
 """
 
 from __future__ import annotations

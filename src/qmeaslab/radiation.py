@@ -258,19 +258,3 @@ def check_c22(model: RadiationModel, allowed: ObservableSet,
     allowed observable family; false for photon-number families."""
     decomp = build_final_state(model, tol)
     return discriminate(decomp.state(), decomp, allowed, tol)
-
-
-def cascade_growth(n_emit: int, depth: int, bound: int = 2 ** 62) -> int:
-    """Unmeasured emitted particles after `depth` detector generations when
-    every detector emits n_emit > 1 fresh particles."""
-    if not isinstance(n_emit, int) or n_emit <= 1:
-        raise ValueError(f"emission count must be an integer > 1, got {n_emit}")
-    if not isinstance(depth, int) or depth < 0:
-        raise ValueError(f"depth must be a non-negative integer, got {depth}")
-    count = 1
-    for _ in range(depth):
-        count *= n_emit
-        if count > bound:
-            raise OverflowError(
-                f"cascade count exceeds the configured bound {bound} at depth {depth}")
-    return count

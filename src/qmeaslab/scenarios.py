@@ -1,6 +1,6 @@
 """Config-driven scenario runs with structured JSON/CSV reports.
 
-Scenarios: ch-basic, ch-heisenberg, ch-cascade, rd-basic, growth.  Configs
+Scenarios: ch-basic, ch-heisenberg, ch-cascade, rd-basic.  Configs
 are YAML mappings; complex amplitudes are written as [magnitude,
 phase-in-degrees] pairs.  Reports are deterministic for a fixed config and
 seed (the wall_time_s field aside).
@@ -46,6 +46,9 @@ _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
 
 # ch-basic claims with_B discriminates only where |2 Re(a1* a2)| exceeds this
 _B_EXCLUSION = 0.1
+
+# the (a1, a2) pair of ch-basic's fixed passage, as config amplitudes
+_FIXED_PAIR = ([0.6, 0.0], [0.8, 70.0])
 
 
 class ConfigError(ValueError):
@@ -289,18 +292,6 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 f"modes/cutoff/background: the closed Glauber family of the background "
                 f"check has members x field_dim = {entries} entries, above the bound "
                 f"{_MAX_GLAUBER_FAMILY_ENTRIES}")
-    if scenario == "growth":
-        n_emit, depth, bound = params["n_emit"], params["depth"], params["bound"]
-        try:
-            count = rad.cascade_growth(n_emit, depth, bound)
-        except OverflowError:
-            raise ConfigError(
-                f"bound: requires n_emit^depth = {n_emit}^{depth} <= bound, "
-                f"got bound = {bound}") from None
-        if count > sys.float_info.max:
-            raise ConfigError(
-                f"depth/bound: the report's float final_count requires n_emit^depth <= "
-                f"float max {sys.float_info.max!r}, got {n_emit}^{depth}")
     if "a1" in params:
         mags = (float(params["a1"][0]), float(params["a2"][0]))
         w = mags[0] ** 2 + mags[1] ** 2
@@ -496,14 +487,6 @@ def _verdict_dict(set_name: str, v: sec.DiscriminationVerdict) -> dict[str, Any]
             "witness": v.witness_name}
 
 
-def _random_amplitudes(rng: np.random.Generator) -> tuple[complex, complex]:
-    raw = rng.normal(size=4)
-    a = complex(raw[0], raw[1])
-    b = complex(raw[2], raw[3])
-    n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-    return a / n, b / n
-
-
 def _run_ch_basic(params, tol, rng):
     n = params["n_atoms"]
     a1, a2 = _to_complex(params["a1"]), _to_complex(params["a2"])
@@ -511,10 +494,21 @@ def _run_ch_basic(params, tol, rng):
     model = ch.ChainModel(n, a1, a2, theta)
     atoms = model.atoms
     psi = ch.full_passage(model)
-    branch = ch._closed_branch(n, theta)  # every fuzz model shares it
+    branch = ch._closed_branch(n, theta)  # the fixed passage's closed form shares it
     closed = ch._closed_form(model.layout, a1, a2, branch)
     closed_residual = float(np.linalg.norm(psi.amplitudes - closed.amplitudes))
     fidelity = abs(psi.inner(closed))
+    # a fixed pair with both amplitudes non-zero: the report's own pair may
+    # pulse only zeros (a2 = 0), and a fault scaled by a1 hides at a1 = 0
+    fixed = ch.ChainModel(n, *map(_to_complex, _FIXED_PAIR), theta)
+    fixed_residual = float(np.linalg.norm(
+        ch.full_passage(fixed).amplitudes
+        - ch._closed_form(fixed.layout, fixed.a1, fixed.a2, branch).amplitudes))
+    # the inverse passage, pulses at -theta, gives the ready state back
+    echo = psi.amplitudes.copy()
+    for atom in atoms:
+        ch._pulse(echo, model.layout, ch.SYSTEM_LABEL, atom, -theta)
+    echo_residual = float(np.linalg.norm(echo - ch._ready(model.layout, a1, a2)))
     mu = ch.pointer_operator(atoms)
     b = ch.it_operator(atoms)
     audit = ch.it_commutator_audit(n)
@@ -529,26 +523,19 @@ def _run_ch_basic(params, tol, rng):
         "fidelity": fidelity,
         "eq5_constant_re": float(audit.constant.real),
         "eq5_constant_im": float(audit.constant.imag),
+        "fixed_passage_residual": fixed_residual,
+        "echo_residual": echo_residual,
     }
     invariants = [
         _inv("closed_form_matches_stepwise", closed_residual, tol),
         _inv("eq5_proportionality", 0.0 if audit.proportional else 1.0, tol),
+        _inv("closed_form_fixed_passage", fixed_residual, tol),
+        _inv("echo_restores_ready_state", echo_residual, tol),
     ]
     verdicts: list[dict[str, Any]] = []
-    fuzz_worst = 0.0
-    for _ in range(params["fuzz_cases"]):
-        ra1, ra2 = _random_amplitudes(rng)
-        rmodel = ch.ChainModel(n, ra1, ra2, theta)
-        rpsi = ch.full_passage(rmodel)
-        rclosed = ch._closed_form(rmodel.layout, ra1, ra2, branch)
-        fuzz_worst = max(fuzz_worst,
-                         float(np.linalg.norm(rpsi.amplitudes - rclosed.amplitudes)))
-    expectations["fuzz_worst_residual"] = fuzz_worst
-    invariants.append(_inv("closed_form_fuzz", fuzz_worst, tol))
 
     complete_flip = ch._complete_flip(theta)
-    extras: dict[str, Any] = {"pointer_branches": complete_flip,
-                              "fuzz_cases": params["fuzz_cases"]}
+    extras: dict[str, Any] = {"pointer_branches": complete_flip}
     if complete_flip:
         decomp = ch.final_branches(model, tol)
         b_mixed = sec.op_expectation_mixed(b, decomp, tol)
@@ -751,20 +738,6 @@ def _run_rd_basic(params, tol, rng):
     return expectations, invariants, verdicts, extras
 
 
-def _run_growth(params, tol, rng):
-    n_emit, depth, bound = params["n_emit"], params["depth"], params["bound"]
-    counts = [rad.cascade_growth(n_emit, d, bound) for d in range(depth + 1)]
-    expectations = {"final_count": float(counts[-1])}
-    invariants = [
-        _inv("count_matches_power",
-             0.0 if counts[-1] == n_emit ** depth else 1.0, tol),
-        _inv("strictly_growing",
-             0.0 if all(b > a for a, b in zip(counts, counts[1:])) else 1.0, tol),
-    ]
-    extras = {"counts_by_generation": counts}
-    return expectations, invariants, [], extras
-
-
 @dataclass(frozen=True)
 class _Spec:
     """A scenario's runner, and for each config key its kind and default."""
@@ -786,7 +759,6 @@ _SPECS: dict[str, _Spec] = {
         "a1": (_amp, [_INV_SQRT2, 0.0]),
         "a2": (_amp, [_INV_SQRT2, 0.0]),
         "theta_deg": (_real, 90.0),
-        "fuzz_cases": (partial(_int_at_least, minimum=0), 20),
         "observable_preset": (partial(_one_of, choices=sec.CHAIN_PRESETS),
                               "sector_preserving"),
     }),
@@ -811,11 +783,6 @@ _SPECS: dict[str, _Spec] = {
         "system_factor_cases": (partial(_int_at_least, minimum=0), 100),
         "observable_preset": (partial(_one_of, choices=("glauber", "with_vacuum_connector")),
                               "glauber"),
-    }),
-    "growth": _Spec(_run_growth, {
-        "n_emit": (partial(_int_at_least, minimum=2), 2),
-        "depth": (partial(_int_at_least, minimum=0), 10),
-        "bound": (partial(_int_at_least, minimum=1), 2 ** 62),
     }),
 }
 

@@ -110,7 +110,6 @@ def test_scenarios_build_no_density_matrix(monkeypatch, text):
 def test_ch_basic_13_atoms_pointer_only():
     # 14 qubits: the top of the 2^14 dimension cap
     report = run(parse_config(
-        "scenario: ch-basic\nn_atoms: 13\nobservable_preset: pointer_only\n"
-        "fuzz_cases: 2\n"))
+        "scenario: ch-basic\nn_atoms: 13\nobservable_preset: pointer_only\n"))
     assert not report.failed_required()
     assert report.expectations["b_mixed"] == 0.0

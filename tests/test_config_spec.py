@@ -29,8 +29,8 @@ SQ = math.sqrt(0.5)
 MAX_QUBITS = 8  # layouts of at most 2^8
 
 # the largest drawn value of each integer key that sizes a run
-UPPER = {"n_atoms": MAX_QUBITS - 1, "fuzz_cases": 2, "phase_scan_points": 4,
-         "system_factor_cases": 3, "modes": 2, "n_emit": 5, "depth": 40, "bound": 2 ** 70}
+UPPER = {"n_atoms": MAX_QUBITS - 1, "phase_scan_points": 4, "system_factor_cases": 3,
+         "modes": 2}
 
 
 def _kind(kind):
@@ -180,11 +180,6 @@ FAULTS = {
         "connector blind": ("vacuum connector sees", lambda d: d.update(
             a1=[SQ, 0.0], a2=[SQ, 0.0],
             photons=[{"pattern": [1] * d["modes"], "c": [1.0, 90.0]}])),
-    },
-    "growth": {
-        "bound": (r"n_emit\^depth = .* <= bound",
-                  lambda d: d.update(bound=d["n_emit"] ** d["depth"] - 1)),
-        "float range": ("float max", _set(n_emit=10, depth=309, bound=10 ** 401)),
     },
 }
 

@@ -12,7 +12,7 @@ from qmeaslab.chain import ChainModel, final_branches, full_passage
 from qmeaslab.hilbert import BranchDecomposition, StateVector, mixture_of
 from qmeaslab.radiation import (RadiationModel,
                                 add_uncorrelated_mode, build_final_state,
-                                cascade_growth, check_c22,
+                                check_c22,
                                 check_no_vacuum_interference, full_observable,
                                 glauber_field_generators, glauber_generators,
                                 number_op, quadrature_op,
@@ -369,32 +369,6 @@ class TestVacuumConnector:
         j = model.field_index((1,))
         assert mat[i0, j] == 1.0 and mat[j, i0] == 1.0
         assert np.count_nonzero(mat) == 2
-
-
-class TestCascadeGrowth:
-    def test_depth_zero_is_original_system(self):
-        assert cascade_growth(2, 0) == 1
-
-    def test_power_examples(self):
-        assert cascade_growth(2, 10) == 1024
-        assert cascade_growth(3, 4) == 81
-
-    def test_iterative_oracle(self):
-        # oracle: explicit generation-by-generation bookkeeping
-        for n_emit in (2, 3, 5):
-            for depth in range(6):
-                unmeasured = 1
-                for _ in range(depth):
-                    unmeasured = unmeasured * n_emit
-                assert cascade_growth(n_emit, depth) == unmeasured
-
-    def test_bounds(self):
-        with pytest.raises(ValueError, match="> 1"):
-            cascade_growth(1, 3)
-        with pytest.raises(ValueError, match="non-negative"):
-            cascade_growth(2, -1)
-        with pytest.raises(OverflowError):
-            cascade_growth(2, 10, bound=1000)
 
 
 def test_amplitude_validation():

@@ -50,7 +50,7 @@ def test_one_complete_flip_window(theta_deg, flip):
         with pytest.raises(StateError, match="complete flip"):
             final_branches(model)
     report = scenarios.run(scenarios.parse_config(
-        f"scenario: ch-basic\nn_atoms: 2\ntheta_deg: {theta_deg!r}\nfuzz_cases: 1\n"))
+        f"scenario: ch-basic\nn_atoms: 2\ntheta_deg: {theta_deg!r}\n"))
     assert report.extras["pointer_branches"] is flip
     assert ("b_mixed" in report.expectations) is flip
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmeaslab import cascade
+from qmeaslab import cascade, chain
 from qmeaslab.cascade import CascadeModel, run_cascade, unmeasured_it_exists
 from qmeaslab.cli import main
 from qmeaslab.hilbert import mixture_of
@@ -47,6 +47,16 @@ class TestParseConfig:
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             parse_config("scenario: nope")
+
+    def test_growth_is_an_unknown_scenario(self):
+        with pytest.raises(ConfigError, match=r"^scenario: unknown scenario 'growth'; "
+                           r"expected one of \('ch-basic', 'ch-heisenberg', 'ch-cascade', "
+                           r"'rd-basic'\)$"):
+            parse_config("scenario: growth")
+
+    def test_fuzz_cases_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="^fuzz_cases: unknown key for scenario 'ch-basic'"):
+            parse_config("scenario: ch-basic\nfuzz_cases: 0\n")
 
     def test_missing_scenario(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -96,7 +106,7 @@ class TestParseConfig:
          "a2: [0.7071067811865476, 60]\n"
          "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 7}\n",
          "a2_phase_deg = 0.0: a1/a2: the cascade needs two B eigenbranches"),
-        ("scenario: growth\noutput: 5\n", "output: expected a path string or null"),
+        ("scenario: ch-heisenberg\noutput: 5\n", "output: expected a path string or null"),
         ("scenario: ch-basic\nn_atoms: 2\ntolerance: 0.2\n"
          "a2: [0.7071067811865476, 80]\nobservable_preset: with_B\n",
          r"a1/a2/tolerance: .* got 0\.1736"),
@@ -114,8 +124,6 @@ class TestParseConfig:
         ("scenario: ch-heisenberg\nn_atoms: 3.0\n", "n_atoms"),
         ("scenario: ch-basic\ntheta_deg: abc\n", "theta_deg"),
         ("scenario: ch-basic\ntheta_deg: .nan\n", "theta_deg"),
-        ("scenario: ch-basic\nfuzz_cases: '3'\n", "fuzz_cases"),
-        ("scenario: ch-basic\nfuzz_cases: -1\n", "fuzz_cases"),
         ("scenario: ch-heisenberg\nj_coupling: true\n", "j_coupling"),
         ("scenario: ch-cascade\nchains: [1, true]\n", r"chains\[1\]"),
         ("scenario: ch-cascade\nchains: [1, 0]\n", r"chains\[1\]"),
@@ -124,20 +132,15 @@ class TestParseConfig:
         ("scenario: rd-basic\nmodes: x\n", "modes"),
         ("scenario: rd-basic\ncutoff: 2.5\n", "cutoff"),
         ("scenario: rd-basic\nsystem_factor_cases: 2.5\n", "system_factor_cases"),
-        ("scenario: growth\nn_emit: true\n", "n_emit"),
-        ("scenario: growth\nn_emit: 1\n", "n_emit"),
-        ("scenario: growth\ndepth: true\n", "depth"),
         ("scenario: rd-basic\nbackground: [1.5]\n", r"background\[0\]"),
         ("scenario: rd-basic\nbackground: [true]\n", r"background\[0\]"),
         ("scenario: rd-basic\nphotons: [{pattern: [1.5], c: [1, 0]}]\n",
          r"photons\[0\]\.pattern\[0\]"),
         ("scenario: rd-basic\nphotons: [{pattern: [true], c: [1, 0]}]\n",
          r"photons\[0\]\.pattern\[0\]"),
-        ("scenario: growth\ntolerance: abc\n", "tolerance"),
-        ("scenario: growth\ntolerance: -1\n", "tolerance > 0"),
-        ("scenario: growth\nseed: true\n", "seed"),
-        ("scenario: growth\nbound: true\n", "bound"),
-        ("scenario: growth\nbound: 100\n", r"n_emit\^depth"),
+        ("scenario: ch-heisenberg\ntolerance: abc\n", "tolerance"),
+        ("scenario: ch-heisenberg\ntolerance: -1\n", "tolerance > 0"),
+        ("scenario: ch-heisenberg\nseed: true\n", "seed"),
         ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: abc, stop: 1, steps: 2}\n",
          r"sweep\.start"),
         ("scenario: ch-basic\nsweep: {parameter: theta_deg, start: .nan, stop: 1, steps: 2}\n",
@@ -155,7 +158,7 @@ class TestParseConfig:
 
     def test_exponent_tolerance_string(self):
         # YAML 1.1 reads 1e-10 (no dot) as a string
-        assert parse_config("scenario: growth\ntolerance: 1e-10\n").tolerance == 1e-10
+        assert parse_config("scenario: ch-heisenberg\ntolerance: 1e-10\n").tolerance == 1e-10
 
     def test_exponent_sweep_string(self):
         cfg = parse_config(
@@ -230,7 +233,8 @@ class TestParseConfig:
          r"^photons\[0\]\.c: requires a finite magnitude"),
         (f"scenario: ch-basic\ntheta_deg: {10 ** 400}\n", "^theta_deg: requires a finite real"),
         (f"scenario: ch-heisenberg\nj_coupling: {-10 ** 400}\n", "^j_coupling: requires"),
-        (f"scenario: growth\ntolerance: {10 ** 400}\n", "^tolerance: requires a finite real"),
+        (f"scenario: ch-heisenberg\ntolerance: {10 ** 400}\n",
+         "^tolerance: requires a finite real"),
     ], ids=["square-overflows", "integer-c", "integer-theta", "integer-j", "integer-tolerance"])
     def test_number_outside_the_float_range_refused(self, text, match):
         # a square that overflows, or an integer no float holds
@@ -372,11 +376,6 @@ class TestRunReports:
         assert seen == ([45.0, 90.0, 135.0] if len(chains) == 3 else [])
         assert report.extras["excluded_phases_deg"] == [d for d in scan if d not in seen]
 
-    def test_growth_report(self):
-        report = run(parse_config("scenario: growth\nn_emit: 3\ndepth: 4\n"))
-        assert report.extras["counts_by_generation"][-1] == 81
-        assert not report.failed_required()
-
     def test_heisenberg_report(self):
         report = run(parse_config("scenario: ch-heisenberg\nn_atoms: 5\n"))
         assert abs(report.expectations["lambda_ground"] - 4.0) <= 1e-12
@@ -436,12 +435,12 @@ class TestEmission:
         assert cells == ["", "", repr(report.sweep["rows"][2]["b_mixed"])]
 
     def test_csv_single_run(self):
-        cfg = parse_config("scenario: growth\nformat: csv\n")
+        cfg = parse_config("scenario: ch-heisenberg\nformat: csv\n")
         lines = emit(run(cfg), "csv").decode().splitlines()
         assert lines[0] == "name,value"
 
     def test_schema_version_present(self):
-        data = json.loads(emit(run(parse_config("scenario: growth")), "json"))
+        data = json.loads(emit(run(parse_config("scenario: ch-heisenberg")), "json"))
         assert data["schema_version"] == "1"
 
 
@@ -453,20 +452,20 @@ class TestCli:
 
     def test_run_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        code = main(["--scenario", "growth", "--output", str(out)])
+        code = main(["--scenario", "ch-heisenberg", "--output", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["scenario"] == "growth"
+        assert data["scenario"] == "ch-heisenberg"
 
     def test_config_file_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
-        cfg.write_text("scenario: ch-basic\nn_atoms: 2\n")
-        code = main(["--config", str(cfg), "--set", "fuzz_cases=5",
+        cfg.write_text("scenario: ch-basic\nn_atoms: 5\ntheta_deg: 60\n")
+        code = main(["--config", str(cfg), "--set", "n_atoms=2",
                      "--output", str(tmp_path / "r.json")])
         assert code == 0
         data = json.loads((tmp_path / "r.json").read_text())
+        assert data["parameters"]["theta_deg"] == 60
         assert data["parameters"]["n_atoms"] == 2
-        assert data["parameters"]["fuzz_cases"] == 5
 
     def test_sweep_flag(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -483,10 +482,11 @@ class TestCli:
         (["--config", "{tmp}/missing.yaml"], "cannot read config file"),
         (["--config", "{tmp}"], "cannot read config file"),
         (["--config", "{tmp}/bad.yaml"], "bad.yaml' is not valid YAML"),
-        (["--scenario", "growth", "--set", "depth=["], "--set 'depth=\\[' is not valid YAML"),
+        (["--scenario", "ch-heisenberg", "--set", "n_atoms=["],
+         "--set 'n_atoms=\\[' is not valid YAML"),
     ])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, args, match):
-        (tmp_path / "bad.yaml").write_text("scenario: growth\ndepth: [\n")
+        (tmp_path / "bad.yaml").write_text("scenario: ch-heisenberg\nn_atoms: [\n")
         code = main([a.format(tmp=tmp_path) for a in args])
         err = capsys.readouterr().err
         assert code == 2
@@ -494,7 +494,7 @@ class TestCli:
 
     def test_seed_and_tolerance_flags(self, tmp_path):
         out = tmp_path / "r.json"
-        code = main(["--scenario", "growth", "--seed", "3",
+        code = main(["--scenario", "ch-heisenberg", "--seed", "3",
                      "--tolerance", "1e-10", "--output", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
@@ -508,10 +508,10 @@ def test_build_config_rejects_non_mapping():
 
 
 @pytest.mark.parametrize("text", [
-    *(f"scenario: ch-basic\nn_atoms: {n}\nobservable_preset: {preset}\nfuzz_cases: 1\n"
+    *(f"scenario: ch-basic\nn_atoms: {n}\nobservable_preset: {preset}\n"
       for n in range(1, 6)
       for preset in ("all_strings", "sector_preserving", "pointer_only", "with_B")),
-    "scenario: ch-basic\nn_atoms: 11\nobservable_preset: with_B\nfuzz_cases: 1\n",
+    "scenario: ch-basic\nn_atoms: 11\nobservable_preset: with_B\n",
     "scenario: ch-cascade",
     "scenario: rd-basic",
     "scenario: rd-basic\nobservable_preset: with_vacuum_connector\n",
@@ -526,6 +526,57 @@ def test_scenarios_take_no_dense_pauli_norm(monkeypatch, text):
 
     monkeypatch.setattr(pauli_module, "sum_matrix", refuse)
     assert not run(parse_config(text)).failed_required()
+
+
+_PULSE = chain._pulse
+
+
+def _sin_sign(amps, layout, system, atom, theta):
+    # exp(+i theta sigma_x): pulsing at -theta flips the sign of the sin term
+    _PULSE(amps, layout, system, atom, -theta)
+
+
+def _first_atom(amps, layout, system, atom, theta):
+    _PULSE(amps, layout, system, "A1", theta)
+
+
+def _into_up_half(amps, layout, system, atom, theta):
+    # the system qubit is first, so the reversed array holds the |u> half
+    # where the |d> half was: the pulse also writes where the system is |u>
+    _PULSE(amps, layout, system, atom, theta)
+    _PULSE(amps[::-1], layout, system, atom, theta)
+
+
+def _amplitude_scale(amps, layout, system, atom, theta):
+    _PULSE(amps, layout, system, atom, theta)
+    amps[layout.dim // 2:] *= 1 + 1e-6 * abs(amps[0])
+    amps /= np.linalg.norm(amps)
+
+
+_PASSAGES = {"closed_form_fixed_passage", "closed_form_matches_stepwise"}
+
+
+# each fault with the invariants it fails at a2 = 0 and at generic amplitudes
+@pytest.mark.parametrize("fault, failing", [
+    (_PULSE, (set(), set())),
+    (_sin_sign, ({"closed_form_fixed_passage"}, _PASSAGES)),
+    (_first_atom, ({"closed_form_fixed_passage"}, _PASSAGES)),
+    (_into_up_half, (_PASSAGES, _PASSAGES)),
+    (_amplitude_scale, ({"closed_form_fixed_passage"}, _PASSAGES | {"echo_restores_ready_state"})),
+], ids=["none", "sin-sign", "first-atom", "into-up-half", "amplitude-scale"])
+@pytest.mark.parametrize("column, amps", enumerate(["a1: [1.0, 0]\na2: [0.0, 0]\n",
+                                                    "a1: [0.8, 30]\na2: [0.6, 100]\n"]),
+                         ids=["a2-zero", "generic"])
+def test_planted_pulse_fault_fails_the_passage_invariants(monkeypatch, fault, failing,
+                                                          column, amps):
+    # at a2 = 0 the report's own passage pulses only zeros: the fixed pair's
+    # passage still sees every fault, and the echo sees the one that pulses
+    # at -theta do not undo
+    monkeypatch.setattr(chain, "_pulse", fault)
+    report = run(parse_config(f"scenario: ch-basic\nn_atoms: 3\ntheta_deg: 60\n{amps}"))
+    failed = {r.name for r in report.invariants if not r.passed}
+    assert failed == failing[column]
+    assert report.failed_required() == bool(failed)
 
 
 def test_ch_cascade_report_runs_one_cascade(monkeypatch):
@@ -710,25 +761,6 @@ def test_coupling_at_the_overflow_bound_runs(n, j):
     assert not report.failed_required()
     assert report.expectations["single_flip_residual"] == 2 * abs(j)
     assert all(math.isfinite(v) for v in json.loads(emit(report))["expectations"].values())
-
-
-def _growth(depth):
-    return f"scenario: growth\nn_emit: 10\ndepth: {depth}\nbound: {10 ** 401}\n"
-
-
-def test_growth_count_past_float_range_is_refused():
-    with pytest.raises(ConfigError, match="depth/bound: .* float max"):
-        parse_config(_growth(400))
-    with pytest.raises(ConfigError, match="depth/bound"):
-        parse_config(_growth(309))
-
-
-@pytest.mark.parametrize("depth", [300, 308])
-def test_growth_count_within_float_range_runs(depth):
-    report = run(parse_config(_growth(depth)))
-    assert not report.failed_required()
-    assert report.expectations["final_count"] == float(10 ** depth)
-    assert json.loads(emit(report))["extras"]["counts_by_generation"][-1] == 10 ** depth
 
 
 def test_readme_minimal_config_runs():
