@@ -479,6 +479,16 @@ class TestCli:
         assert "n_atoms" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, match", [
+        (["--scenario", "ch-basic", "--set", "fuzz_cases=5"],
+         "fuzz_cases: unknown key for scenario 'ch-basic'"),
+        (["--config", "{tmp}/growth.yaml"], "scenario: unknown scenario 'growth'"),
+    ], ids=["fuzz_cases", "growth"])
+    def test_removed_names_exit_as_config_errors(self, tmp_path, capsys, args, match):
+        (tmp_path / "growth.yaml").write_text("scenario: growth\n")
+        assert main([a.format(tmp=tmp_path) for a in args]) == 2
+        assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, match", [
         (["--config", "{tmp}/missing.yaml"], "cannot read config file"),
         (["--config", "{tmp}"], "cannot read config file"),
         (["--config", "{tmp}/bad.yaml"], "bad.yaml' is not valid YAML"),
@@ -577,6 +587,60 @@ def test_planted_pulse_fault_fails_the_passage_invariants(monkeypatch, fault, fa
     failed = {r.name for r in report.invariants if not r.passed}
     assert failed == failing[column]
     assert report.failed_required() == bool(failed)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("scenario: ch-basic\n", 4),
+    ("scenario: ch-basic\nn_atoms: 1\n", 1),
+    ("scenario: ch-basic\nn_atoms: 3\ntheta_deg: 60\n", 3),
+    ("scenario: ch-basic\nn_atoms: 11\nobservable_preset: pointer_only\n", 11),
+])
+def test_ch_basic_report_runs_three_passages(monkeypatch, text, n):
+    # the report's passage and the fixed pair's at +theta, the echo at -theta
+    calls = []
+
+    def counting(amps, layout, system, atom, theta):
+        calls.append((atom, theta))
+        _PULSE(amps, layout, system, atom, theta)
+
+    monkeypatch.setattr(chain, "_pulse", counting)
+    report = run(parse_config(text))
+    theta = math.radians(report.parameters["theta_deg"])
+    atoms = [f"A{k}" for k in range(1, n + 1)]
+    assert not report.failed_required()
+    assert calls == [(a, theta) for a in atoms] * 2 + [(a, -theta) for a in atoms]
+
+
+@pytest.mark.parametrize("text", [
+    "scenario: ch-basic\n",
+    "scenario: ch-basic\nn_atoms: 3\ntheta_deg: 60\na1: [0.8, 30]\na2: [0.6, 100]\n",
+], ids=["complete-flip", "partial-flip"])
+def test_ch_basic_report_does_not_read_the_seed(text):
+    def report(seed):
+        data = json.loads(emit(run(parse_config(f"{text}seed: {seed}\n")), "json"))
+        assert data.pop("seed") == seed
+        data.pop("wall_time_s")
+        return data
+
+    assert report(1) == report(2)
+
+
+def test_fixed_passage_does_not_depend_on_the_report_pair():
+    residuals = {run(parse_config(
+        f"scenario: ch-basic\nn_atoms: 3\ntheta_deg: 60\na1: {a1}\na2: {a2}\n"
+    )).expectations["fixed_passage_residual"]
+        for a1, a2 in [("[1.0, 0]", "[0.0, 0]"), ("[0.0, 0]", "[1.0, 0]"),
+                       ("[0.8, 30]", "[0.6, 100]")]}
+    assert len(residuals) == 1
+
+
+@pytest.mark.parametrize("theta", [0, 37.5, 180, -60, 450])
+def test_echo_restores_ready_state_at_any_theta(theta):
+    report = run(parse_config(f"scenario: ch-basic\nn_atoms: 3\ntheta_deg: {theta}\n"
+                              "a1: [0.8, 30]\na2: [0.6, 100]\n"))
+    echo = next(r for r in report.invariants if r.name == "echo_restores_ready_state")
+    assert echo.passed and echo.required
+    assert echo.residual == report.expectations["echo_residual"] <= 1e-15
 
 
 def test_ch_cascade_report_runs_one_cascade(monkeypatch):
