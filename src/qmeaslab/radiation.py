@@ -15,9 +15,12 @@ Glauber observables stay factored: each generator and each pairwise
 product is a `KronObservable`, a 4x4 path x lattice matrix tensored with a
 real photon-number diagonal, and `discriminate` evaluates the whole closed
 family with one batched kernel, building no dim x dim matrix for it.  The
-vacuum connector (and its products) is the one dense member: it is the
-explicit counterexample to the photocounting restriction.  `full_observable`
-is the dense reference the tests compare the factored route against.
+vacuum connector XX (x) (|r><p| + h.c.), the explicit counterexample to the
+photocounting restriction, lives on the two field indices r (the reference
+occupation) and p (the first emission pattern); it and its products are
+8x8 blocks on C^4 (x) span{|r>, |p>}, stacked next to the factored members,
+so no rd-basic family holds a dim x dim matrix.  `full_observable` is the
+dense reference the tests compare both routes against.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .hilbert import (DEFAULT_TOL, BranchDecomposition, HilbertLayout, MODE,
                       Subsystem, _check_weights, _pointer_branches)
 from .pauli import PAULI_MATRICES
 from .sectors import (DiscriminationVerdict, KronObservable, ObservableSet,
-                      discriminate)
+                      _TwoIndexObservable, discriminate)
 
 PATH_LABEL = "path"
 LATTICE_LABEL = "lattice"
@@ -74,13 +77,7 @@ class RadiationModel:
         seen = set()
         for k, (pattern, _) in enumerate(self.photon_amplitudes):
             path = f"photons[{k}].pattern"
-            self._check_occupations(pattern, path)
-            if len(pattern) != self.modes:
-                raise ValueError(f"{path}: requires one occupation per mode "
-                                 f"(modes = {self.modes}), got {list(pattern)}")
-            if sum(pattern) < 1:
-                raise ValueError(f"{path}: the vacuum cannot be an emission pattern, "
-                                 f"got {list(pattern)}")
+            self._check_pattern(pattern, path)
             if pattern in seen:
                 raise ValueError(f"{path}: duplicate pattern {list(pattern)}")
             seen.add(pattern)
@@ -90,6 +87,17 @@ class RadiationModel:
                 f"photons: amplitudes must satisfy sum |c_j|^2 = 1, got {total_c}")
         self._check_occupations(self.background, "background")
         self.layout  # raises DimensionCapError if over the cap
+
+    def _check_pattern(self, pattern: tuple[int, ...], path: str):
+        """An emission pattern has one occupation per mode and is not the
+        vacuum, so it differs from the reference occupation."""
+        self._check_occupations(pattern, path)
+        if len(pattern) != self.modes:
+            raise ValueError(f"{path}: requires one occupation per mode "
+                             f"(modes = {self.modes}), got {list(pattern)}")
+        if sum(pattern) < 1:
+            raise ValueError(f"{path}: the vacuum, the reference occupation, cannot be "
+                             f"an emission pattern, got {list(pattern)}")
 
     def _check_occupations(self, occupations: tuple[int, ...], path: str):
         """Every occupation is a photon number below the cutoff."""
@@ -171,18 +179,27 @@ def quadrature_op(model: RadiationModel, mode: int) -> np.ndarray:
 def vacuum_pattern_connector(model: RadiationModel,
                              pattern: Sequence[int] | None = None) -> np.ndarray:
     """|ref><pattern| + h.c. on the field: the vacuum-connecting Hermitian
-    that the photocounting restriction excludes."""
-    if pattern is None:
-        pattern = model.branch_occupations()[0][0]
-    else:
-        pattern = model.background + tuple(pattern)
+    that the photocounting restriction excludes.  `pattern` (the emission
+    modes' occupations, default the first emission pattern) follows the
+    model's pattern rules, so it is never the reference occupation."""
     d = model.field_dim()
     mat = np.zeros((d, d), dtype=complex)
-    i0 = model.field_index(model.reference_occupation())
-    j = model.field_index(pattern)
-    mat[i0, j] = 1.0
-    mat[j, i0] = 1.0
+    r, p = _connector_indices(model, pattern)
+    mat[r, p] = mat[p, r] = 1.0
     return mat
+
+
+def _connector_indices(model: RadiationModel,
+                       pattern: Sequence[int] | None = None) -> tuple[int, int]:
+    """Field indices (r, p) of the reference occupation and of a checked
+    emission pattern: distinct, as an emission pattern is not the vacuum."""
+    if pattern is None:
+        pattern = model.photon_amplitudes[0][0]
+    else:
+        pattern = tuple(pattern)
+        model._check_pattern(pattern, "pattern")
+    return (model.field_index(model.reference_occupation()),
+            model.field_index(model.background + pattern))
 
 
 _SYSTEM_PAULIS = tuple((p1 + p2, np.kron(PAULI_MATRICES[p1], PAULI_MATRICES[p2]))
@@ -192,8 +209,8 @@ _SYSTEM_PAULIS = tuple((p1 + p2, np.kron(PAULI_MATRICES[p1], PAULI_MATRICES[p2])
 def full_observable(model: RadiationModel, system: np.ndarray,
                     field: np.ndarray) -> np.ndarray:
     """system (4x4 on path x lattice) tensor a field factor, on the full
-    layout: the dense reference for the factored KronObservable, and the
-    vacuum connector's builder (its products make generators dense too)."""
+    layout: the dense reference for the factored KronObservable and for the
+    vacuum connector's two-index block."""
     sys = np.asarray(system, dtype=complex)
     if sys.shape != (4, 4):
         raise ValueError("system factor must be 4x4 (path x lattice)")
@@ -227,10 +244,13 @@ def glauber_generators(model: RadiationModel) -> ObservableSet:
 def with_vacuum_connector(model: RadiationModel,
                           base: ObservableSet | None = None) -> ObservableSet:
     """The Glauber set augmented with one vacuum-connecting Hermitian: the
-    minimal violation of the photocounting restriction."""
+    minimal violation of the photocounting restriction.  It is the 8x8 block
+    XX (x) [[0, 1], [1, 0]] on C^4 (x) span{|ref>, |p_0>}, built without a
+    dim x dim matrix."""
     base = glauber_generators(model) if base is None else base
     sys = np.kron(PAULI_MATRICES["X"], PAULI_MATRICES["X"])
-    extra = full_observable(model, sys, vacuum_pattern_connector(model))
+    extra = _TwoIndexObservable(np.kron(sys, PAULI_MATRICES["X"]),
+                                _connector_indices(model))
     return ObservableSet(base.name + "+vacuum_connector",
                          base.generators + (("XX(x)vacuum_connector", extra),),
                          closure_depth=base.closure_depth)

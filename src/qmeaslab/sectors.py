@@ -20,7 +20,12 @@ stacked and evaluated by one batched kernel; no dim x dim array is built
 for them.  The stack keeps each distinct system factor once (keyed on its
 bytes) and one diagonal row per member, so the products, spectral norms
 and Gram contractions of the system factors run once per distinct factor,
-not once per member.
+not once per member.  A member that lives on two basis states {r, p} of
+the trailing factor (`_TwoIndexObservable`, such as the radiation model's
+vacuum connector) is kept as its (2s, 2s) block, and so is each of its
+products with a factored member: S (x) diag(f) maps C^s (x) span{r, p}
+into itself.  Those blocks are stacked too, with one batched SVD for
+their norms and the branches' (s, 2) slices for their deviations.
 """
 
 from __future__ import annotations
@@ -221,6 +226,17 @@ class KronObservable:
         return np.kron(self.system, np.diag(self.field.astype(complex)))
 
 
+@dataclass(frozen=True, eq=False)
+class _TwoIndexObservable:
+    """An operator on C^s (x) span{|r>, |p>}, zero off that span, where
+    `index` = (r, p) are two distinct basis indices of the layout's
+    trailing factor: `block` is its (2s, 2s) matrix, ordered as
+    np.kron(system, field) with r before p."""
+
+    block: np.ndarray
+    index: tuple[int, int]
+
+
 # The factored kernels take system factors (..., s, s) and real diagonals
 # (..., f): one observable, or a stack of them along a leading axis.
 
@@ -248,13 +264,20 @@ def _phase_pair(branches: BranchDecomposition) -> tuple[StateVector, StateVector
             StateVector(branches.layout, first - second))
 
 
+def _cross_pair(branches: BranchDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """x = a1 chi1 and y = a2 chi2 (zero for one branch), so psi+/- = x +/- y
+    and a Hermitian Q has (<Q>_psi+ - <Q>_psi-) / 2 = 2 Re(x^H Q y)."""
+    (a1, chi1), *rest = branches.branches
+    x = a1 * chi1.amplitudes
+    return x, (rest[0][0] * rest[0][1].amplitudes if rest else np.zeros_like(x))
+
+
 def _cross_weights(branches: BranchDecomposition) -> np.ndarray:
     """w = 2 Re(conj(a1 chi1) a2 chi2), the phase pair's (|psi+|^2 - |psi-|^2)
     / 2 (zero for one branch), so a diagonal d has deviation |d . w|: 0.0 by
     construction where the branches' supports are disjoint."""
-    (a1, chi1), *rest = branches.branches
-    y = rest[0][0] * rest[0][1].amplitudes if rest else 0.0
-    return 2.0 * np.real(np.conj(a1 * chi1.amplitudes) * y)
+    x, y = _cross_pair(branches)
+    return 2.0 * np.real(np.conj(x) * y)
 
 
 def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
@@ -295,6 +318,37 @@ def _kron_skew(system: np.ndarray, field: np.ndarray) -> np.ndarray:
             * np.linalg.norm(field, axis=-1))
 
 
+def _block_slices(vec: np.ndarray, s: int, index: np.ndarray) -> np.ndarray:
+    """The (2s,) slice v[:, index[m]] of vec as an (s, f) array, one row per
+    stacked index pair, in the order of a two-index block."""
+    if vec.shape[0] % s or np.max(index) >= vec.shape[0] // s:
+        raise OperatorError(f"two-index observable of system dim {s} and field indices "
+                            f"up to {np.max(index)} does not match layout dim {vec.shape[0]}")
+    v = vec.reshape(s, -1)[:, index]
+    return v.transpose(1, 0, 2).reshape(len(index), 2 * s)
+
+
+def _block_deviations(blocks: np.ndarray, index: np.ndarray,
+                      branches: BranchDecomposition) -> np.ndarray:
+    """|<Q>_pure - <Q>_mix| = 2|Re(x^H Q y)| (`_cross_pair`) of every stacked
+    two-index member: blocks[m] on field indices index[m], read on the (s, 2)
+    slices of x and y there."""
+    s = blocks.shape[-1] // 2
+    x, y = (_block_slices(v, s, index) for v in _cross_pair(branches))
+    return 2.0 * np.abs(np.einsum("mi,mij,mj->m", x.conj(), blocks, y).real)
+
+
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """Spectral norms of stacked blocks, which are those of their two-index
+    members: one batched SVD over the blocks that are not exactly zero
+    (most connector products), whose norm is 0.0."""
+    norms = np.zeros(len(blocks))
+    live = blocks.reshape(len(blocks), -1).any(axis=1)
+    if live.any():
+        norms[live] = np.linalg.norm(blocks[live], ord=2, axis=(-2, -1))
+    return norms
+
+
 def _distinct(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct matrices of a stack and the index of each stacked matrix
     among them, keyed on their exact bytes with -0.0 read as 0.0 (`+ 0.0`):
@@ -310,8 +364,9 @@ def _distinct(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class ObservableSet:
     """A named generating family of Hermitian operators (Pauli sums, dense
-    matrices or KronObservables), optionally closed under pairwise
-    products.  Pauli-string generators are stored as one-term sums."""
+    matrices, KronObservables or two-index blocks), optionally closed under
+    pairwise products.  Pauli-string generators are stored as one-term
+    sums."""
 
     name: str
     generators: tuple[tuple[str, object], ...]
@@ -347,7 +402,13 @@ def as_matrix(op, layout: HilbertLayout) -> np.ndarray:
         return string_matrix(op, layout)
     if isinstance(op, PauliSum):
         return sum_matrix(op, layout)
-    arr = op.matrix() if isinstance(op, KronObservable) else np.asarray(op, dtype=complex)
+    if isinstance(op, _TwoIndexObservable):
+        s = len(op.block) // 2
+        rows = (np.arange(s)[:, None] * (layout.dim // s) + np.array(op.index)).ravel()
+        arr = np.zeros((layout.dim, layout.dim), dtype=complex)
+        arr[np.ix_(rows, rows)] = op.block
+    else:
+        arr = op.matrix() if isinstance(op, KronObservable) else np.asarray(op, dtype=complex)
     if arr.shape != (layout.dim, layout.dim):
         raise OperatorError(f"dense operator shape {arr.shape} does not match layout")
     return arr
@@ -358,7 +419,7 @@ def op_is_hermitian(op, tol: float = DEFAULT_TOL) -> bool:
         return op.is_hermitian(tol)
     if isinstance(op, KronObservable):
         return bool(_kron_skew(op.system, op.field) <= tol)
-    arr = np.asarray(op)
+    arr = op.block if isinstance(op, _TwoIndexObservable) else np.asarray(op)
     return bool(np.linalg.norm(arr - arr.conj().T) <= tol)
 
 
@@ -371,6 +432,9 @@ def _value(op, state: StateVector) -> complex:
     if isinstance(op, KronObservable):
         gram = _kron_gram(v, len(op.system), len(op.field))
         return complex(_kron_values(op.system, op.field, gram)[0])
+    if isinstance(op, _TwoIndexObservable):
+        vb = _block_slices(v, len(op.block) // 2, np.array([op.index]))[0]
+        return complex(np.vdot(vb, op.block @ vb))
     return complex(np.vdot(v, np.asarray(op, dtype=complex) @ v))
 
 
@@ -397,9 +461,9 @@ def op_sup_norm(op, layout: HilbertLayout) -> float:
         return sup_norm_estimate(op, layout)
     if isinstance(op, KronObservable):
         return float(_kron_norms(op.system, op.field))
-    arr = np.asarray(op, dtype=complex)
-    # most products of the vacuum connector vanish exactly: no SVD for them
-    return float(np.linalg.norm(arr, ord=2)) if arr.any() else 0.0
+    if isinstance(op, _TwoIndexObservable):
+        return float(_block_norms(op.block[None])[0])
+    return float(np.linalg.norm(np.asarray(op, dtype=complex), ord=2))
 
 
 def _op_product_hermitian(a, b, layout: HilbertLayout):
@@ -417,7 +481,10 @@ class _ClosedFamily(NamedTuple):
     stacked: the member at position at[r] (ascending) is
     systems[sid[r]] (x) diag(field[r]).  `systems` holds each distinct
     system factor once, so their work is done once per factor, not once
-    per member.  Every other member is its own operator in `other`."""
+    per member.  Members on two field indices are stacked as blocks: the
+    member at position pair_at[r] is the two-index observable
+    blocks[r] on index[r].  Every other member is its own operator in
+    `other`."""
 
     i: np.ndarray
     j: np.ndarray
@@ -425,6 +492,9 @@ class _ClosedFamily(NamedTuple):
     systems: np.ndarray
     sid: np.ndarray
     field: np.ndarray
+    pair_at: np.ndarray
+    blocks: np.ndarray
+    index: np.ndarray
     other: dict[int, object]
 
     @property
@@ -438,32 +508,74 @@ def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFami
     exactly, because real diagonals commute.  Each distinct pair of
     distinct system factors (keyed on their bytes) is multiplied once, by
     one batched matmul; the field rows are one elementwise product per
-    member.  A product with any other operator goes through
+    member.  A two-index member times a factored member, or times a
+    two-index member on the same pair, is a two-index member on that pair
+    (`_pair_blocks`).  Any other product goes through
     `_op_product_hermitian`."""
     gens = [op for _, op in allowed.generators]
     g = len(gens)
     i, j = np.triu_indices(g if allowed.closure_depth >= 2 else 0)
     factored = np.array([isinstance(op, KronObservable) for op in gens], dtype=bool)
+    two = np.array([isinstance(op, _TwoIndexObservable) for op in gens], dtype=bool)
     both = factored[i] & factored[j]
+    on_pair = (two[i] & (factored[j] | two[j])) | (factored[i] & two[j])
+    for p in np.flatnonzero(two[i] & two[j]):
+        on_pair[p] = gens[i[p]].index == gens[j[p]].index
     at = np.concatenate([np.flatnonzero(factored), g + np.flatnonzero(both)])
-    other = {k: op for k, op in enumerate(gens) if not factored[k]}
-    for p in np.flatnonzero(~both):
+    pair_at = np.concatenate([np.flatnonzero(two), g + np.flatnonzero(on_pair)])
+    other = {k: op for k, op in enumerate(gens) if not (factored[k] or two[k])}
+    for p in np.flatnonzero(~(both | on_pair)):
         other[g + int(p)] = _op_product_hermitian(gens[i[p]], gens[j[p]], layout)
     kron = [op for op in gens if isinstance(op, KronObservable)]
+    kron_system = np.stack([op.system for op in kron]) if kron else np.empty((0, 0, 0))
+    kron_field = np.stack([op.field for op in kron]) if kron else np.empty((0, 0))
     systems, sid, field = np.empty((0, 0, 0)), np.empty(0, dtype=np.intp), np.empty(0)
+    row = np.cumsum(factored) - 1  # stack row of each factored generator
     if kron:
-        row = np.cumsum(factored) - 1  # stack row of each factored generator
         a, b = row[i[both]], row[j[both]]
-        gen_systems, gen_sid = _distinct(np.stack([op.system for op in kron]))
+        gen_systems, gen_sid = _distinct(kron_system)
         u = len(gen_systems)
         pairs, pair_sid = np.unique(gen_sid[a] * u + gen_sid[b], return_inverse=True)
         prod = gen_systems[pairs // u] @ gen_systems[pairs % u]
         systems, sid = _distinct(np.concatenate(
             [gen_systems, 0.5 * (prod + prod.conj().swapaxes(-1, -2))]))
         sid = sid[np.concatenate([gen_sid, u + pair_sid])]
-        field = np.stack([op.field for op in kron])
-        field = np.concatenate([field, field[a] * field[b]])
-    return _ClosedFamily(i, j, at, systems, sid, field, other)
+        field = np.concatenate([kron_field, kron_field[a] * kron_field[b]])
+    blocks, index = np.empty((0, 0, 0), dtype=complex), np.empty((0, 2), dtype=np.intp)
+    if two.any():
+        blocks, index = _pair_blocks(gens, i[on_pair], j[on_pair], row,
+                                     kron_system, kron_field)
+    return _ClosedFamily(i, j, at, systems, sid, field, pair_at, blocks, index, other)
+
+
+def _pair_blocks(gens: list, a: np.ndarray, b: np.ndarray, row: np.ndarray,
+                 kron_system: np.ndarray, kron_field: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks and index pairs of the two-index generators, then of
+    herm(G_a[m] G_b[m]) for each product on a pair: one batched matmul of
+    the operands' blocks on that pair.  The factored generator in stack row
+    row[k] (systems `kron_system`, diagonals `kron_field`) maps
+    C^s (x) span{r, p} into itself, as kron(S, diag(f[[r, p]]))."""
+    pairs = np.array([op.index if isinstance(op, _TwoIndexObservable) else (-1, -1)
+                      for op in gens], dtype=np.intp)
+    two = np.flatnonzero(pairs[:, 0] >= 0)
+    own = np.stack([gens[k].block for k in two])
+    s = own.shape[-1] // 2
+    index = np.where(pairs[a] >= 0, pairs[a], pairs[b])
+
+    def operands(ks: np.ndarray) -> np.ndarray:
+        out = np.empty((len(ks), s, 2, s, 2), dtype=complex)
+        kron = pairs[ks, 0] < 0
+        if kron.any():
+            r = row[ks[kron]]
+            diag = kron_field[r[:, None], index[kron]][:, :, None] * np.eye(2)
+            out[kron] = kron_system[r][:, :, None, :, None] * diag[:, None, :, None, :]
+        out[~kron] = own[np.searchsorted(two, ks[~kron])].reshape(-1, s, 2, s, 2)
+        return out.reshape(len(ks), 2 * s, 2 * s)
+
+    prod = operands(a) @ operands(b)
+    return (np.concatenate([own, 0.5 * (prod + prod.conj().swapaxes(-1, -2))]),
+            np.concatenate([pairs[two], index]))
 
 
 @dataclass(frozen=True)
@@ -500,11 +612,16 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     family = _closed_family(allowed, pure.layout)
     names = [name for name, _ in allowed.generators]
     devs = np.zeros(len(names) + family.i.size)
+    stacked = []
     if family.at.size:
-        norms = _kron_norms(family.systems, family.field, family.sid)
-        diff = _kron_deviations(family.systems, family.field, branches, family.sid)
+        stacked.append((family.at, _kron_norms(family.systems, family.field, family.sid),
+                        _kron_deviations(family.systems, family.field, branches, family.sid)))
+    if family.pair_at.size:
+        stacked.append((family.pair_at, _block_norms(family.blocks),
+                        _block_deviations(family.blocks, family.index, branches)))
+    for at, norms, diff in stacked:
         seen = norms > tol
-        devs[family.at[seen]] = diff[seen] / norms[seen]
+        devs[at[seen]] = diff[seen] / norms[seen]
     cross = _cross_weights(branches)
     for k, op in family.other.items():
         if isinstance(op, PauliSum) and _is_z_diagonal(op):

@@ -207,6 +207,14 @@ def kron_expectations(vec: np.ndarray, systems: np.ndarray, fields: np.ndarray) 
     return np.einsum("ak,mab,mk,bk->m", v.conj(), systems, fields, v, optimize=True)
 
 
+def block_expectations(vec: np.ndarray, blocks: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """<v|Q_m|v> of every stacked two-index member, blocks[m] on the field
+    indices index[m], by one einsum over v as an (s, f) array."""
+    s = blocks.shape[-1] // 2
+    v = vec.reshape(s, -1)[:, index]
+    return np.einsum("amk,makbl,bml->m", v.conj(), blocks.reshape(-1, s, 2, s, 2), v)
+
+
 def fsum_expect(vec: np.ndarray, parts: np.ndarray) -> float:
     """Re <v|Q|v> for Q v = parts.sum(axis=0), one row per term of Q: every
     product conj(v_i) parts[k, i] is rounded once and then summed exactly

@@ -20,7 +20,8 @@ from qmeaslab.radiation import (RadiationModel,
                                 with_vacuum_connector)
 from qmeaslab.pauli import OperatorError, PauliString, PauliSum
 from qmeaslab.scenarios import ConfigError, parse_config, run
-from qmeaslab.sectors import (KronObservable, ObservableSet, _closed_family,
+from qmeaslab.sectors import (KronObservable, ObservableSet, _block_deviations,
+                              _block_norms, _closed_family,
                               _kron_deviations, _kron_gram, _kron_norms,
                               _kron_values, discriminate, op_expectation,
                               op_expectation_mixed, op_is_hermitian, op_sup_norm)
@@ -294,27 +295,23 @@ class TestFactoredFamily:
         with pytest.raises(OperatorError, match="real diagonal"):
             KronObservable(np.eye(4), np.ones(model.field_dim()) * 1j)
 
-    def test_rd_basic_builds_no_number_diagonal_matrix(self, monkeypatch):
-        dense_field = radiation.full_observable
+    def test_rd_basic_builds_no_layout_dim_matrix(self, monkeypatch):
+        # the factored members and the vacuum connector's two-index members
+        # are never realized as dim x dim matrices
+        def refuse(*args, **kwargs):
+            raise AssertionError("an rd-basic member was realized densely")
 
-        def guarded(model, system, field):
-            if np.ndim(field) == 1:
-                raise AssertionError("a number-diagonal field was realized densely")
-            return dense_field(model, system, field)
-
-        monkeypatch.setattr(radiation, "full_observable", guarded)
-        for text in ("scenario: rd-basic\n",
-                     "scenario: rd-basic\nobservable_preset: with_vacuum_connector\n",
-                     "scenario: rd-basic\nbackground: [1]\n"):
-            assert not run(parse_config(text)).failed_required()
-
-        def refuse(self):
-            raise AssertionError("a factored member was realized densely")
-
-        # without the connector nothing in the family is dense
         monkeypatch.setattr(KronObservable, "matrix", refuse)
+        monkeypatch.setattr(radiation, "full_observable", refuse)
+        monkeypatch.setattr(sectors, "as_matrix", refuse)
+        for text in ("", "observable_preset: with_vacuum_connector\n", "background: [1]\n",
+                     RD_BASIC["2 modes, cutoff 3"][0],
+                     "modes: 3\ncutoff: 3\nphotons:\n"
+                     "- {pattern: [1, 0, 0], c: [0.7071067811865476, 0]}\n"
+                     "- {pattern: [0, 1, 0], c: [0.7071067811865476, 30]}\n"):
+            assert not run(parse_config("scenario: rd-basic\n" + text)).failed_required()
         model = add_uncorrelated_mode(RadiationModel(), 1)
-        assert not check_c22(model, glauber_generators(model)).distinguishable
+        assert check_c22(model, with_vacuum_connector(model)).distinguishable
 
     def test_two_modes_cutoff_3(self):
         report = run(parse_config(
@@ -369,6 +366,130 @@ class TestVacuumConnector:
         j = model.field_index((1,))
         assert mat[i0, j] == 1.0 and mat[j, i0] == 1.0
         assert np.count_nonzero(mat) == 2
+
+    @pytest.mark.parametrize("pattern, match", [
+        ((0,), r"^pattern: the vacuum, the reference occupation, cannot be an emission"),
+        ((1, 0), r"^pattern: requires one occupation per mode \(modes = 1\), got \[1, 0\]"),
+        ((5,), r"^pattern\[0\]: requires an occupation below cutoff = 3, got 5"),
+        ((-1,), r"^pattern\[0\]: requires an occupation >= 0, got -1"),
+    ], ids=["reference", "two occupations", "above cutoff", "negative"])
+    def test_refuses_a_pattern_that_is_not_a_connector(self, pattern, match):
+        with pytest.raises(ValueError, match=match):
+            vacuum_pattern_connector(RadiationModel(), pattern)
+
+    def test_refuses_the_reference_occupation_under_background(self):
+        model = add_uncorrelated_mode(RadiationModel(), 1)
+        with pytest.raises(ValueError, match="reference occupation"):
+            vacuum_pattern_connector(model, (0,))
+        assert np.count_nonzero(vacuum_pattern_connector(model, (2,))) == 2
+
+
+# ---------------------------------------------------------------------------
+# the vacuum connector and its products as two-index members, against a
+# dense build of each member
+
+TWO_INDEX_MODELS = {
+    "1 mode, cutoff 3": RadiationModel(
+        a1=np.sqrt(0.3), a2=np.sqrt(0.7) * np.exp(0.4j),
+        photon_amplitudes=(((2,), SQ), ((1,), SQ * np.exp(1.1j)))),
+    "1 mode, cutoff 4": FACTORED_MODELS["1 mode, cutoff 4"],
+    "2 modes, cutoff 3": RadiationModel(
+        modes=2, cutoff=3, photon_amplitudes=(((1, 0), SQ), ((0, 2), SQ * np.exp(0.5j)))),
+    "3 modes, cutoff 3": RadiationModel(
+        a1=np.sqrt(0.45), a2=np.sqrt(0.55) * np.exp(-0.9j), modes=3, cutoff=3,
+        photon_amplitudes=(((1, 1, 0), SQ), ((0, 1, 0), SQ))),
+    "background [1]": add_uncorrelated_mode(RadiationModel(), 1),
+}
+
+
+def _embedded(block, index, f):
+    """A two-index block as the dim x dim matrix it stands for."""
+    s = len(block) // 2
+    rows = (np.arange(s)[:, None] * f + np.asarray(index)[None, :]).ravel()
+    mat = np.zeros((s * f, s * f), dtype=complex)
+    mat[np.ix_(rows, rows)] = block
+    return mat
+
+
+def _two_index_mismatches(model, family) -> list[str]:
+    """How the family's two-index members differ from dense products of the
+    generators built by full_observable and vacuum_pattern_connector: each
+    member's realization must equal herm(dense_i @ dense_j) to 1e-15, its
+    norm the dense spectral norm to 1e-15 relative, and a product
+    herm((S (x) diag f) C) must read exactly 0.0 iff f_r = -f_p where S
+    commutes with XX and iff f_r = f_p where it anticommutes."""
+    gens = [op for _, op in with_vacuum_connector(model).generators]
+    dense = [q for _, q in _dense_glauber(model, connector=True)]
+    g, f = len(dense), model.field_dim()
+    r = model.field_index(model.reference_occupation())
+    p = model.field_index(model.branch_occupations()[0][0])
+    xx = np.kron(MATS["X"], MATS["X"])
+    norms = _block_norms(family.blocks)
+    bad = []
+    for m, k in enumerate(family.pair_at):
+        if k < g:
+            want = dense[k]
+        else:
+            a, b = family.i[k - g], family.j[k - g]
+            prod = dense[a] @ dense[b]
+            want = 0.5 * (prod + prod.conj().T)
+        if np.max(np.abs(_embedded(family.blocks[m], family.index[m], f) - want)) > 1e-15:
+            bad.append(f"member {k}: realization")
+        dense_norm = np.linalg.norm(want, ord=2)
+        if abs(norms[m] - dense_norm) > 1e-15 * dense_norm:
+            bad.append(f"member {k}: norm {norms[m]!r} against {dense_norm!r}")
+        if k >= g and b == g - 1 and a < g - 1:
+            system, diag = gens[a].system, gens[a].field
+            sign = 1.0 if np.array_equal(system @ xx, xx @ system) else -1.0
+            if (norms[m] == 0.0) != (diag[r] == -sign * diag[p]):
+                bad.append(f"member {k}: reads {norms[m]!r} with f_r = {diag[r]}, "
+                           f"f_p = {diag[p]}, sign {sign}")
+    return bad
+
+
+@pytest.mark.parametrize("label", TWO_INDEX_MODELS)
+def test_two_index_members_match_dense_products(label):
+    model = TWO_INDEX_MODELS[label]
+    assert model.layout.dim <= 500
+    family = _closed_family(with_vacuum_connector(model), model.layout)
+    g = len(with_vacuum_connector(model))
+    assert not family.other
+    # the connector, its product with each generator, and its square
+    assert list(family.pair_at) == [g - 1] + [
+        g + p for p in np.flatnonzero(family.j == g - 1)]
+    # a number function of another mode has f_r = f_p = 0
+    assert (_block_norms(family.blocks) == 0.0).any() == (model.all_modes > 1)
+    assert _two_index_mismatches(model, family) == []
+
+
+def test_two_index_oracle_catches_planted_faults():
+    model = TWO_INDEX_MODELS["1 mode, cutoff 3"]
+    family = _closed_family(with_vacuum_connector(model), model.layout)
+    gens = [op for _, op in with_vacuum_connector(model).generators]
+    g, xx = len(gens), np.kron(MATS["X"], MATS["X"])
+    norms = _block_norms(family.blocks)
+    kinds = {}  # "sym"/"anti" -> first non-zero product of a generator with the connector
+    for m, k in enumerate(family.pair_at):
+        a = family.i[k - g] if k >= g else g - 1
+        if k >= g and a < g - 1 and norms[m] > 0.0:
+            s = gens[a].system
+            kinds.setdefault("sym" if np.array_equal(s @ xx, xx @ s) else "anti", m)
+    # a symmetric/antisymmetric flag swapped: the (p, r) field half negated
+    m = kinds["sym"]
+    blocks = family.blocks.copy()
+    blocks.reshape(-1, 4, 2, 4, 2)[m, :, 1, :, 0] *= -1
+    assert _two_index_mismatches(model, family._replace(blocks=blocks))
+    # r and p exchanged in an antisymmetric member: it reads -Q, so its norm
+    # and deviation stay put and only the realization sees it
+    m = kinds["anti"]
+    index = family.index.copy()
+    index[m] = index[m][::-1]
+    swapped = family._replace(index=index)
+    assert _two_index_mismatches(model, swapped)
+    decomp = build_final_state(model)
+    assert np.array_equal(_block_norms(swapped.blocks), norms)
+    assert np.array_equal(_block_deviations(swapped.blocks, swapped.index, decomp),
+                          _block_deviations(family.blocks, family.index, decomp))
 
 
 def test_amplitude_validation():
@@ -579,3 +700,31 @@ def test_config_whose_connector_cannot_see_the_superposition_is_refused(text):
     # these used to run and fail the required vacuum_connector_discriminates
     with pytest.raises(ConfigError, match=r"a1/a2/photons\[0\]\.c: the vacuum connector"):
         parse_config("scenario: rd-basic\n" + text)
+
+
+def test_connector_generator_on_the_per_operator_route():
+    # the per-operator functions, and the products with a dense generator,
+    # take the two-index connector as the dense matrix it stands for
+    model = TWO_INDEX_MODELS["2 modes, cutoff 3"]
+    layout = model.layout
+    decomp = build_final_state(model)
+    psi, rho = decomp.state(), mixture_of(decomp).matrix
+    op = with_vacuum_connector(model).generators[-1][1]
+    dense = full_observable(model, np.kron(MATS["X"], MATS["X"]),
+                            vacuum_pattern_connector(model))
+    assert np.array_equal(sectors.as_matrix(op, layout), dense)
+    assert op_is_hermitian(op)
+    assert op_sup_norm(op, layout) == np.linalg.norm(dense, ord=2) == 1.0
+    assert abs(op_expectation(op, psi) - dense_expect(dense, psi.amplitudes).real) <= 1e-15
+    assert abs(op_expectation_mixed(op, decomp) - dense_expect_mixed(dense, rho).real) <= 1e-15
+    quad = full_observable(model, np.eye(4), quadrature_op(model, 1))
+    allowed = ObservableSet("quadrature+connector", (("quad", quad), ("C", op)))
+    family = _closed_family(allowed, layout)
+    assert sorted(family.other) == [0, 2, 3] and list(family.pair_at) == [1, 4]
+    best, best_name = reference_verdict([
+        (name, dense_expect(q, psi.amplitudes).real, dense_expect_mixed(q, rho).real,
+         np.linalg.norm(q, ord=2))
+        for name, q in _dense_closure([("quad", quad), ("C", dense)])])
+    verdict = discriminate(psi, decomp, allowed)
+    assert abs(verdict.max_deviation - best) <= 1e-15
+    assert verdict.witness_name == best_name

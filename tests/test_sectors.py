@@ -18,13 +18,14 @@ from qmeaslab.sectors import (ObservableSet, Projector, SectorDecomposition,
                               discriminate, joint_sectors, restricted_algebra,
                               sector_decohere, structure_residual)
 from qmeaslab import pauli, radiation, scenarios, sectors
-from qmeaslab.sectors import (KronObservable, _closed_family, _cross_weights,
-                              _kron_deviations, _kron_norms, _phase_pair, op_expectation,
+from qmeaslab.sectors import (KronObservable, _block_deviations, _block_norms,
+                              _closed_family, _cross_weights, _kron_deviations,
+                              _kron_norms, _phase_pair, op_expectation,
                               op_expectation_mixed, op_sup_norm)
 
 from oracles import dense_of, eigo_projectors, random_amplitude_pair, random_state
-from oracles import (X, Z, dense_commutator, fsum_expect, kron_expectations,
-                     three_expectation_deviation)
+from oracles import (X, Z, block_expectations, dense_commutator, fsum_expect,
+                     kron_expectations, three_expectation_deviation)
 
 RNG = np.random.default_rng(2718)
 SQ = np.sqrt(0.5)
@@ -368,15 +369,20 @@ def _term_images(op, layout, v):
     return (op * v[None, :]).T
 
 
-def _member_deviations(family, layout, tol, expect_stack, expect_one):
+def _member_deviations(family, layout, tol, expect_stack, expect_pairs, expect_one):
     """|deviation| / ||Q|| of every family member in family order, 0.0 where
     ||Q|| <= tol: `expect_stack()` gives the stacked members' deviations,
-    `expect_one(op)` one other member's."""
-    devs = np.zeros(len(family.at) + len(family.other))
-    if family.at.size:
-        norms = _kron_norms(family.systems, family.field, family.sid)
-        devs[family.at] = np.divide(np.abs(expect_stack()), norms,
-                                    out=np.zeros(norms.shape), where=norms > tol)
+    `expect_pairs()` the two-index members', `expect_one(op)` one other
+    member's."""
+    devs = np.zeros(len(family.at) + len(family.pair_at) + len(family.other))
+    for at, norm_of, expect in (
+            (family.at, lambda: _kron_norms(family.systems, family.field, family.sid),
+             expect_stack),
+            (family.pair_at, lambda: _block_norms(family.blocks), expect_pairs)):
+        if at.size:
+            norms = norm_of()
+            devs[at] = np.divide(np.abs(expect()), norms,
+                                 out=np.zeros(norms.shape), where=norms > tol)
     for k, op in family.other.items():
         norm = op_sup_norm(op, layout)
         if norm > tol:
@@ -408,6 +414,7 @@ def test_phase_pair_matches_the_three_expectation_route(name, monkeypatch):
         got = _member_deviations(
             family, layout, tol,
             lambda: _kron_deviations(family.systems, family.field, branches, family.sid),
+            lambda: _block_deviations(family.blocks, family.index, branches),
             lambda op: 0.5 * (op_expectation(op, pair[0], tol=np.inf)
                               - op_expectation(op, pair[1], tol=np.inf)))
         assert verdict.max_deviation == np.max(got)
@@ -416,6 +423,9 @@ def test_phase_pair_matches_the_three_expectation_route(name, monkeypatch):
             family, layout, tol,
             lambda: three_expectation_deviation(
                 lambda v: kron_expectations(v, family.system, family.field), psi,
+                branches).real,
+            lambda: three_expectation_deviation(
+                lambda v: block_expectations(v, family.blocks, family.index), psi,
                 branches).real,
             lambda op: three_expectation_deviation(
                 lambda v: fsum_expect(v, _term_images(op, layout, v)), psi, branches))
