@@ -36,10 +36,15 @@ _FORMATS = ("json", "csv")
 # qubits that fit the dimension cap
 _MAX_QUBITS = DEFAULT_DIM_CAP.bit_length() - 1
 
-# rd-basic stacks its closed Glauber family as a members x field_dim float
-# array (and evaluates it through complex arrays of the same shape), so a
-# wide field is refused at config time above this many entries
-_MAX_GLAUBER_FAMILY_ENTRIES = 2 ** 24
+# libyaml's safe loader where PyYAML was built with it, else the pure-Python one
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# rd-basic's closed Glauber family keeps each distinct field row once but
+# still indexes every member (generator indices, factor ids, deviations), so
+# a many-mode field is refused at config time above this many members: a run
+# whose family is the widest admitted one (11 field modes, 760,760 members)
+# peaks near 330 MB of resident memory, and 12 modes would take twice that
+_MAX_GLAUBER_FAMILY_MEMBERS = 10 ** 6
 
 # the largest float whose square is finite
 _SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
@@ -216,12 +221,12 @@ def _photons(value, path: str):
         _amp(entry["c"], f"{where}.c")
 
 
-def _glauber_family_entries(modes: int, cutoff: int) -> int:
-    """members x field_dim of the closed Glauber family on `modes` modes:
-    16 system Paulis times 2M + M(M-1)/2 number functions, plus every
-    pairwise product."""
+def _glauber_family_members(modes: int) -> int:
+    """Members of the closed Glauber family on `modes` modes: 16 system
+    Paulis times 2M + M(M-1)/2 number functions, plus every pairwise
+    product."""
     g = 16 * (2 * modes + modes * (modes - 1) // 2)
-    return (g + g * (g + 1) // 2) * cutoff ** modes
+    return g + g * (g + 1) // 2
 
 
 def _single_branch(stage: int) -> ConfigError:
@@ -286,12 +291,12 @@ def _check_params(scenario: str, params: dict[str, Any], tol: float):
                 f"modes/cutoff/background: the background check's layout of dim 4 * "
                 f"cutoff^(modes + len(background) + 1) = {dim} must fit the dimension "
                 f"cap {DEFAULT_DIM_CAP}")
-        entries = _glauber_family_entries(field_modes + 1, cutoff)
-        if entries > _MAX_GLAUBER_FAMILY_ENTRIES:
+        members = _glauber_family_members(field_modes + 1)
+        if members > _MAX_GLAUBER_FAMILY_MEMBERS:
             raise ConfigError(
-                f"modes/cutoff/background: the closed Glauber family of the background "
-                f"check has members x field_dim = {entries} entries, above the bound "
-                f"{_MAX_GLAUBER_FAMILY_ENTRIES}")
+                f"modes/background: the closed Glauber family of the background check "
+                f"on modes + len(background) + 1 = {field_modes + 1} field modes has "
+                f"{members} members, above the bound {_MAX_GLAUBER_FAMILY_MEMBERS}")
     if "a1" in params:
         mags = (float(params["a1"][0]), float(params["a2"][0]))
         w = mags[0] ** 2 + mags[1] ** 2
@@ -400,7 +405,7 @@ def build_config(data: dict[str, Any]) -> ScenarioConfig:
 def _load_yaml(text: str, what: str = "config"):
     """The YAML value of `text`; malformed YAML is a ConfigError naming `what`."""
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as err:
         raise ConfigError(f"{what} is not valid YAML: {err}") from err
 
@@ -696,9 +701,9 @@ def _run_rd_basic(params, tol, rng):
     quad_c2 = rad.check_no_vacuum_interference(quad, model)
     preset = params["observable_preset"]
     glauber = rad.glauber_generators(model)
-    augmented = rad.with_vacuum_connector(model, glauber)
-    v_glauber = sec.discriminate(pure, decomp, glauber, tol)
-    v_counter = sec.discriminate(pure, decomp, augmented, tol)
+    augmented = rad.with_vacuum_connector(model, glauber)  # the connector goes last
+    v_glauber, v_counter = sec._prefix_verdicts(pure, decomp, augmented,
+                                                (len(glauber), len(augmented)), tol)
     allowed, v_allowed = ((glauber, v_glauber) if preset == "glauber"
                           else (augmented, v_counter))
     bg_model = rad.add_uncorrelated_mode(model, 1)

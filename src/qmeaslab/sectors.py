@@ -17,15 +17,17 @@ cross weights w (`_cross_weights`).
 Observables come as Pauli sums, dense arrays, or factored
 `KronObservable`s S (x) diag(f).  A closed family's factored members are
 stacked and evaluated by one batched kernel; no dim x dim array is built
-for them.  The stack keeps each distinct system factor once (keyed on its
-bytes) and one diagonal row per member, so the products, spectral norms
-and Gram contractions of the system factors run once per distinct factor,
-not once per member.  A member that lives on two basis states {r, p} of
-the trailing factor (`_TwoIndexObservable`, such as the radiation model's
-vacuum connector) is kept as its (2s, 2s) block, and so is each of its
-products with a factored member: S (x) diag(f) maps C^s (x) span{r, p}
-into itself.  Those blocks are stacked too, with one batched SVD for
-their norms and the branches' (s, 2) slices for their deviations.
+for them.  The stack keeps each distinct system factor and each distinct
+diagonal row once (keyed on their bytes) and each member as a pair of ids,
+so the products, spectral norms and Gram contractions of the factors run
+once per distinct factor, and each distinct (system, diagonal) pair is
+normed and evaluated once, not once per member.  A member that lives on
+two basis states {r, p} of the trailing factor (`_TwoIndexObservable`,
+such as the radiation model's vacuum connector) is kept as its (2s, 2s)
+block, and so is each of its products with a factored member:
+S (x) diag(f) maps C^s (x) span{r, p} into itself.  Those blocks are
+stacked too, with one batched SVD for their norms and the branches' (s, 2)
+slices for their deviations.
 """
 
 from __future__ import annotations
@@ -237,6 +239,10 @@ class _TwoIndexObservable:
     index: tuple[int, int]
 
 
+# entries of one block of a factored kernel's row sums: a few MB of
+# temporaries however many members a family stacks
+_ROW_BLOCK = 2 ** 16
+
 # The factored kernels take system factors (..., s, s) and real diagonals
 # (..., f): one observable, or a stack of them along a leading axis.
 
@@ -281,34 +287,49 @@ def _cross_weights(branches: BranchDecomposition) -> np.ndarray:
 
 
 def _kron_values(system: np.ndarray, field: np.ndarray, gram: np.ndarray,
-                 sid: np.ndarray | None = None) -> np.ndarray:
+                 sid: np.ndarray | None = None, fid: np.ndarray | None = None
+                 ) -> np.ndarray:
     """Expectations of every stacked observable from one Gram array: one
-    matmul over the system factors and one weighted row sum.  Member r has
-    system factor system[sid[r]] and diagonal field[r] (with no `sid`, row
-    r of both), so a factor shared by many members is contracted once."""
+    matmul over the system factors and one weighted row sum per member.
+    Member r has system factor system[sid[r]] and diagonal field[fid[r]]
+    (with no `sid` or no `fid`, row r of that stack), so a factor shared by
+    many members is contracted once.  The row sums run over blocks of at
+    most _ROW_BLOCK entries: each row is summed alone, so a member's value
+    does not depend on the block it falls in."""
     s, f = system.shape[-1], field.shape[-1]
     values = system.reshape(-1, s * s) @ gram
-    return np.sum((values if sid is None else values[sid]) * field.reshape(-1, f), axis=1)
+    field = field.reshape(-1, f)
+    n = max(len(values) if sid is None else len(sid), len(field) if fid is None else len(fid))
+    out = np.empty(n, dtype=values.dtype)
+    step = max(1, _ROW_BLOCK // f)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        out[rows] = np.sum((values[rows] if sid is None else values[sid[rows]])
+                           * (field[rows] if fid is None else field[fid[rows]]), axis=1)
+    return out
 
 
 def _kron_deviations(system: np.ndarray, field: np.ndarray, branches: BranchDecomposition,
-                     sid: np.ndarray | None = None) -> np.ndarray:
+                     sid: np.ndarray | None = None, fid: np.ndarray | None = None
+                     ) -> np.ndarray:
     """|<Q>_pure - <Q>_mix| = |<Q>_psi+ - <Q>_psi-| / 2 (`_phase_pair`) of
     every stacked observable (members as in `_kron_values`), from the real
     parts of both expectations."""
     s, f = system.shape[-1], field.shape[-1]
-    plus, minus = (_kron_values(system, field, _kron_gram(v.amplitudes, s, f), sid).real
+    plus, minus = (_kron_values(system, field, _kron_gram(v.amplitudes, s, f), sid, fid).real
                    for v in _phase_pair(branches))
     return 0.5 * np.abs(plus - minus)
 
 
-def _kron_norms(system: np.ndarray, field: np.ndarray,
-                sid: np.ndarray | None = None) -> np.ndarray:
+def _kron_norms(system: np.ndarray, field: np.ndarray, sid: np.ndarray | None = None,
+                fid: np.ndarray | None = None) -> np.ndarray:
     """Spectral norms ||S||_2 max|f| (members as in `_kron_values`), exact:
     the singular values of a Kronecker product are the products of the
-    factors' singular values.  One SVD per system factor."""
+    factors' singular values.  One SVD per system factor and one max per
+    field row."""
     norms = np.linalg.norm(system, ord=2, axis=(-2, -1))
-    return (norms if sid is None else norms[sid]) * np.max(np.abs(field), axis=-1)
+    peaks = np.max(np.abs(field), axis=-1)
+    return (norms if sid is None else norms[sid]) * (peaks if fid is None else peaks[fid])
 
 
 def _kron_skew(system: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -479,39 +500,74 @@ class _ClosedFamily(NamedTuple):
     member g + p is herm(G_i[p] G_j[p]) for g generators, the pairs in
     np.triu_indices order.  Members built only from KronObservables are
     stacked: the member at position at[r] (ascending) is
-    systems[sid[r]] (x) diag(field[r]).  `systems` holds each distinct
-    system factor once, so their work is done once per factor, not once
-    per member.  Members on two field indices are stacked as blocks: the
-    member at position pair_at[r] is the two-index observable
-    blocks[r] on index[r].  Every other member is its own operator in
-    `other`."""
+    systems[sid[r]] (x) diag(fields[fid[r]]), with (sid, fid)[r] =
+    pairs[pid[r]].  `systems` and `fields` hold each distinct system factor
+    and field row once, and `pairs` each distinct (system, field) pair once,
+    so their work is done once per distinct factor or pair, not once per
+    member.  Members on two field indices are stacked as blocks: the member
+    at position pair_at[r] is the two-index observable blocks[r] on
+    index[r].  Every other member is its own operator in `other`."""
 
     i: np.ndarray
     j: np.ndarray
     at: np.ndarray
     systems: np.ndarray
-    sid: np.ndarray
-    field: np.ndarray
+    fields: np.ndarray
+    pairs: np.ndarray
+    pid: np.ndarray
     pair_at: np.ndarray
     blocks: np.ndarray
     index: np.ndarray
     other: dict[int, object]
 
     @property
+    def sid(self) -> np.ndarray:
+        return self.pairs[self.pid, 0]
+
+    @property
+    def fid(self) -> np.ndarray:
+        return self.pairs[self.pid, 1]
+
+    @property
     def system(self) -> np.ndarray:
         """The system factor of every stacked member, one row each."""
         return self.systems[self.sid]
 
+    @property
+    def field(self) -> np.ndarray:
+        """The field row of every stacked member, one row each."""
+        return self.fields[self.fid]
+
+
+def _closed_factors(gen: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    product) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct factors among a stack of generator factors and their
+    products product(gen[a[p]], gen[b[p]]), and the index among them of each
+    generator, then of each product: each distinct pair of distinct
+    generator factors (keyed on their bytes) is multiplied once, by one
+    batched call."""
+    distinct, gid = _distinct(gen)
+    u = len(distinct)
+    pairs, pair_id = np.unique(gid[a] * u + gid[b], return_inverse=True)
+    factors, ids = _distinct(np.concatenate(
+        [distinct, product(distinct[pairs // u], distinct[pairs % u])]))
+    return factors, ids[np.concatenate([gid, u + pair_id])]
+
+
+def _herm_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    prod = x @ y
+    return 0.5 * (prod + prod.conj().swapaxes(-1, -2))
+
 
 def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFamily:
     """The product of two factored members is herm(S_a S_b) (x) (f_a f_b)
-    exactly, because real diagonals commute.  Each distinct pair of
-    distinct system factors (keyed on their bytes) is multiplied once, by
-    one batched matmul; the field rows are one elementwise product per
-    member.  A two-index member times a factored member, or times a
-    two-index member on the same pair, is a two-index member on that pair
-    (`_pair_blocks`).  Any other product goes through
-    `_op_product_hermitian`."""
+    exactly, because real diagonals commute.  The system factors and the
+    field rows are each kept once (`_closed_factors`): one batched matmul
+    over the distinct pairs of distinct system factors, one elementwise
+    product per distinct pair of distinct field rows.  A two-index member
+    times a factored member, or times a two-index member on the same pair,
+    is a two-index member on that pair (`_pair_blocks`).  Any other product
+    goes through `_op_product_hermitian`."""
     gens = [op for _, op in allowed.generators]
     g = len(gens)
     i, j = np.triu_indices(g if allowed.closure_depth >= 2 else 0)
@@ -529,23 +585,20 @@ def _closed_family(allowed: ObservableSet, layout: HilbertLayout) -> _ClosedFami
     kron = [op for op in gens if isinstance(op, KronObservable)]
     kron_system = np.stack([op.system for op in kron]) if kron else np.empty((0, 0, 0))
     kron_field = np.stack([op.field for op in kron]) if kron else np.empty((0, 0))
-    systems, sid, field = np.empty((0, 0, 0)), np.empty(0, dtype=np.intp), np.empty(0)
+    systems, fields = np.empty((0, 0, 0)), np.empty((0, 0))
+    pairs, pid = np.empty((0, 2), dtype=np.intp), np.empty(0, dtype=np.intp)
     row = np.cumsum(factored) - 1  # stack row of each factored generator
     if kron:
         a, b = row[i[both]], row[j[both]]
-        gen_systems, gen_sid = _distinct(kron_system)
-        u = len(gen_systems)
-        pairs, pair_sid = np.unique(gen_sid[a] * u + gen_sid[b], return_inverse=True)
-        prod = gen_systems[pairs // u] @ gen_systems[pairs % u]
-        systems, sid = _distinct(np.concatenate(
-            [gen_systems, 0.5 * (prod + prod.conj().swapaxes(-1, -2))]))
-        sid = sid[np.concatenate([gen_sid, u + pair_sid])]
-        field = np.concatenate([kron_field, kron_field[a] * kron_field[b]])
+        systems, sid = _closed_factors(kron_system, a, b, _herm_product)
+        fields, fid = _closed_factors(kron_field, a, b, np.multiply)
+        keys, pid = np.unique(sid * len(fields) + fid, return_inverse=True)
+        pairs = np.stack([keys // len(fields), keys % len(fields)], axis=1)
     blocks, index = np.empty((0, 0, 0), dtype=complex), np.empty((0, 2), dtype=np.intp)
     if two.any():
         blocks, index = _pair_blocks(gens, i[on_pair], j[on_pair], row,
                                      kron_system, kron_field)
-    return _ClosedFamily(i, j, at, systems, sid, field, pair_at, blocks, index, other)
+    return _ClosedFamily(i, j, at, systems, fields, pairs, pid, pair_at, blocks, index, other)
 
 
 def _pair_blocks(gens: list, a: np.ndarray, b: np.ndarray, row: np.ndarray,
@@ -599,6 +652,19 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     of norm <= tol are skipped; the first member reaching the maximum is the
     witness, and only its name is formatted.  Distinguishable iff the maximum
     exceeds tol."""
+    return _prefix_verdicts(pure, branches, allowed, (len(allowed.generators),), tol)[0]
+
+
+def _prefix_verdicts(pure: StateVector, branches: BranchDecomposition,
+                     allowed: ObservableSet, prefixes: Sequence[int],
+                     tol: float = DEFAULT_TOL) -> list[DiscriminationVerdict]:
+    """`discriminate` over the family of each leading run of n generators,
+    for each n in `prefixes`, from one pass over the whole closed family.
+    The family of the first n generators is, in the same sweep order, the
+    members whose generator indices are all below n (np.triu_indices is
+    row-major), and each member's deviation is its own, so each verdict,
+    witness included, is the one `discriminate` gives for those
+    generators alone."""
     if pure.layout.labels != branches.layout.labels:
         raise StateError("pure state and mixture live on different layouts")
     if not allowed.generators:
@@ -611,11 +677,14 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
     allowed.validate(tol)
     family = _closed_family(allowed, pure.layout)
     names = [name for name, _ in allowed.generators]
-    devs = np.zeros(len(names) + family.i.size)
+    g = len(names)
+    devs = np.zeros(g + family.i.size)
     stacked = []
     if family.at.size:
-        stacked.append((family.at, _kron_norms(family.systems, family.field, family.sid),
-                        _kron_deviations(family.systems, family.field, branches, family.sid)))
+        sid, fid = family.pairs.T  # each distinct pair once, then gathered
+        norms = _kron_norms(family.systems, family.fields, sid, fid)
+        diff = _kron_deviations(family.systems, family.fields, branches, sid, fid)
+        stacked.append((family.at, norms[family.pid], diff[family.pid]))
     if family.pair_at.size:
         stacked.append((family.pair_at, _block_norms(family.blocks),
                         _block_deviations(family.blocks, family.index, branches)))
@@ -634,13 +703,20 @@ def discriminate(pure: StateVector, branches: BranchDecomposition,
         if norm > tol:
             devs[k] = 0.5 * abs(op_expectation(op, plus, tol=np.inf)
                                 - op_expectation(op, minus, tol=np.inf)) / norm
-    k = int(np.argmax(devs))
-    best = float(devs[k])
-    if best <= tol:
-        return DiscriminationVerdict(best, None)
-    p = k - len(names)
-    return DiscriminationVerdict(best, names[k] if p < 0 else
-                                 f"herm({names[family.i[p]]}*{names[family.j[p]]})")
+    verdicts = []
+    for n in prefixes:
+        # deviations are >= 0, so a member outside the prefix, read as -1, never wins
+        sweep = devs if n >= g else np.where(
+            np.concatenate([np.arange(g) < n, family.j < n]), devs, -1.0)
+        k = int(np.argmax(sweep))
+        best = float(devs[k])
+        if best <= tol:
+            verdicts.append(DiscriminationVerdict(best, None))
+            continue
+        p = k - g
+        verdicts.append(DiscriminationVerdict(best, names[k] if p < 0 else
+                                              f"herm({names[family.i[p]]}*{names[family.j[p]]})"))
+    return verdicts
 
 
 def restricted_algebra(sectors: SectorDecomposition, candidate_pool: ObservableSet,

@@ -162,8 +162,8 @@ FAULTS = {
     "rd-basic": {
         "field size": ("dimension cap", _set(cutoff=65)),
         "Glauber family": ("Glauber family", _set(
-            modes=3, cutoff=3, background=[1, 2],
-            photons=[{"pattern": [1, 0, 0], "c": [1.0, 0.0]}])),
+            modes=1, cutoff=2, background=[1] * 10,
+            photons=[{"pattern": [1], "c": [1.0, 0.0]}])),
         "weight rule": (r"\|a1\|\^2", _set(a1=[1.0, 0.0], a2=[0.5, 0.0])),
         "tolerance keeps a branch": ("so that a branch is kept", _keep_no_branch),
         "two branches": ("rd-basic needs two branches", _set(a1=[1.0, 0.0], a2=[0.0, 0.0])),

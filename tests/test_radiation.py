@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -598,44 +599,64 @@ def test_quadrature_c2_ignores_background_modes(background):
 
 
 # ---------------------------------------------------------------------------
-# the closed family keeps each distinct system factor once
+# the closed family keeps each distinct system factor and field row once
 
 ROUTE_MODELS = {**FACTORED_MODELS, "2 modes, background [1]": RadiationModel(
     a1=np.sqrt(0.35), a2=np.sqrt(0.65) * np.exp(1.3j), modes=2, cutoff=3,
     photon_amplitudes=(((1, 0), SQ), ((0, 2), SQ * np.exp(0.5j))), background=(1,))}
 
 
-def _per_member_systems(allowed):
-    """The system factor of every stacked member, one per member: the
-    generators' factors, then herm(S_a S_b) for every factored pair in
-    family order, each product taken on its own."""
+def _per_member_factors(allowed):
+    """The system factor and the field row of every stacked member, one per
+    member: the generators' factors, then herm(S_a S_b) and f_a * f_b for
+    every factored pair in family order, each product taken on its own."""
     gens = [op for _, op in allowed.generators]
     row = {k: r for r, k in enumerate(
         k for k, op in enumerate(gens) if isinstance(op, KronObservable))}
     system = np.stack([gens[k].system for k in row])
+    kron_field = np.stack([gens[k].field for k in row])
     a, b = np.array([(row[i], row[j]) for i, j in zip(*np.triu_indices(len(gens)))
                      if i in row and j in row]).T
     prod = system[a] @ system[b]
-    return np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))])
+    return (np.concatenate([system, 0.5 * (prod + prod.conj().swapaxes(-1, -2))]),
+            np.concatenate([kron_field, kron_field[a] * kron_field[b]]))
+
+
+def _random_branches(layout, rng):
+    """Two random orthogonal branches with random amplitudes: the Glauber
+    members see their coherence, so their deviations are not all 0.0."""
+    q, _ = np.linalg.qr(rng.normal(size=(layout.dim, 2))
+                        + 1j * rng.normal(size=(layout.dim, 2)))
+    a1, a2 = random_amplitude_pair(rng)
+    return BranchDecomposition(layout, ((a1, StateVector(layout, q[:, 0])),
+                                        (a2, StateVector(layout, q[:, 1]))))
+
+
+def _route_differs(family, allowed, decomp) -> bool:
+    """Whether any norm or deviation of the family's route (each distinct
+    (system, field) pair once, then gathered per member) differs in any bit
+    from the per-member route."""
+    system, field = _per_member_factors(allowed)
+    sid, fid = family.pairs.T
+    routes = [(_kron_norms(family.systems, family.fields, sid, fid)[family.pid],
+               _kron_norms(system, field)),
+              (_kron_deviations(family.systems, family.fields, decomp, sid, fid)[family.pid],
+               _kron_deviations(system, field, decomp))]
+    return not all(np.array_equal(x, y) for x, y in routes)
 
 
 def _route_mismatches() -> list[str]:
     """Labels of the families whose spectral norms or deviations differ in
-    any bit between the distinct-factor route and the per-member route."""
+    any bit between the distinct-pair route and the per-member route, at
+    the model's branches (every member blind) and at random ones."""
     bad = []
+    rng = np.random.default_rng(577)
     for label, model in ROUTE_MODELS.items():
-        decomp = build_final_state(model)
         glauber = glauber_generators(model)
-        for allowed in (glauber, with_vacuum_connector(model, glauber)):
-            family = _closed_family(allowed, model.layout)
-            per_member = _per_member_systems(allowed)
-            routes = [(_kron_norms(family.systems, family.field, family.sid),
-                       _kron_norms(per_member, family.field)),
-                      (_kron_deviations(family.systems, family.field,
-                                        decomp, family.sid),
-                       _kron_deviations(per_member, family.field, decomp))]
-            if not all(np.array_equal(x, y) for x, y in routes):
-                bad.append(f"{label}, {allowed.name}")
+        for decomp in (build_final_state(model), _random_branches(model.layout, rng)):
+            for allowed in (glauber, with_vacuum_connector(model, glauber)):
+                if _route_differs(_closed_family(allowed, model.layout), allowed, decomp):
+                    bad.append(f"{label}, {allowed.name}")
     return bad
 
 
@@ -660,9 +681,10 @@ def test_background_family_stores_each_system_factor_once(monkeypatch):
     model = add_uncorrelated_mode(RadiationModel(), 1)
     glauber = glauber_generators(model)
     family = _closed_family(glauber, model.layout)
-    assert family.at.size == family.sid.size == 3320
-    assert len(family.systems) <= 26
+    assert family.at.size == family.sid.size == family.fid.size == 3320
+    assert len(family.systems) <= 26 and len(family.fields) == 14
     assert np.array_equal(family.system, family.systems[family.sid])
+    assert np.array_equal(family.field, _per_member_factors(glauber)[1])
     normed = []
     norm = np.linalg.norm
 
@@ -675,6 +697,55 @@ def test_background_family_stores_each_system_factor_once(monkeypatch):
     decomp = build_final_state(model)
     assert not discriminate(decomp.state(), decomp, glauber).distinguishable
     assert normed and sum(normed) <= 26
+
+
+def test_route_check_sees_a_shifted_field_id():
+    # one product's field id off by one changes its norm or its deviation
+    model = ROUTE_MODELS["2 modes, background [1]"]
+    glauber = glauber_generators(model)
+    family = _closed_family(glauber, model.layout)
+    decomp = _random_branches(model.layout, np.random.default_rng(3))
+    assert not _route_differs(family, glauber, decomp)
+    r = family.pid.size - 1  # the last product, herm(G_g G_g)
+    sid, fid = family.pairs[family.pid[r]]
+    pairs = np.vstack([family.pairs, [sid, (fid + 1) % len(family.fields)]])
+    pid = family.pid.copy()
+    pid[r] = len(family.pairs)
+    assert _route_differs(family._replace(pairs=pairs, pid=pid), glauber, decomp)
+
+
+def test_row_blocks_leave_every_value_unchanged(monkeypatch):
+    # each row is summed alone, so blocks of 7 rows give the same bits
+    model = ROUTE_MODELS["2 modes, background [1]"]
+    family = _closed_family(glauber_generators(model), model.layout)
+    decomp = _random_branches(model.layout, np.random.default_rng(4))
+    sid, fid = family.pairs.T
+    whole = _kron_deviations(family.systems, family.fields, decomp, sid, fid)
+    assert len(sid) * family.fields.shape[1] <= sectors._ROW_BLOCK and np.max(whole) > 0.0
+    monkeypatch.setattr(sectors, "_ROW_BLOCK", 7 * family.fields.shape[1])
+    assert np.array_equal(_kron_deviations(family.systems, family.fields, decomp, sid, fid),
+                          whole)
+
+
+def test_factored_family_peak_memory():
+    # 3 modes at cutoff 3 with one background mode: 25,424 members over 81
+    # field entries, of which one members x field_dim float array alone
+    # is 16.5 MB; each distinct field row is stored once, so the family and
+    # its verdict take about 3 MB
+    model = RadiationModel(modes=3, cutoff=3, background=(1,),
+                           photon_amplitudes=(((1, 0, 0), 1.0),))
+    glauber = glauber_generators(model)
+    decomp = build_final_state(model)
+    pure = decomp.state()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _closed_family(glauber, model.layout)
+        discriminate(pure, decomp, glauber)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from qmeaslab import cascade, chain
+from qmeaslab import cascade, chain, scenarios
 from qmeaslab.cascade import CascadeModel, run_cascade, unmeasured_it_exists
 from qmeaslab.cli import main
 from qmeaslab.hilbert import mixture_of
@@ -15,6 +17,7 @@ from qmeaslab.scenarios import (ConfigError, SCENARIOS, RunReport, build_config,
                                 emit, parse_config, run)
 
 SQ = float(np.sqrt(0.5))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestParseConfig:
@@ -100,8 +103,9 @@ class TestParseConfig:
         ("scenario: rd-basic\nmodes: 12\ncutoff: 2\n"
          "photons: [{pattern: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], c: [1, 0]}]\n",
          "dimension cap"),
-        ("scenario: rd-basic\nmodes: 3\ncutoff: 3\nbackground: [1, 2]\n"
-         "photons: [{pattern: [1, 0, 0], c: [1, 0]}]\n", "Glauber family"),
+        ("scenario: rd-basic\nmodes: 1\ncutoff: 2\nbackground: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]\n"
+         "photons: [{pattern: [1], c: [1, 0]}]\n",
+         "Glauber family .* 12 field modes has 1038960 members, above the bound 1000000"),
         ("scenario: ch-cascade\na1: [0.7071067811865476, 0]\n"
          "a2: [0.7071067811865476, 60]\n"
          "sweep: {parameter: a2_phase_deg, start: 0, stop: 180, steps: 7}\n",
@@ -165,25 +169,38 @@ class TestParseConfig:
             "scenario: ch-basic\nsweep: {parameter: theta_deg, start: 1e1, stop: 90, steps: 2}\n")
         assert cfg.sweep.start == 10.0
 
-    @pytest.mark.parametrize("modes, cutoff", [(1, 2), (2, 2), (1, 3)])
+    @pytest.mark.parametrize("modes, cutoff", [(1, 2), (2, 2), (1, 3), (3, 2)])
     def test_glauber_family_size_formula(self, modes, cutoff):
-        # the config-time bound counts the family the run actually stacks
+        # the config-time bound counts the members the run actually indexes
         from qmeaslab.radiation import RadiationModel, glauber_generators
-        from qmeaslab.scenarios import _glauber_family_entries
+        from qmeaslab.scenarios import _glauber_family_members
         from qmeaslab.sectors import _closed_family
 
         model = RadiationModel(modes=modes, cutoff=cutoff,
                                photon_amplitudes=(((1,) + (0,) * (modes - 1), 1.0),))
         glauber = glauber_generators(model)
         family = _closed_family(glauber, model.layout)
-        assert family.field.shape == (len(glauber) + family.i.size, cutoff ** modes)
-        assert _glauber_family_entries(modes, cutoff) == family.field.size
+        members = len(glauber) + family.i.size
+        assert family.at.size == family.pid.size == members
+        assert _glauber_family_members(modes) == members
 
     def test_widest_admitted_glauber_family(self):
-        # the background check's family on 4 modes at cutoff 3 has
-        # 25,424 members x 81 field entries, inside the bound
-        parse_config("scenario: rd-basic\nmodes: 3\ncutoff: 3\n"
-                     "photons: [{pattern: [1, 0, 0], c: [1, 0]}]\n")
+        # the background check's family on 11 field modes has 760,760
+        # members, inside the bound; one more mode (1,038,960) is refused
+        photons = "photons: [{pattern: [1], c: [1, 0]}]\n"
+        parse_config("scenario: rd-basic\nmodes: 1\ncutoff: 2\n"
+                     f"background: {[1] * 9}\n" + photons)
+        with pytest.raises(ConfigError, match="above the bound 1000000"):
+            parse_config("scenario: rd-basic\nmodes: 1\ncutoff: 2\n"
+                         f"background: {[1] * 10}\n" + photons)
+
+    def test_wide_field_with_few_modes_runs(self):
+        # 4 field modes at cutoff 6 (layout dim 5184 in the background
+        # check): the family's field rows are stored once, so the field
+        # dimension no longer bounds it
+        report = run(parse_config("scenario: rd-basic\nmodes: 2\ncutoff: 6\nbackground: [1]\n"
+                                  "photons: [{pattern: [1, 0], c: [1, 0]}]\n"))
+        assert not report.failed_required()
 
     def test_single_b_branch_rejected_at_config_time(self):
         # a1 = a2: the state after stage 1 is a B eigenstate, so recording B
@@ -879,3 +896,23 @@ def test_blind_families_deviate_by_exactly_zero(text, names):
     # agree bit for bit, not just to the tolerance
     residuals = {i.name: i.residual for i in run(parse_config(text)).invariants}
     assert {name: residuals[name] for name in names} == dict.fromkeys(names, 0.0)
+
+
+def _typed(value):
+    """A YAML value with the type of every node spelled out beside it."""
+    if isinstance(value, dict):
+        return dict, [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return list, [_typed(v) for v in value]
+    return type(value), value
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_libyaml_loader_reads_the_corpus_as_the_pure_python_loader_does():
+    # parse_config reads with libyaml's safe loader; every golden config must
+    # give the pure-Python loader's values, of the same types
+    corpus = yaml.safe_load((GOLDEN / "corpus.yaml").read_text())
+    assert scenarios._YAML_LOADER is yaml.CSafeLoader
+    for name, text in corpus.items():
+        assert (_typed(yaml.load(text, Loader=yaml.CSafeLoader))
+                == _typed(yaml.load(text, Loader=yaml.SafeLoader))), name

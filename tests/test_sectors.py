@@ -397,17 +397,18 @@ def test_phase_pair_matches_the_three_expectation_route(name, monkeypatch):
     # expectations at pure = a1 chi1 + a2 chi2, the unstacked members' summed
     # exactly (a 56-term pointer square rounds its image apart by 1.2e-15
     # between the states)
-    calls, kernel = [], sectors.discriminate
+    # (discriminate and rd-basic's two verdicts both sweep through
+    # _prefix_verdicts, each prefix over the members of its generators)
+    calls, kernel = [], sectors._prefix_verdicts
 
-    def spy(pure, branches, allowed, tol):
-        verdict = kernel(pure, branches, allowed, tol)
-        calls.append((branches, allowed, tol, verdict))
-        return verdict
+    def spy(pure, branches, allowed, prefixes, tol):
+        verdicts = kernel(pure, branches, allowed, prefixes, tol)
+        calls.append((branches, allowed, prefixes, tol, verdicts))
+        return verdicts
 
-    monkeypatch.setattr(sectors, "discriminate", spy)
-    monkeypatch.setattr(radiation, "discriminate", spy)
+    monkeypatch.setattr(sectors, "_prefix_verdicts", spy)
     scenarios.run(scenarios.parse_config(CORPUS[name]))
-    for branches, allowed, tol, verdict in calls:
+    for branches, allowed, prefixes, tol, verdicts in calls:
         layout = branches.layout
         family = _closed_family(allowed, layout)
         pair = _phase_pair(branches)
@@ -417,7 +418,10 @@ def test_phase_pair_matches_the_three_expectation_route(name, monkeypatch):
             lambda: _block_deviations(family.blocks, family.index, branches),
             lambda op: 0.5 * (op_expectation(op, pair[0], tol=np.inf)
                               - op_expectation(op, pair[1], tol=np.inf)))
-        assert verdict.max_deviation == np.max(got)
+        g = len(allowed)
+        for n, verdict in zip(prefixes, verdicts, strict=True):
+            members = np.concatenate([np.arange(g) < n, family.j < n])
+            assert verdict.max_deviation == np.max(got[members])
         psi = branches.state().amplitudes
         want = _member_deviations(
             family, layout, tol,
@@ -455,6 +459,62 @@ def test_stacked_phase_pair_matches_the_three_expectation_route_off_the_blind_fa
         got, want = got[seen] / norms[seen], want[seen] / norms[seen]
         assert np.max(want) > 0.01
         assert np.max(np.abs(got - want)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# a prefix verdict is the verdict of the leading generators alone
+
+def _bits(verdicts):
+    return [(v.max_deviation.hex(), v.witness_name) for v in verdicts]
+
+
+@pytest.mark.parametrize("name", [n for n, text in CORPUS.items() if "rd-basic" in text])
+def test_prefix_verdicts_are_the_standalone_verdicts_on_the_corpus(name):
+    # rd-basic reads the Glauber verdict off the augmented family's sweep
+    config = scenarios.parse_config(CORPUS[name])
+    tol = config.tolerance
+    model = scenarios._radiation_model(config.params)
+    decomp = radiation.build_final_state(model, tol)
+    glauber = radiation.glauber_generators(model)
+    augmented = radiation.with_vacuum_connector(model, glauber)
+    got = sectors._prefix_verdicts(decomp.state(), decomp, augmented,
+                                   (len(glauber), len(augmented)), tol)
+    want = [discriminate(decomp.state(), decomp, s, tol) for s in (glauber, augmented)]
+    assert _bits(got) == _bits(want)
+
+
+def _tied_kron_set(rng, s, f, g):
+    """g random factored generators and a copy of each with its diagonal
+    doubled, shuffled: every normalized deviation is reached twice, exactly,
+    so the first-witness rule picks one of the two."""
+    gens = []
+    for k in range(g):
+        a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        op = KronObservable(0.5 * (a + a.conj().T), rng.normal(size=f))
+        gens += [(f"G{k}", op), (f"G{k}'", KronObservable(op.system, 2.0 * op.field))]
+    return ObservableSet("tied", tuple(gens[k] for k in rng.permutation(2 * g)))
+
+
+def test_prefix_verdicts_are_the_standalone_verdicts_on_random_kron_sets():
+    rng = np.random.default_rng(1414)
+    apart = 0
+    for _ in range(60):
+        s, f, g = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (2, 6), (1, 5)))
+        layout = HilbertLayout((Subsystem("s", s, MODE), Subsystem("f", f, MODE)))
+        q, _ = np.linalg.qr(rng.normal(size=(s * f, 2)) + 1j * rng.normal(size=(s * f, 2)))
+        a1, a2 = random_amplitude_pair(rng)
+        branches = BranchDecomposition(layout, ((a1, StateVector(layout, q[:, 0])),
+                                                (a2, StateVector(layout, q[:, 1]))))
+        pure = branches.state()
+        allowed = _tied_kron_set(rng, s, f, g)
+        n = int(rng.integers(1, 2 * g + 1))
+        got = sectors._prefix_verdicts(pure, branches, allowed, (n, 2 * g))
+        want = [discriminate(pure, branches, ObservableSet("prefix", allowed.generators[:n])),
+                discriminate(pure, branches, allowed)]
+        assert want[0].distinguishable
+        assert _bits(got) == _bits(want)
+        apart += _bits(want[:1]) != _bits(want[1:])
+    assert apart >= 10  # prefixes whose verdict is not the whole set's
 
 
 @pytest.mark.parametrize("dim", [2, 5, 16])
